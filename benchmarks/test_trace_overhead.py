@@ -16,7 +16,9 @@ two ways:
 
 A second guard bounds the *monitoring-enabled* cost: with the health
 monitor scraping at the default interval, the traced run may cost at
-most 10% more wall time than the same traced run without monitoring.
+most 5% more wall time than the same traced run without monitoring.
+The traced baseline already runs the span collector on every event,
+so the monitor adds only its scrapes.
 """
 
 import dataclasses
@@ -32,7 +34,7 @@ SCALE = dict(num_cpus=2, num_gpus=4, warps_per_cu=2)
 ROUNDS = 3
 MAX_OVERHEAD = 0.05
 #: monitored-vs-traced budget at the default scrape interval
-MAX_MONITOR_OVERHEAD = 0.10
+MAX_MONITOR_OVERHEAD = 0.05
 MONITOR_INTERVAL = 5000
 
 

@@ -52,10 +52,10 @@ def main() -> None:
           f"{len(reference.memory):,} words")
     assert mismatches == 0
 
-    llc_stats = {k: v for k, v in result.stats.counters().items()
-                 if k.startswith("llc.")}
-    print("\nLLC protocol activity:")
-    for key, value in sorted(llc_stats.items()):
+    home_stats = {k: v for k, v in result.stats.counters().items()
+                  if k.startswith("home.")}
+    print("\nLLC (home.<shard>.*) protocol activity:")
+    for key, value in sorted(home_stats.items()):
         print(f"  {key:<28} {value:>10,.0f}")
 
 

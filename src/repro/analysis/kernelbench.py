@@ -52,8 +52,9 @@ FAULT_SEED = 7
 #: tolerated events/sec drop vs the baseline before CI fails
 DEFAULT_TOLERANCE = 0.15
 #: tolerated wall-clock overhead of a monitoring-enabled run vs the
-#: same run traced-but-unmonitored, at the default scrape interval
-MAX_MONITOR_OVERHEAD = 0.10
+#: same traced run (whose span collector already sees every event, so
+#: the monitor adds only its scrapes), at the default scrape interval
+MAX_MONITOR_OVERHEAD = 0.05
 #: scrape interval used by the monitoring-overhead measurement
 MONITOR_BENCH_INTERVAL = 5000
 

@@ -228,9 +228,9 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     JSON-safe dict (the cache's on-disk format).
 
     ``trace_dir`` enables observability for the run and persists a
-    Chrome trace, a profiler snapshot, a health-metrics snapshot, and
-    Prometheus exposition text next to the cached result
-    (``<workload>-<config>-<key12>.trace.json`` / ``.profile.json`` /
+    Chrome trace, a health-metrics snapshot (whose ``spans`` entry is
+    the per-request attribution), and Prometheus exposition text next
+    to the cached result (``<workload>-<config>-<key12>.trace.json`` /
     ``.metrics.json`` / ``.prom``).  Tracing and monitoring are
     passive, so the payload — and therefore the cache key — is
     identical with or without them; artifacts are only (re)written
@@ -277,12 +277,7 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
             "name": f"{spec.workload}/{spec.config}",
             "events": system.tracer.events(),
         }])
-        profile_path = root / f"{stem}.profile.json"
-        with open(profile_path, "w") as handle:
-            json.dump(system.profiler.snapshot(), handle, indent=1,
-                      sort_keys=True)
         payload["trace_artifact"] = str(trace_path)
-        payload["profile_artifact"] = str(profile_path)
         if system.monitor is not None:
             from ..obs import (prometheus_text, registry_samples,
                                stats_samples)
@@ -711,7 +706,7 @@ def run_sweep(specs: Sequence[CellSpec], jobs: int = 1,
     ``cell_timeout`` (seconds of wall clock per cell) requires process
     isolation and therefore applies when set even at ``jobs=1``.
 
-    ``trace_dir`` persists per-cell Chrome trace and profiler
+    ``trace_dir`` persists per-cell Chrome trace and telemetry
     artifacts (see :func:`simulate_cell`); cells served from the cache
     are not re-traced.
     """

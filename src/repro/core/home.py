@@ -112,11 +112,9 @@ class SpandexHome(Component):
         super().__init__(engine, name)
         self.network = network
         self.stats = stats
-        #: canonical per-shard counters (``home.<name>.*``) with the
-        #: historical flat names (``llc.*``) kept as aggregate aliases
-        #: for one release; claiming the scope here makes duplicate
-        #: home names fail loudly at build time
-        self.hstats = stats.scoped(f"home.{name}", "llc")
+        #: per-shard counters (``home.<name>.*``); claiming the scope
+        #: here makes duplicate home names fail loudly at build time
+        self.hstats = stats.scoped(f"home.{name}")
         self.array: CacheArray[HomeState] = CacheArray(
             size_bytes, assoc, HomeState.I)
         self.access_latency = access_latency

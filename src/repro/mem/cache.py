@@ -68,6 +68,11 @@ class CacheLine(Generic[S]):
                 f"pinned={self.pinned}>")
 
 
+#: the set every never-installed set aliases; only install() adds lines,
+#: and it swaps in a fresh dict first, so this one stays empty
+_NO_LINES: "OrderedDict[int, CacheLine]" = OrderedDict()
+
+
 class CacheArray(Generic[S]):
     """LRU set-associative array of :class:`CacheLine`."""
 
@@ -79,8 +84,10 @@ class CacheArray(Generic[S]):
         self.num_sets = size_bytes // (LINE_BYTES * assoc)
         self.invalid_state = invalid_state
         # Each set is an OrderedDict line -> CacheLine; order = LRU.
-        self._sets: List["OrderedDict[int, CacheLine[S]]"] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        # Big homes touch few of their sets, so every set starts as the
+        # shared empty placeholder and install() gives it its own dict.
+        self._sets: List["OrderedDict[int, CacheLine[S]]"] = \
+            [_NO_LINES] * self.num_sets
 
     def _set_of(self, line: int) -> "OrderedDict[int, CacheLine[S]]":
         return self._sets[(line // LINE_BYTES) % self.num_sets]
@@ -109,7 +116,10 @@ class CacheArray(Generic[S]):
 
     def install(self, line: int) -> CacheLine[S]:
         """Insert an invalid-state line; caller must have evicted first."""
-        cache_set = self._set_of(line)
+        index = (line // LINE_BYTES) % self.num_sets
+        cache_set = self._sets[index]
+        if cache_set is _NO_LINES:
+            cache_set = self._sets[index] = OrderedDict()
         if line in cache_set:
             raise RuntimeError(f"line 0x{line:x} already resident")
         if len(cache_set) >= self.assoc:

@@ -1,38 +1,35 @@
-"""Observability: protocol tracing, transaction profiling, exporters.
+"""Observability: protocol tracing, span attribution, health, exporters.
 
-The subsystem has three layers, all strictly passive — nothing in this
-package ever schedules engine events, so enabling a trace can never
-change cycle counts, event counts, or final memory:
+Every layer is strictly passive — nothing in this package ever
+schedules engine events, so enabling a trace can never change cycle
+counts, event counts, or final memory:
 
 * :mod:`repro.obs.trace` — a bounded ring buffer of typed
   :class:`TraceEvent` records fed by trace points threaded through the
   network, homes, TUs, L1 protocols, MSHRs and DRAM.  Components reach
   the recorder through ``self.engine.tracer`` (``None`` when tracing is
   off, which keeps the disabled hot path to a single attribute test).
-* :mod:`repro.obs.profile` — a :class:`TransactionProfiler` sink that
-  stitches events into per-request lifecycles keyed by ``req_id`` and
-  attributes latency to stages (issue queue, network, indirection /
-  forward hops, home occupancy, blocking).
-* :mod:`repro.obs.monitor` / :mod:`repro.obs.spans` — a hierarchical
-  :class:`MetricsRegistry` of typed instruments scraped by a
-  :class:`HealthMonitor` on an engine-cycle interval, and a
-  :class:`SpanCollector` decomposing per-request end-to-end latency
-  into an exact partition of critical-path stages with top-K
-  contended-line / shard / link rollups.
-* :mod:`repro.obs.export` / :mod:`repro.obs.metrics` /
-  :mod:`repro.obs.prometheus` — Chrome/Perfetto trace-event JSON, a
-  human-readable per-address timeline, periodic epoch snapshots of the
-  :class:`~repro.sim.stats.StatsRegistry`, and Prometheus text
-  exposition with a validating parser.
+* :mod:`repro.obs.spans` — the recorder's one sink, a
+  :class:`SpanCollector` that stitches events into per-request spans
+  keyed by ``req_id``, decomposes end-to-end latency into an exact
+  partition of critical-path stages with top-K contended-line / shard
+  / link rollups, and books every network hop into a traffic-class x
+  hop-class flight rollup (the indirection cycles).
+* :mod:`repro.obs.monitor` — a hierarchical :class:`MetricsRegistry`
+  of typed instruments and a :class:`HealthMonitor` that the span
+  collector drives on an engine-cycle interval; each scrape row also
+  snapshots the :class:`~repro.sim.stats.StatsRegistry` counters.
+* :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
+  Chrome/Perfetto trace-event JSON (with counter tracks rendered from
+  the monitor's scrape rows), a human-readable per-address timeline,
+  and Prometheus text exposition with a validating parser.
 """
 
 from .export import (chrome_trace_events, format_timeline,
                      load_chrome_trace, validate_chrome_trace,
                      write_chrome_trace)
-from .metrics import MetricsTimeSeries
 from .monitor import (Counter, Gauge, HealthMonitor, Histogram,
                       MetricsRegistry, MetricsScope, format_health)
-from .profile import STAGES, TransactionProfiler
 from .prometheus import (parse_prometheus_text, prometheus_text,
                          registry_samples, sanitize_metric_name,
                          stats_samples)
@@ -43,8 +40,6 @@ from .trace import (INDIRECTION_HOPS, TraceEvent, TraceFilter,
 __all__ = [
     "TraceEvent", "TraceFilter", "TraceRecorder", "hop_class",
     "INDIRECTION_HOPS",
-    "TransactionProfiler", "STAGES",
-    "MetricsTimeSeries",
     "MetricsRegistry", "MetricsScope", "HealthMonitor",
     "Counter", "Gauge", "Histogram", "format_health",
     "SpanCollector", "SPAN_STAGES", "decompose",

@@ -4,9 +4,10 @@ The Chrome trace-event format (loadable by ``chrome://tracing`` and
 https://ui.perfetto.dev) maps naturally onto the recorder's stream:
 each simulated component becomes a thread track, span-like events
 (``dur > 0``) become complete ("X") events, instants become "i"
-events, and metrics epochs become counter ("C") tracks.  Cycle
-timestamps are written directly as microseconds — Perfetto's absolute
-units are irrelevant for a simulator; relative spans are what matter.
+events, and the health monitor's per-scrape counter snapshots become
+counter ("C") tracks.  Cycle timestamps are written directly as
+microseconds — Perfetto's absolute units are irrelevant for a
+simulator; relative spans are what matter.
 
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
@@ -15,6 +16,7 @@ and have monotonically non-decreasing timestamps per track.
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -63,14 +65,16 @@ def chrome_trace_events(events: Iterable[TraceEvent], pid: int = 0,
     return out
 
 
-def counter_events(samples: Sequence, pid: int = 0) -> List[dict]:
-    """Render metrics epochs as Chrome counter tracks.
+def counter_events(rows: Sequence[dict], pid: int = 0) -> List[dict]:
+    """Render scrape rows as Chrome counter tracks.
 
-    ``samples`` is the ``(ts, {counter: value})`` list kept by
-    :class:`~repro.obs.metrics.MetricsTimeSeries`.
+    ``rows`` are :class:`~repro.obs.monitor.HealthMonitor` samples;
+    each row's ``counters`` snapshot becomes one point per counter at
+    the row's ``ts``.
     """
     out: List[dict] = []
-    for ts, counters in samples:
+    for row in rows:
+        ts, counters = row["ts"], row["counters"]
         for name in sorted(counters):
             out.append({"ph": "C", "pid": pid, "name": name, "ts": ts,
                         "args": {"value": counters[name]}})
@@ -81,22 +85,32 @@ def write_chrome_trace(path: str, sections: Sequence[dict]) -> dict:
     """Write one Chrome trace file combining several sections.
 
     Each section is ``{"name": ..., "events": [TraceEvent, ...],
-    "metrics": optional (ts, counters) samples}`` and becomes one
+    "samples": optional monitor scrape rows}`` and becomes one
     process (pid) in the trace — ``repro run --config all`` emits one
     file with a process per configuration.  Returns the payload.
+
+    The payload is a large acyclic tree of fresh dicts, so cyclic
+    garbage collection is paused while it is built and written: a
+    collection pass over it could free nothing.
     """
-    trace_events: List[dict] = []
-    for pid, section in enumerate(sections):
-        trace_events.extend(chrome_trace_events(
-            section["events"], pid=pid,
-            process_name=str(section.get("name", f"sim{pid}"))))
-        samples = section.get("metrics")
-        if samples:
-            trace_events.extend(counter_events(samples, pid=pid))
-    payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-    return payload
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trace_events: List[dict] = []
+        for pid, section in enumerate(sections):
+            trace_events.extend(chrome_trace_events(
+                section["events"], pid=pid,
+                process_name=str(section.get("name", f"sim{pid}"))))
+            rows = section.get("samples")
+            if rows:
+                trace_events.extend(counter_events(rows, pid=pid))
+        payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        return payload
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_chrome_trace(path: str) -> dict:

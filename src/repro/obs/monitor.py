@@ -15,15 +15,17 @@ Two pieces:
     (builder) time.
 
 :class:`HealthMonitor`
-    a trace-recorder *sink* that scrapes the live simulation on an
-    engine-cycle interval with **zero perturbation**: like
-    :class:`~repro.obs.metrics.MetricsTimeSeries` it never schedules
-    engine events — it samples the first time a trace event's
+    scrapes the live simulation on an engine-cycle interval with
+    **zero perturbation**: it never schedules engine events — the
+    :class:`~repro.obs.spans.SpanCollector` sink calls
+    :meth:`HealthMonitor.sample_at` the first time a trace event's
     timestamp crosses each interval boundary, and every read is a
     passive attribute/dict read (engine counters, home deferral queues
     and bank backlogs, MSHR occupancy, per-link in-flight depth,
-    transport retransmit backlog and RTO state).  Simulations are
-    bit-identical with monitoring on or off, pinned by
+    transport retransmit backlog and RTO state, and a snapshot of the
+    :class:`~repro.sim.stats.StatsRegistry` counters — the time series
+    behind the Chrome counter tracks).  Simulations are bit-identical
+    with monitoring on or off, pinned by
     ``tests/property/test_monitor_determinism.py``.
 """
 
@@ -34,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.stats import (HISTOGRAM_BUCKETS, MetricNameError, _bucket_of,
                          validate_metric_name)
-from .trace import TraceEvent
 
 import re
 
@@ -155,9 +156,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[Tuple[str, Tuple], Instrument] = {}
-        #: legacy name -> canonical name (the one-release alias table;
-        #: purely declarative, rendered into exports for discovery)
-        self.aliases: Dict[str, str] = {}
 
     # -- registration ------------------------------------------------------
     def _register(self, kind: str, name: str,
@@ -198,21 +196,6 @@ class MetricsRegistry:
                   labels: Optional[Dict[str, str]] = None) -> Histogram:
         return self._register("histogram", name, labels, help, unit)
 
-    def alias(self, legacy: str, canonical: str) -> None:
-        """Declare ``legacy`` as the pre-grammar name of ``canonical``.
-
-        Purely declarative (rendered into JSON snapshots so consumers
-        can discover the migration); the dual-write itself happens in
-        :class:`~repro.sim.stats.ScopedStats`.  ``canonical`` may be a
-        template like ``home.<shard>``.  Collides loudly if the legacy
-        name already points elsewhere.
-        """
-        current = self.aliases.get(legacy)
-        if current is not None and current != canonical:
-            raise MetricNameError(
-                f"alias {legacy!r} already maps to {current!r}")
-        self.aliases[legacy] = canonical
-
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self, prefix)
 
@@ -229,9 +212,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """JSON round-trip exact: every container is a plain dict/list
         with string keys, so ``json.loads(json.dumps(s)) == s``."""
-        return {"metrics": self.collect(),
-                "aliases": {old: new for old, new in
-                            sorted(self.aliases.items())}}
+        return {"metrics": self.collect()}
 
 
 class MetricsScope:
@@ -269,11 +250,12 @@ MAX_SAMPLES = 4096
 class HealthMonitor:
     """Scrape the live system every ``interval`` engine cycles.
 
-    A recorder sink (event-driven sampling, never schedules); every
-    scrape reads only passive state.  Keeps structured per-scrape rows
-    (bounded ring), updates registry gauges (whose high-water marks
-    cover the whole run), and invokes ``on_sample`` callbacks — the
-    CLI's periodic ``repro top``-style console view hangs off those.
+    Event-driven sampling that never schedules; every scrape reads
+    only passive state.  Keeps structured per-scrape rows (bounded
+    ring; each carries a ``counters`` snapshot of the stats registry),
+    updates registry gauges (whose high-water marks cover the whole
+    run), and invokes ``on_sample`` callbacks — the CLI's periodic
+    ``repro top``-style console view hangs off those.
     """
 
     def __init__(self, system, registry: MetricsRegistry,
@@ -285,7 +267,10 @@ class HealthMonitor:
         self.samples = deque(maxlen=MAX_SAMPLES)
         self.scrapes = 0
         self.on_sample: List[Callable[[dict], None]] = []
-        self._next_due = self.interval
+        #: first cycle at which the next scrape is due; the span
+        #: collector's sink calls :meth:`sample_at` once an event's
+        #: timestamp reaches it
+        self.next_due = self.interval
         self._last_events = 0
         self._last_ts = 0
         self._g_events = registry.gauge(
@@ -344,11 +329,6 @@ class HealthMonitor:
                 registry.gauge("transport.reorder_buffered",
                                help="arrivals held for in-order "
                                     "delivery", unit="messages"))
-
-    # -- sink protocol -----------------------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        if event.ts >= self._next_due:
-            self.sample_at(event.ts)
 
     def _link_gauges(self, src: str, dst: str):
         # lazy per-link materialization: identical re-registration
@@ -456,12 +436,13 @@ class HealthMonitor:
             "homes": homes,
             "mshr": mshr,
             "links": links,
+            "counters": system.stats.counters(),
         }
         if transport is not None:
             row["transport"] = transport
         self.samples.append(row)
         self.scrapes += 1
-        self._next_due = (ts // self.interval + 1) * self.interval
+        self.next_due = (ts // self.interval + 1) * self.interval
         for callback in self.on_sample:
             callback(row)
 
@@ -489,7 +470,9 @@ class HealthMonitor:
         }
         last = self.last_sample()
         if last is not None:
-            summary["last"] = last
+            # the counter snapshot would bloat every diagnostic dump
+            summary["last"] = {key: value for key, value in last.items()
+                               if key != "counters"}
         spans = getattr(self.system, "spans", None)
         if spans is not None and spans.completed:
             summary["critical_path"] = {

@@ -1,15 +1,11 @@
-"""Span trees and cross-shard critical-path attribution.
+"""Span trees, cross-shard critical-path attribution, and hop rollups.
 
-The :class:`TransactionProfiler` answers *"how much flight / home /
-blocked time did requests accrue"* — but overlapping hops mean its
-stage sums can exceed end-to-end latency, so it cannot say *where the
-wall-clock time actually went*.  This module answers that question.
-
-:class:`SpanCollector` is a recorder sink that stitches the existing
-trace events into a causal per-request span tree (issue ->
-shard-indirected hops -> probe fan-out -> transport retransmissions ->
-completion) and decomposes each request's end-to-end latency into an
-**exact partition** of wall-clock stages:
+:class:`SpanCollector` is the tracer's one sink.  It stitches trace
+events into a causal per-request span tree (issue -> shard-indirected
+hops -> probe fan-out -> transport retransmissions -> completion),
+keyed by ``req_id`` (globally unique per request and preserved across
+forwards and responses), and decomposes each request's end-to-end
+latency into an **exact partition** of wall-clock stages:
 
 ``issue``
     from ``l1.issue`` until the request's first wire hop.
@@ -36,10 +32,26 @@ Each interval carries a resource tag (home name for queue time, the
 ``(src, dst)`` link for flight/probe/retransmit), and each request a
 line address, so critical-path cycles roll up into top-K contended
 lines, shards, and links — the live monitor and the diagnostic health
-summary both read those tables.
+summary both read those tables.  Completed requests also roll up per
+originating device (``by_origin``) and feed per-purpose end-to-end
+latency percentiles (``sampler``, labels ``txn.<purpose>``).
 
-Like every sink, the collector is passive: it never schedules engine
-events, so runs are bit-identical with span collection on or off.
+Independently of any span, every ``net.send`` is booked into a
+traffic-class x hop-class flight rollup (``by_class``), whether or not
+it belongs to an open request; :meth:`SpanCollector.
+indirection_cycles` sums its ``fwd`` and ``level`` hops — the paper's
+Figure 1 indirection cost.  On an unreliable fabric each transport
+retransmission is a genuine ``net.send`` carrying the *same* ``rseq``;
+the rollup counts each sequence number once per channel (a per-(src,
+dst) high-water mark — first sends stamp strictly increasing sequence
+numbers) and books repeats as ``retx_flight_cycles`` instead.
+``net.dup`` wire duplicates never reach the send path.
+
+When a :class:`~repro.obs.monitor.HealthMonitor` is attached
+(``monitor``), the collector also runs its interval check, so one sink
+call per event serves both.  Like every sink, the collector is
+passive: it never schedules engine events, so runs are bit-identical
+with tracing on or off.
 """
 
 from __future__ import annotations
@@ -48,7 +60,8 @@ from collections import deque
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .trace import TraceEvent
+from ..sim.stats import LatencySampler
+from .trace import INDIRECTION_HOPS, TraceEvent
 
 #: exact-partition stages, in report order
 SPAN_STAGES = ("issue", "queue", "flight", "probe", "retransmit",
@@ -105,8 +118,8 @@ def decompose(start: int, end: int,
     # fast path: most spans' intervals are strictly sequential (issue
     # -> flight -> queue -> flight), which needs no overlap sweep —
     # emit segments linearly, gap-filling with "other".  This path is
-    # hot (once per completed request, under the 10% monitoring-
-    # overhead budget); the sweep below is the general case.
+    # hot (once per completed request on every traced run); the sweep
+    # below is the general case.
     clipped.sort(key=_BY_START)
     sequential = True
     cursor = start
@@ -182,6 +195,22 @@ class SpanCollector:
         self.recent = deque(maxlen=max(1, int(keep_spans)))
         #: top-K slowest spans by end-to-end latency
         self.slowest: List[dict] = []
+        #: origin device -> request count, end-to-end total and
+        #: exact-partition stage totals
+        self.by_origin: Dict[str, Dict[str, float]] = {}
+        #: end-to-end latency distributions per purpose (txn.<purpose>)
+        self.sampler = LatencySampler()
+        #: traffic class -> hop class -> flight cycles of every first
+        #: send, matched to a request or not
+        self.by_class: Dict[str, Dict[str, float]] = {}
+        #: per-(src, dst) highest transport sequence already booked
+        self._seq_watermark: Dict[Tuple[str, str], int] = {}
+        #: flight cycles of retransmitted wire sends (kept out of
+        #: by_class)
+        self.retx_flight_cycles = 0.0
+        self.retx_suppressed = 0
+        #: health monitor whose interval check rides on this sink
+        self.monitor = None
         self._handlers = {
             "net.send": self._on_send,
             "home.busy": self._on_busy,
@@ -195,14 +224,35 @@ class SpanCollector:
     # -- sink protocol -----------------------------------------------------
     # The collector sees EVERY trace event; most are not span-relevant,
     # so dispatch is one dict probe (the handler table is built once in
-    # __init__) instead of a compare chain — this path is covered by
-    # the 10% monitoring-overhead budget in ``repro bench``.
+    # __init__) instead of a compare chain.
     def __call__(self, event: TraceEvent) -> None:
         handler = self._handlers.get(event.kind)
         if handler is not None:
             handler(event)
+        monitor = self.monitor
+        if monitor is not None and event.ts >= monitor.next_due:
+            monitor.sample_at(event.ts)
+
+    def _first_send(self, event: TraceEvent) -> bool:
+        """Advance the channel's ``rseq`` watermark; a send at or below
+        it is a transport retransmission, booked apart (False)."""
+        channel = (event.src, event.dst)
+        if event.rseq <= self._seq_watermark.get(channel, -1):
+            self.retx_flight_cycles += event.dur
+            self.retx_suppressed += 1
+            return False
+        self._seq_watermark[channel] = event.rseq
+        return True
 
     def _on_send(self, event: TraceEvent) -> None:
+        cls = event.cls
+        if (event.rseq is None or self._first_send(event)) \
+                and cls is not None:
+            hops = self.by_class.get(cls)
+            if hops is None:
+                hops = self.by_class[cls] = {}
+            hop = event.hop or "direct"
+            hops[hop] = hops.get(hop, 0.0) + event.dur
         span = self._open.get(event.req_id)
         if span is None:
             return
@@ -257,8 +307,16 @@ class SpanCollector:
         total = float(end - span.start)
         self.completed += 1
         self.total_cycles += total
+        self.sampler.sample(f"txn.{span.purpose}", total)
+        origin = self.by_origin.get(span.origin)
+        if origin is None:
+            origin = self.by_origin[span.origin] = dict(
+                _STAGE_ZERO, count=0.0, total=0.0)
+        origin["count"] += 1
+        origin["total"] += total
         for stage, value in stages.items():
             self.stage_totals[stage] += value
+            origin[stage] += value
         contention = (stages["queue"] + stages["retransmit"]
                       + stages["probe"])
         if span.line is not None and contention > 0:
@@ -315,6 +373,12 @@ class SpanCollector:
         """Links ranked by critical-path wire cycles."""
         return self._top(self.link_cycles, k or self.top_k)
 
+    def indirection_cycles(self) -> float:
+        """Flight cycles on indirection hops (all traffic)."""
+        return sum(hops.get(hop, 0.0)
+                   for hops in self.by_class.values()
+                   for hop in INDIRECTION_HOPS)
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe rollup (recent segment trees included)."""
         return {
@@ -322,6 +386,14 @@ class SpanCollector:
             "open": len(self._open),
             "total_cycles": self.total_cycles,
             "stage_totals": dict(self.stage_totals),
+            "by_origin": {origin: dict(row) for origin, row
+                          in sorted(self.by_origin.items())},
+            "latency": self.sampler.snapshot(),
+            "by_class": {cls: dict(hops) for cls, hops
+                         in sorted(self.by_class.items())},
+            "indirection_cycles": self.indirection_cycles(),
+            "retx_flight_cycles": self.retx_flight_cycles,
+            "retx_suppressed": self.retx_suppressed,
             "top_lines": [[f"0x{line:x}", cycles]
                           for line, cycles in self.top_lines()],
             "top_shards": [list(row) for row in self.top_shards()],
@@ -354,15 +426,44 @@ class SpanCollector:
         lines.append(f"  requests decomposed: {self.completed}"
                      + (f"  (open: {len(self._open)})"
                         if self._open else ""))
-        if not self.completed:
-            return "\n".join(lines)
-        total = self.total_cycles or 1.0
-        lines.append("  end-to-end cycles by stage "
-                     "(exact partition):")
-        for stage in SPAN_STAGES:
-            cycles = self.stage_totals[stage]
-            lines.append(f"    {stage:<10} {cycles:>14,.0f} "
-                         f"({100.0 * cycles / total:5.1f}%)")
+        if self.completed:
+            total = self.total_cycles or 1.0
+            lines.append("  end-to-end cycles by stage "
+                         "(exact partition):")
+            for stage in SPAN_STAGES:
+                cycles = self.stage_totals[stage]
+                lines.append(f"    {stage:<10} {cycles:>14,.0f} "
+                             f"({100.0 * cycles / total:5.1f}%)")
+            lines.append("  per-request average by origin:")
+            lines.append(f"    {'origin':<12} {'reqs':>6} {'total':>8} "
+                         + " ".join(f"{s:>10}" for s in SPAN_STAGES))
+            for name, row in sorted(self.by_origin.items()):
+                count = row["count"]
+                lines.append(
+                    f"    {name:<12} {int(count):>6} "
+                    f"{row['total'] / count:>8.1f} "
+                    + " ".join(f"{row[s] / count:>10.1f}"
+                               for s in SPAN_STAGES))
+            for label in sorted(self.sampler.labels()):
+                lines.append(
+                    f"  {label:<16} n={self.sampler.count(label):<7} "
+                    f"mean={self.sampler.mean(label):8.1f} "
+                    f"p50={self.sampler.percentile(label, 50):8.1f} "
+                    f"p95={self.sampler.percentile(label, 95):8.1f} "
+                    f"p99={self.sampler.percentile(label, 99):8.1f}")
+        if self.by_class:
+            lines.append("  flight cycles by traffic class x hop "
+                         "(every send):")
+            for cls, hops in sorted(self.by_class.items()):
+                detail = " ".join(f"{hop}={cycles:,.0f}"
+                                  for hop, cycles in sorted(hops.items()))
+                lines.append(f"    {cls:<12} {detail}")
+            lines.append(f"  indirection cycles: "
+                         f"{self.indirection_cycles():,.0f}")
+        if self.retx_suppressed:
+            lines.append(f"  retransmitted sends excluded: "
+                         f"{self.retx_suppressed} "
+                         f"({self.retx_flight_cycles:,.0f} flight cycles)")
         if self.line_cycles:
             detail = "  ".join(f"0x{line:x}={cycles:,.0f}"
                                for line, cycles in self.top_lines())

@@ -3,13 +3,14 @@
 Trace points across the simulator call :meth:`TraceRecorder.record`
 (guarded by ``self.engine.tracer is not None``, so the disabled path is
 one attribute load per site).  Events land in a bounded ring buffer and
-are additionally pushed to registered *sinks* — the transaction
-profiler and the metrics time series — which always see the full
+are additionally pushed to registered *sinks* — in a built system the
+one :class:`~repro.obs.spans.SpanCollector` — which always see the full
 stream even when a :class:`TraceFilter` restricts what the ring keeps.
 
 Every network hop is classified at send time (:func:`hop_class`) so the
-profiler can separate the paper's headline effect — indirection through
-a hierarchical MESI directory — from Spandex's direct owner responses:
+span collector's hop rollup can separate the paper's headline effect —
+indirection through a hierarchical MESI directory — from Spandex's
+direct owner responses:
 
 ``level``
     both endpoints are home nodes (GPU L2 <-> L3 directory): the extra
@@ -39,7 +40,7 @@ from typing import (Callable, Deque, FrozenSet, Iterable, List, Optional,
 
 from ..coherence.messages import Message, MsgKind
 
-#: hop classes counted as indirection by the profiler
+#: hop classes counted as indirection cycles
 INDIRECTION_HOPS = ("fwd", "level")
 
 _PROBE_KINDS = frozenset((MsgKind.INV, MsgKind.RVK_O, MsgKind.MESI_INV))
@@ -204,7 +205,7 @@ class TraceRecorder:
     ``homes`` is the set of home-node endpoint names (LLC / L3 / GPU
     L2), registered by the system builder after construction; it drives
     :func:`hop_class`.  ``sinks`` receive every event regardless of the
-    ring filter, so the profiler's stitching never sees gaps.
+    ring filter, so span stitching never sees gaps.
     """
 
     def __init__(self, engine, capacity: int = 262_144,

@@ -33,9 +33,6 @@ class GPUL2(SpandexHome):
 
     def __init__(self, *args, l3_name: str = "l3", **kwargs):
         super().__init__(*args, **kwargs)
-        # upstream-interface metrics keep their historical l2.* names
-        # as the legacy alias; canonical names live under home.gpu_l2.*
-        self.l2stats = self.hstats.aliased("l2")
         self.l3_name = l3_name
         #: line -> upstream MESI state: 'S' | 'E' | 'M'
         #: (absent line => upstream I; inclusive upward)
@@ -114,7 +111,7 @@ class GPUL2(SpandexHome):
             "purpose": purpose, "waiters": [callback],
             "req_id": msg.req_id, "invalidated": False,
         }
-        self.l2stats.incr(f"upstream_{purpose}")
+        self.hstats.incr(f"upstream_{purpose}")
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.record("l2.up_req", self.name, dst=self.l3_name,
@@ -175,7 +172,7 @@ class GPUL2(SpandexHome):
         super()._fill_complete(line, data)
 
     def _up_wb_ack(self, msg: Message) -> None:
-        self.l2stats.incr("upstream_wb_acks")
+        self.hstats.incr("upstream_wb_acks")
 
     def _recall_then(self, line_obj: CacheLine, kind: str,
                      then: Callable[[], None]) -> None:
@@ -259,7 +256,7 @@ class GPUL2(SpandexHome):
                       then: Callable[[], None]) -> None:
         up = self._up_state(victim)
         if up in ("M", "E"):
-            self.l2stats.incr("putm")
+            self.hstats.incr("putm")
             tracer = self.engine.tracer
             if tracer is not None:
                 tracer.record("l2.up_state", self.name, dst=self.l3_name,

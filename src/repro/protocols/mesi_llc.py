@@ -73,9 +73,8 @@ class MESIDirectoryLLC(Component):
         super().__init__(engine, name)
         self.network = network
         self.stats = stats
-        # canonical per-home counters (home.l3.*) aliased to the
-        # historical llc.* aggregates for one release (see DESIGN.md)
-        self.hstats = stats.scoped(f"home.{name}", "llc")
+        # per-home counters (home.l3.*)
+        self.hstats = stats.scoped(f"home.{name}")
         self.dram = dram
         self.array: CacheArray[DirState] = CacheArray(
             size_bytes, assoc, DirState.I)

@@ -43,71 +43,35 @@ def validate_metric_name(name: str) -> str:
 
 
 class ScopedStats:
-    """A per-component view of a :class:`StatsRegistry`.
+    """A per-component view of a :class:`StatsRegistry` writing
+    ``<prefix>.<metric>`` (e.g. ``home.llc0.fills``).
 
-    Every increment writes the canonical scoped name
-    (``<prefix>.<metric>``, e.g. ``home.llc0.fills``) *and* the legacy
-    aggregate name (``<legacy_prefix>.<metric>``, e.g. ``llc.fills``)
-    so existing reports keep working for one release while the scoped
-    names become the source of truth.  With multiple shards the legacy
-    name is the sum over scopes — the alias relationship the naming
-    grammar documents.
-
-    Name pairs are validated once and cached, so the per-increment cost
-    is two dict adds on the registry's live counter dict.
+    Scoped names are validated once and cached, so the per-increment
+    cost is one dict add on the registry's live counter dict.
     """
 
-    __slots__ = ("_counters", "_incr_group", "prefix", "legacy_prefix",
-                 "_names")
+    __slots__ = ("_counters", "_incr_group", "prefix", "_names")
 
-    def __init__(self, registry: "StatsRegistry", prefix: str,
-                 legacy_prefix: str = ""):
+    def __init__(self, registry: "StatsRegistry", prefix: str):
         validate_metric_name(prefix)
-        if legacy_prefix:
-            validate_metric_name(legacy_prefix)
         self._counters = registry.raw_counters()
         self._incr_group = registry.incr_group
         self.prefix = prefix
-        self.legacy_prefix = legacy_prefix
-        self._names: Dict[str, tuple] = {}
+        self._names: Dict[str, str] = {}
 
-    def _pair(self, metric: str) -> tuple:
-        pair = self._names.get(metric)
-        if pair is None:
-            scoped = validate_metric_name(f"{self.prefix}.{metric}")
-            legacy = (f"{self.legacy_prefix}.{metric}"
-                      if self.legacy_prefix else None)
-            pair = self._names[metric] = (scoped, legacy)
-        return pair
+    def _name(self, metric: str) -> str:
+        name = self._names.get(metric)
+        if name is None:
+            name = self._names[metric] = validate_metric_name(
+                f"{self.prefix}.{metric}")
+        return name
 
     def incr(self, metric: str, amount: float = 1.0) -> None:
-        scoped, legacy = self._pair(metric)
-        self._counters[scoped] += amount
-        if legacy is not None:
-            self._counters[legacy] += amount
+        self._counters[self._name(metric)] += amount
 
     def incr_group(self, metric: str, key: str,
                    amount: float = 1.0) -> None:
-        scoped, legacy = self._pair(metric)
-        self._incr_group(scoped, key, amount)
-        if legacy is not None:
-            self._incr_group(legacy, key, amount)
-
-    def aliased(self, legacy_prefix: str) -> "ScopedStats":
-        """A view with the same canonical prefix but a different legacy
-        alias prefix (the GPU L2 keeps its historical ``l2.*`` names
-        for its upstream metrics while the inherited home metrics stay
-        aliased to ``llc.*``).  Shares this scope's registration — the
-        canonical namespace is still claimed exactly once."""
-        view = object.__new__(ScopedStats)
-        view._counters = self._counters
-        view._incr_group = self._incr_group
-        view.prefix = self.prefix
-        if legacy_prefix:
-            validate_metric_name(legacy_prefix)
-        view.legacy_prefix = legacy_prefix
-        view._names = {}
-        return view
+        self._incr_group(self._name(metric), key, amount)
 
 
 class StatsRegistry:
@@ -119,21 +83,27 @@ class StatsRegistry:
             lambda: defaultdict(float))
         self._scopes: Dict[str, ScopedStats] = {}
 
-    def scoped(self, prefix: str, legacy_prefix: str = "") -> ScopedStats:
-        """A :class:`ScopedStats` view writing ``<prefix>.*`` (plus the
-        legacy alias names).  Each prefix may be claimed once — a
-        second claim means two components would silently share (and
-        double-count) one namespace, so it raises at build time."""
+    def scoped(self, prefix: str) -> ScopedStats:
+        """A :class:`ScopedStats` view writing ``<prefix>.*``.  Each
+        prefix may be claimed once — a second claim means two
+        components would silently share (and double-count) one
+        namespace, so it raises at build time."""
         if prefix in self._scopes:
             raise MetricNameError(
                 f"stats scope {prefix!r} already registered — two "
                 "components may not share a metric namespace")
-        scope = ScopedStats(self, prefix, legacy_prefix)
+        scope = ScopedStats(self, prefix)
         self._scopes[prefix] = scope
         return scope
 
     def scopes(self) -> Iterable[str]:
         return list(self._scopes)
+
+    def home_total(self, metric: str) -> float:
+        """Sum ``home.<name>.<metric>`` over every home scope (all
+        shards; the L3 and GPU L2 of hierarchical builds)."""
+        return sum(self.get(f"{scope}.{metric}") for scope in self._scopes
+                   if scope.startswith("home."))
 
     # -- flat counters ---------------------------------------------------
     def incr(self, name: str, amount: float = 1.0) -> None:

@@ -28,9 +28,8 @@ from ..mem.dram import MainMemory
 from ..network.noc import LatencyModel, Network
 from ..network.reliable import ReliableNetwork
 from ..network.topology import Attachment, TopoEndpoint, build_topology
-from ..obs import (HealthMonitor, MetricsRegistry, MetricsTimeSeries,
-                   SpanCollector, TraceFilter, TraceRecorder,
-                   TransactionProfiler)
+from ..obs import (HealthMonitor, MetricsRegistry, SpanCollector,
+                   TraceFilter, TraceRecorder)
 from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
@@ -95,8 +94,6 @@ class System:
         # Observability must exist before _build(): L1 controllers copy
         # engine.tracer into their MSHR files at construction time.
         self.tracer: Optional[TraceRecorder] = None
-        self.profiler: Optional[TransactionProfiler] = None
-        self.metrics: Optional[MetricsTimeSeries] = None
         self.registry: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanCollector] = None
         self.monitor: Optional[HealthMonitor] = None
@@ -105,12 +102,9 @@ class System:
                 self.engine, capacity=config.trace.capacity,
                 filter=TraceFilter.parse(config.trace.filters))
             self.engine.tracer = self.tracer
-            self.profiler = TransactionProfiler()
-            self.tracer.sinks.append(self.profiler)
-            if config.trace.metrics_interval > 0:
-                self.metrics = MetricsTimeSeries(
-                    self.stats, config.trace.metrics_interval)
-                self.tracer.sinks.append(self.metrics)
+            # the tracer's one sink: every event costs one sink call
+            self.spans = SpanCollector(top_k=config.trace.health_top_k)
+            self.tracer.sinks.append(self.spans)
         self._build()
         self.topology = build_topology(config, self._topo_endpoints,
                                        self._topo_attachments)
@@ -125,33 +119,15 @@ class System:
                 self.tracer.homes.add(shard.name)
             if self.gpu_l2 is not None:
                 self.tracer.homes.add(self.gpu_l2.name)
-        # Health monitor + span collector hook in after the topology is
-        # built (they enumerate live homes / L1s / links).  Both are
-        # passive sinks — runs stay bit-identical with monitoring on.
+        # The health monitor hooks in after the topology is built (it
+        # enumerates live homes / L1s / links); the span collector runs
+        # its interval check.  Passive — runs stay bit-identical.
         if self.tracer is not None and config.trace.monitor_interval > 0:
             self.registry = MetricsRegistry()
-            for legacy, canonical in (("llc", "home.<shard>"),
-                                      ("l2", "home.gpu_l2")):
-                self.registry.alias(legacy, canonical)
-            self.spans = SpanCollector(top_k=config.trace.health_top_k)
             self.monitor = HealthMonitor(
                 self, self.registry, config.trace.monitor_interval,
                 top_k=config.trace.health_top_k)
-            # one fused sink instead of two: the sink fan-out loop runs
-            # per trace event, so each extra sink costs a call per
-            # event — the monitor's interval check (HealthMonitor.
-            # __call__ inlined) rides along with the span dispatch
-            spans, monitor = self.spans, self.monitor
-
-            def telemetry(event, _handlers=spans._handlers,
-                          _monitor=monitor):
-                handler = _handlers.get(event.kind)
-                if handler is not None:
-                    handler(event)
-                if event.ts >= _monitor._next_due:
-                    _monitor.sample_at(event.ts)
-
-            self.tracer.sinks.append(telemetry)
+            self.spans.monitor = self.monitor
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -391,8 +367,6 @@ class System:
         self.engine.run(max_events=max_events, max_cycles=max_cycles)
         cycles = max(done_times.values()) if done_times else self.engine.now
         self.stats.set("execution.cycles", cycles)
-        if self.metrics is not None:
-            self.metrics.finalize(self.engine.now)
         if self.monitor is not None:
             self.monitor.finalize(self.engine.now)
         return RunResult(self.config.name, cycles, self.stats, self.dram)

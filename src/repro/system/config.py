@@ -213,10 +213,8 @@ class TraceConfig:
     #: ``addr=0x…`` / ``dev=name`` / ``class=kind`` retention filters
     #: (see :meth:`repro.obs.TraceFilter.parse`); empty = keep all
     filters: Tuple[str, ...] = ()
-    #: StatsRegistry snapshot period in cycles; 0 disables the series
-    metrics_interval: int = 0
-    #: health-monitor scrape period in cycles; 0 disables the monitor
-    #: (and the span collector that rides along with it)
+    #: health-monitor scrape period in cycles (each scrape also
+    #: snapshots the StatsRegistry counters); 0 disables the monitor
     monitor_interval: int = 0
     #: rows shown in top-K health rollups (contended lines / shards /
     #: links, hottest queues)

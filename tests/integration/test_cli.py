@@ -171,3 +171,30 @@ def test_replay_reproduces_live_run_cycles(tmp_path, capsys):
     replayed = int(
         re.search(r"([\d,]+) cycles", out).group(1).replace(",", ""))
     assert replayed == live
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+def test_policy_summary_counts_pushes_across_homes(capsys, monkeypatch,
+                                                   shards):
+    """The summary line's pushes figure sums home.<shard>.wtfwd_pushes
+    (a read of a missing name would silently print 0)."""
+    import repro.cli as cli
+    real_build = cli.build_system
+    systems = []
+
+    def build_and_keep(config):
+        systems.append(real_build(config))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "build_system", build_and_keep)
+    code = main(["run", "ProducerConsumer", "--policy", "adaptive",
+                 "--shards", shards] + SMALL)
+    out = capsys.readouterr().out
+    assert code == 0
+    pushes = int(re.search(r"(\d+) pushes", out).group(1))
+    (system,) = systems
+    counters = system.stats.counters()
+    expected = sum(value for name, value in counters.items()
+                   if name.startswith("home.")
+                   and name.endswith(".wtfwd_pushes"))
+    assert pushes > 0 and pushes == expected

@@ -63,7 +63,7 @@ def _assert_memory_matches(system, workload):
 # -- the bit-identity property ------------------------------------------------
 @pytest.mark.parametrize("config_name", CONFIG_ORDER)
 def test_one_shard_is_bit_identical_to_default(config_name):
-    trace = TraceConfig(metrics_interval=500)
+    trace = TraceConfig(monitor_interval=500)
     baseline = _fingerprint(scaled_config(config_name, 2, 2, trace=trace))
     explicit = _fingerprint(scaled_config(
         config_name, 2, 2, trace=trace,

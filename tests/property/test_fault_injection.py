@@ -104,7 +104,7 @@ def test_forced_nacks_trigger_tu_retries():
     system = build_system(config)
     system.load_workload(workload)
     system.run(max_events=30_000_000)
-    assert system.stats.get("llc.forced_nacks") > 0
+    assert system.stats.get("home.llc.forced_nacks") > 0
     assert system.stats.get("tu.nack_retries") > 0
     assert system.stats.get("tu.escalations") == 0
     per_device = system.stats.group("tu.retries_by_device")

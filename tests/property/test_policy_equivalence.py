@@ -113,5 +113,5 @@ def test_policy_counters_fire_on_spandex_configs():
                             owner_pred=True)
     counters = system.stats.counters()
     assert counters.get("tu.fwd_direct", 0) > 0
-    assert counters.get("llc.wtfwd_pushes", 0) > 0
+    assert counters.get("home.llc.wtfwd_pushes", 0) > 0
     assert counters.get("l1.wtfwd_fills", 0) > 0

@@ -1,5 +1,6 @@
 """Tracing-is-passive property: for a fixed seed, running with the
-trace recorder (plus profiler and metrics sinks) enabled must yield a
+trace recorder (plus its span-collector sink and health monitor) must
+yield a
 simulation bit-identical to the untraced run — same executed-event
 count, same cycle count, same final memory image, same counters — on
 every cache configuration.
@@ -8,7 +9,7 @@ The recorder never schedules engine events; these tests are the
 enforcement of that invariant.
 """
 
-import dataclasses
+import functools
 
 import pytest
 
@@ -52,11 +53,12 @@ def test_tracing_does_not_perturb_simulation(config_name):
     image_off, cycles_off, events_off, system_off = \
         run_once(config_name, trace=False)
     image_on, cycles_on, events_on, system_on = \
-        run_once(config_name, trace=True, metrics_interval=1000)
+        run_once(config_name, trace=True, monitor_interval=1000)
     # the trace really recorded something — else this proves nothing
     assert system_on.tracer is not None and system_on.tracer.seen > 0
-    assert system_on.profiler.completed > 0
-    assert system_on.metrics is not None and system_on.metrics.samples
+    assert system_on.tracer.sinks == [system_on.spans]
+    assert system_on.spans.completed > 0
+    assert system_on.monitor is not None and system_on.monitor.samples
     assert system_off.tracer is None
     assert events_on == events_off
     assert cycles_on == cycles_off
@@ -82,7 +84,7 @@ def test_ring_filter_does_not_perturb_simulation():
     # the filter restricted the ring but sinks saw the full stream
     assert tracer.kept < tracer.seen
     assert len(tracer) <= 64
-    assert on[3].profiler.completed > 0
+    assert on[3].spans.completed > 0
 
 
 def _normalized_trace(system):
@@ -104,26 +106,41 @@ def _normalized_trace(system):
 
 
 def test_traced_run_is_deterministic():
-    first = run_once("SMG", trace=True, metrics_interval=500)
-    second = run_once("SMG", trace=True, metrics_interval=500)
+    first = run_once("SMG", trace=True, monitor_interval=500)
+    second = run_once("SMG", trace=True, monitor_interval=500)
     assert first[:3] == second[:3]
     assert _normalized_trace(first[3]) == _normalized_trace(second[3])
-    assert first[3].metrics.samples == second[3].metrics.samples
+    assert list(first[3].monitor.samples) == \
+        list(second[3].monitor.samples)
+
+
+#: EXPERIMENTS.md "Observability" table: Indirection at 2 CPU + 2 CU
+INDIRECTION_TABLE = {"HMG": 52_278, "HMD": 54_384, "SMG": 3_408,
+                     "SMD": 8_166, "SDG": 3_188, "SDD": 3_008}
+
+
+@functools.lru_cache(maxsize=None)
+def _indirection(config_name):
+    workload = MICROBENCHMARKS["Indirection"](**SMALL)
+    system = build_system(_config(config_name, trace=True))
+    system.load_workload(workload)
+    system.run(max_events=30_000_000)
+    return system.spans.indirection_cycles()
 
 
 def test_hierarchical_pays_more_indirection_than_spandex():
-    """The profiler must expose the paper's headline effect: on the
+    """The hop rollup must expose the paper's headline effect: on the
     indirection microbenchmark, hierarchical-MESI configurations spend
     strictly more flight time on indirection hops (home forwards +
     GPU L2 <-> L3 level crossings) than any Spandex configuration."""
-    def indirection(config_name):
-        workload = MICROBENCHMARKS["Indirection"](**SMALL)
-        system = build_system(_config(config_name, trace=True))
-        system.load_workload(workload)
-        system.run(max_events=30_000_000)
-        return system.profiler.indirection_cycles()
-
-    hier = {name: indirection(name) for name in ("HMG", "HMD")}
-    span = {name: indirection(name) for name in ("SMG", "SMD",
-                                                 "SDG", "SDD")}
+    hier = {name: _indirection(name) for name in ("HMG", "HMD")}
+    span = {name: _indirection(name) for name in ("SMG", "SMD",
+                                                  "SDG", "SDD")}
     assert min(hier.values()) > max(span.values()), (hier, span)
+
+
+def test_indirection_cycles_match_the_experiments_table():
+    """Every send counts, deduped per channel — crediting only
+    critical-path flight would shrink the hierarchical figures."""
+    assert {name: _indirection(name) for name in CONFIG_ORDER} == \
+        INDIRECTION_TABLE

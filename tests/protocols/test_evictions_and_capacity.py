@@ -34,7 +34,7 @@ def test_llc_eviction_invalidates_sharers_first():
     assert mini.llc_line(target).state == HomeState.S
     # hammer the same LLC set until the S line is evicted
     stride = 2 * 1024      # sets * 64 for this size/assoc
-    before_inv = mini.stats.get("llc.invalidations_sent")
+    before_inv = mini.stats.get("home.llc.invalidations_sent")
     for i in range(1, 40):
         line = target + i * stride
         mini.store("a", line, 0b1, {0: i})
@@ -47,7 +47,7 @@ def test_llc_eviction_invalidates_sharers_first():
             l1._evict(resident)
         mini.run()
     assert mini.llc_line(target) is None      # evicted
-    assert mini.stats.get("llc.invalidations_sent") > before_inv
+    assert mini.stats.get("home.llc.invalidations_sent") > before_inv
     # and the sharer's copy went with it
     b_line = mini.l1s["b"].array.lookup(target, touch=False)
     assert b_line is None
@@ -68,7 +68,7 @@ def test_owned_lines_pin_against_llc_eviction():
     for i in range(1, 40):
         mini.load("dn", target + i * stride, 0b1)
         mini.run()
-    assert mini.stats.get("llc.evictions") > 0
+    assert mini.stats.get("home.llc.evictions") > 0
     # the owned line never left the LLC (inclusivity)
     assert mini.llc_line(target) is not None
     assert mini.llc_owner(target, 0) == "dn"
@@ -85,7 +85,7 @@ def test_gpu_l2_capacity_eviction_putm():
         mini.access("gpu0", "store", line, 0b1, values={0: i + 1})
         mini.release("gpu0")
         mini.run()
-    assert mini.stats.get("l2.putm") > 0
+    assert mini.stats.get("home.gpu_l2.putm") > 0
     # every written value is recoverable through the directory
     for i, line in enumerate(lines):
         load = mini.access("cpu0", "load", line, 0b1)

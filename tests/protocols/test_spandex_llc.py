@@ -66,7 +66,7 @@ def test_reqo_word_granularity_avoids_false_sharing():
     assert release_a.done and release_b.done
     assert mini.llc_owner(LINE, 0) == "cpu"
     assert mini.llc_owner(LINE, 3) == "gpu"
-    assert mini.stats.get("llc.revokes_sent") == 0
+    assert mini.stats.get("home.llc.revokes_sent") == 0
 
 
 # -- ReqWT: immediate update at LLC ------------------------------------------
@@ -122,7 +122,7 @@ def test_atomic_revokes_remote_owner():
     assert rmw.values[0] == 100          # the owner's value was revoked
     assert mini.llc_word(LINE, 0) == 101
     assert mini.llc_owner(LINE, 0) is None
-    assert mini.stats.get("llc.revokes_sent") == 1
+    assert mini.stats.get("home.llc.revokes_sent") == 1
 
 
 # -- ReqS policy --------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_write_invalidates_sharers():
     mini.run()
     assert release.done
     assert mini.llc_line(LINE).state == HomeState.V
-    assert mini.stats.get("llc.invalidations_sent") >= 2
+    assert mini.stats.get("home.llc.invalidations_sent") >= 2
     # the sharers dropped their copies
     for name in ("cpu0", "cpu1"):
         resident = mini.l1s[name].array.lookup(LINE, touch=False)
@@ -211,7 +211,7 @@ def test_reqwb_from_non_owner_dropped():
     mini.network.send(msg)
     mini.run()
     assert mini.llc_owner(LINE, 0) == "gpu"
-    assert mini.stats.get("llc.stale_writebacks") >= 1
+    assert mini.stats.get("home.llc.stale_writebacks") >= 1
 
 
 # -- non-blocking ownership transfer ------------------------------------------
@@ -238,7 +238,7 @@ def test_llc_eviction_writes_back_dirty():
         mini.store("gpu", line, 0b1, {0: i + 1})
         mini.release("gpu")
         mini.run()
-    assert mini.stats.get("llc.evictions") > 0
+    assert mini.stats.get("home.llc.evictions") > 0
     # evicted dirty data landed in DRAM
     evicted = [line for line in lines
                if mini.llc_line(line) is None]

@@ -6,8 +6,9 @@ import json
 import pytest
 
 from repro.obs import (Counter, Gauge, HealthMonitor, Histogram,
-                       MetricsRegistry, TraceEvent, format_health)
-from repro.sim.stats import MetricNameError
+                       MetricsRegistry, SpanCollector, TraceEvent,
+                       format_health)
+from repro.sim.stats import MetricNameError, StatsRegistry
 from repro.system import (TraceConfig, WatchdogConfig, build_system,
                           scaled_config)
 from repro.workloads import MICROBENCHMARKS
@@ -69,15 +70,6 @@ def test_name_grammar_enforced():
         registry.gauge("ok.name", labels={"BadLabel": "v"})
 
 
-def test_alias_table_and_collision():
-    registry = MetricsRegistry()
-    registry.alias("llc", "home.<shard>")
-    registry.alias("llc", "home.<shard>")     # same mapping: fine
-    with pytest.raises(MetricNameError):
-        registry.alias("llc", "somewhere.else")
-    assert registry.snapshot()["aliases"] == {"llc": "home.<shard>"}
-
-
 def test_gauge_callback_polled_at_collect():
     registry = MetricsRegistry()
     level = {"value": 0}
@@ -99,7 +91,6 @@ def test_snapshot_json_round_trip_exact():
     registry.counter("a.b", labels={"k": "v"}).inc(3)
     registry.gauge("a.g").set(1.5)
     registry.histogram("a.h").observe(9)
-    registry.alias("old", "a.b")
     snapshot = registry.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
 
@@ -189,6 +180,9 @@ def test_health_summary_and_format():
     assert summary["scrapes"] == system.monitor.scrapes
     assert summary["peaks"]
     assert "critical_path" in summary
+    # the last row's counter snapshot stays out of diagnostic dumps
+    assert "counters" in system.monitor.samples[-1]
+    assert "counters" not in summary["last"]
     assert json.loads(json.dumps(summary)) == summary
     text = format_health(system.monitor)
     assert "== health @ cycle" in text
@@ -212,6 +206,7 @@ def test_monitor_ignores_events_before_interval():
     class _System:
         engine = _Engine()
         network = _Network()
+        stats = StatsRegistry()
         llcs = ()
         gpu_l2 = None
         cpu_l1s = ()
@@ -219,13 +214,15 @@ def test_monitor_ignores_events_before_interval():
         spans = None
 
     monitor = HealthMonitor(_System(), registry, interval=100)
-    monitor(TraceEvent(5, "net.send", "a"))
+    spans = SpanCollector()
+    spans.monitor = monitor
+    spans(TraceEvent(5, "net.send", "a"))
     assert monitor.scrapes == 0
-    monitor(TraceEvent(100, "net.send", "a"))
+    spans(TraceEvent(100, "net.send", "a"))
     assert monitor.scrapes == 1
-    monitor(TraceEvent(150, "net.send", "a"))
+    spans(TraceEvent(150, "net.send", "a"))
     assert monitor.scrapes == 1
-    monitor(TraceEvent(205, "net.send", "a"))
+    spans(TraceEvent(205, "net.send", "a"))
     assert monitor.scrapes == 2
     monitor.finalize(300)
     assert monitor.scrapes == 3

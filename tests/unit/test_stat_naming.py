@@ -1,12 +1,12 @@
-"""Dotted stat-name scheme: per-shard canonical names, one-release
-legacy aliases, and build-time collision detection."""
+"""Dotted stat-name scheme: per-shard canonical names, build-time
+collision detection, and no legacy ``llc.*`` / ``l2.*`` names."""
 
 import pytest
 
 from repro.sim.stats import (MetricNameError, StatsRegistry,
                              validate_metric_name)
-from repro.system import (TraceConfig, WatchdogConfig, build_system,
-                          scaled_config)
+from repro.system import (CONFIG_ORDER, TraceConfig, WatchdogConfig,
+                          build_system, scaled_config)
 from repro.workloads import MICROBENCHMARKS
 
 
@@ -14,7 +14,7 @@ from repro.workloads import MICROBENCHMARKS
 # grammar + scoping
 # ---------------------------------------------------------------------------
 def test_grammar_accepts_canonical_names():
-    for name in ("llc.hits", "home.llc0.fills", "transport.retransmits",
+    for name in ("l1.hits", "home.llc0.fills", "transport.retransmits",
                  "a", "a1.b_2.c"):
         assert validate_metric_name(name) == name
 
@@ -26,33 +26,33 @@ def test_grammar_rejects_violations():
             validate_metric_name(bad)
 
 
-def test_scoped_dual_writes_canonical_and_legacy():
+def test_scoped_writes_only_the_canonical_name():
     registry = StatsRegistry()
-    scope = registry.scoped("home.llc0", legacy_prefix="llc")
+    scope = registry.scoped("home.llc0")
     scope.incr("fills", 3)
     scope.incr_group("traffic", "req", 2)
-    counters = registry.counters()
-    assert counters["home.llc0.fills"] == 3
-    assert counters["llc.fills"] == 3
+    assert registry.counters() == {"home.llc0.fills": 3}
     assert registry.group("home.llc0.traffic") == {"req": 2}
-    assert registry.group("llc.traffic") == {"req": 2}
+    assert list(registry.groups()) == ["home.llc0.traffic"]
 
 
-def test_legacy_name_sums_across_shards():
+def test_shard_scopes_count_independently():
     registry = StatsRegistry()
-    registry.scoped("home.llc0", legacy_prefix="llc").incr("fills", 3)
-    registry.scoped("home.llc1", legacy_prefix="llc").incr("fills", 4)
-    counters = registry.counters()
-    assert counters["home.llc0.fills"] == 3
-    assert counters["home.llc1.fills"] == 4
-    assert counters["llc.fills"] == 7
+    registry.scoped("home.llc0").incr("fills", 3)
+    registry.scoped("home.llc1").incr("fills", 4)
+    registry.scoped("network").incr("fills", 5)
+    assert registry.counters() == {"home.llc0.fills": 3,
+                                   "home.llc1.fills": 4,
+                                   "network.fills": 5}
+    # the cross-home total readers such as the CLI summary line use
+    assert registry.home_total("fills") == 7
 
 
 def test_duplicate_scope_prefix_raises_at_build_time():
     registry = StatsRegistry()
-    registry.scoped("home.llc0", legacy_prefix="llc")
+    registry.scoped("home.llc0")
     with pytest.raises(MetricNameError):
-        registry.scoped("home.llc0", legacy_prefix="llc")
+        registry.scoped("home.llc0")
 
 
 def test_scope_prefix_grammar_enforced():
@@ -60,49 +60,56 @@ def test_scope_prefix_grammar_enforced():
     with pytest.raises(MetricNameError):
         registry.scoped("Home.LLC0")
     with pytest.raises(MetricNameError):
-        registry.scoped("home.llc0", legacy_prefix="LLC")
-
-
-def test_aliased_view_shares_canonical_prefix():
-    registry = StatsRegistry()
-    scope = registry.scoped("home.gpu_l2", legacy_prefix="llc")
-    upstream = scope.aliased("l2")
-    scope.incr("fills", 1)
-    upstream.incr("upstream_reads", 5)
-    counters = registry.counters()
-    assert counters["home.gpu_l2.fills"] == 1
-    assert counters["llc.fills"] == 1
-    assert counters["home.gpu_l2.upstream_reads"] == 5
-    assert counters["l2.upstream_reads"] == 5
-    assert "llc.upstream_reads" not in counters
+        registry.scoped("home.llc0").incr("Fills")
 
 
 # ---------------------------------------------------------------------------
-# end-to-end on a sharded system
+# end-to-end: only canonical home names, on every configuration
 # ---------------------------------------------------------------------------
-def test_sharded_run_emits_per_shard_names_that_sum_to_legacy():
-    config = scaled_config(
-        "SDD", 2, 2, llc_shards=2,
-        watchdog=WatchdogConfig(stall_cycles=200_000),
-        trace=TraceConfig())
-    system = build_system(config)
+def _run(config_name, **overrides):
+    system = build_system(scaled_config(
+        config_name, 2, 2, watchdog=WatchdogConfig(stall_cycles=200_000),
+        **overrides))
     system.load_workload(MICROBENCHMARKS["ReuseS"](
         num_cpus=2, num_gpus=2, warps_per_cu=1))
     system.run(max_events=30_000_000)
+    return system
+
+
+@pytest.mark.parametrize("config_name", CONFIG_ORDER)
+def test_no_config_emits_legacy_home_names(config_name):
+    system = _run(config_name)
+    stats = system.stats
+    names = list(stats.counters()) + list(stats.groups())
+    assert not [name for name in names
+                if name.split(".", 1)[0] in ("llc", "l2")]
+    homes = {f"home.{home.name}" for home in system.llcs}
+    if system.gpu_l2 is not None:
+        homes.add("home.gpu_l2")
+    assert homes <= set(stats.scopes())
+    # every home reports its own traffic under its own scope
+    for home in homes:
+        assert stats.group_total(f"{home}.requests") > 0, home
+
+
+def test_gpu_l2_upstream_counters_live_in_its_home_scope():
+    counters = _run("HMG").stats.counters()
+    upstream = [name for name in counters
+                if name.startswith("home.gpu_l2.upstream_")]
+    assert upstream
+    assert not [name for name in counters if "upstream_" in name
+                and not name.startswith("home.gpu_l2.")]
+
+
+def test_sharded_run_emits_only_canonical_home_names():
+    system = _run("SDD", llc_shards=2, trace=TraceConfig())
     counters = system.stats.counters()
     shard_prefixes = [f"home.{home.name}." for home in system.llcs]
     assert len(shard_prefixes) == 2
-    # collect the per-shard metric names actually emitted
-    metrics = set()
-    for name in counters:
-        for prefix in shard_prefixes:
-            if name.startswith(prefix):
-                metrics.add(name[len(prefix):])
-    assert metrics, "sharded run emitted no home.<shard>.* counters"
-    for metric in metrics:
-        sharded_sum = sum(counters.get(f"{prefix}{metric}", 0)
-                          for prefix in shard_prefixes)
-        assert sharded_sum == counters.get(f"llc.{metric}", 0), metric
+    home_names = [name for name in counters if name.startswith("home.")]
+    assert home_names, "sharded run emitted no home.<shard>.* counters"
+    assert all(name.startswith(tuple(shard_prefixes))
+               for name in home_names)
     # every emitted name satisfies the registry grammar
     for name in counters:
         validate_metric_name(name)

@@ -13,7 +13,7 @@ from repro.sim.stats import (HISTOGRAM_BUCKETS, LatencySampler,
 # ---------------------------------------------------------------------------
 def _registry():
     stats = StatsRegistry()
-    stats.incr("llc.hits", 3)
+    stats.incr("home.llc.hits", 3)
     stats.set("execution.cycles", 1234)
     stats.incr_group("traffic.bytes", "ReqV", 64)
     stats.incr_group("traffic.bytes", "RspV", 128)
@@ -23,10 +23,10 @@ def _registry():
 def test_snapshot_is_a_deep_copy():
     stats = _registry()
     snap = stats.snapshot()
-    snap["counters"]["llc.hits"] = 999
+    snap["counters"]["home.llc.hits"] = 999
     snap["groups"]["traffic.bytes"]["ReqV"] = 999
     snap["groups"]["new"] = {"x": 1}
-    assert stats.get("llc.hits") == 3
+    assert stats.get("home.llc.hits") == 3
     assert stats.group("traffic.bytes")["ReqV"] == 64
     assert "new" not in list(stats.groups())
     # two snapshots of the same state serialize identically
@@ -48,7 +48,7 @@ def test_format_table_does_not_mutate_registry():
     stats = _registry()
     before = stats.snapshot()
     text = stats.format_table("t")
-    assert "llc.hits" in text and "traffic.bytes" in text
+    assert "home.llc.hits" in text and "traffic.bytes" in text
     assert stats.snapshot() == before
 
 
