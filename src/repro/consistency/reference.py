@@ -7,9 +7,10 @@ cooperatively (no timing), producing
 
 * the expected final memory image — the simulator's DRAM must match it
   for deterministic workloads, giving an end-to-end correctness oracle;
-* a vector-clock data-race check — certifying that generated workloads
-  actually are DRF, so the protocols' relaxed behaviours (stale Valid
-  copies, non-atomic visibility windows) are legal.
+* an exact data-race check on epoch-based vector clocks (FastTrack) —
+  certifying that generated workloads actually are DRF, so the
+  protocols' relaxed behaviours (stale Valid copies, non-atomic
+  visibility windows) are legal.
 
 Synchronization edges recognized:
 
@@ -48,22 +49,6 @@ class VectorClock:
         return all(a <= b for a, b in zip(self.ticks, other.ticks))
 
 
-class _Thread:
-    __slots__ = ("tid", "trace", "pc", "clock", "release_pending", "spins")
-
-    def __init__(self, tid: int, trace: Trace, nthreads: int):
-        self.tid = tid
-        self.trace = trace
-        self.pc = 0
-        self.clock = VectorClock(nthreads)
-        self.release_pending = False
-        self.spins = 0
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.trace)
-
-
 class ReferenceResult:
     def __init__(self, memory: Dict[int, int], sync_addrs: Set[int],
                  races: List[str]):
@@ -87,121 +72,151 @@ class ReferenceExecutor:
         self.max_steps = max_steps
 
     def run(self) -> ReferenceResult:
-        nthreads = len(self.traces)
-        threads = [_Thread(tid, trace, nthreads)
-                   for tid, trace in enumerate(self.traces)]
+        """Run every thread until it blocks on a spin, round-robin, until
+        all finish.
+
+        Every thread and sync variable keeps a vector clock (a plain
+        list).  A data access is recorded as the *epoch* ``(tid, tick)``
+        — the accessing thread and its own clock component — rather than
+        as a snapshot of its whole clock, and an earlier access with
+        epoch ``(u, k)`` happens-before the current thread ``t`` exactly
+        when ``k <= clock_t[u]`` (FastTrack: Flanagan & Freund, PLDI
+        2009).  This is exact, not an approximation: a thread's own
+        component changes only through its own tick, and each LOAD,
+        STORE or RMW ticks before it touches memory, so any clock that
+        carries ``u``'s component at ``>= k`` was published by ``u`` at
+        or after that access and therefore dominates ``u``'s whole clock
+        at the access.  For the access snapshot ``C_u`` and the current
+        clock ``C_t``, ``C_u ⊑ C_t`` thus holds exactly when
+        ``C_u[u] <= C_t[u]``.
+
+        ``readers`` keeps one epoch per read (duplicates included) and is
+        reset on each write, so the ``races`` list — messages, order and
+        repeats — is what a full vector-clock comparison produces.
+        """
+        traces = self.traces
+        nthreads = len(traces)
+        check = self.check_races
+        max_steps = self.max_steps
+        LOAD, STORE, RMW = OpKind.LOAD, OpKind.STORE, OpKind.RMW
+        SPIN_LOAD, RELEASE = OpKind.SPIN_LOAD, OpKind.RELEASE
+        COMPUTE, ACQUIRE = OpKind.COMPUTE, OpKind.ACQUIRE
         memory: Dict[int, int] = {}
-        sync_clock: Dict[int, VectorClock] = {}
-        last_writer: Dict[int, Tuple[int, VectorClock]] = {}
-        readers: Dict[int, List[Tuple[int, VectorClock]]] = {}
+        sync_clock: Dict[int, List[int]] = {}
+        last_writer: Dict[int, Tuple[int, int]] = {}
+        readers: Dict[int, List[Tuple[int, int]]] = {}
         sync_addrs: Set[int] = set()
         races: List[str] = []
-
-        def tick(thread: _Thread) -> None:
-            thread.clock.ticks[thread.tid] += 1
-
-        def check_write(thread: _Thread, addr: int) -> None:
-            if not self.check_races or addr in sync_addrs:
-                return
-            writer = last_writer.get(addr)
-            if writer is not None and writer[0] != thread.tid and \
-                    not writer[1].happens_before(thread.clock):
-                races.append(f"W-W race on 0x{addr:x}: "
-                             f"t{writer[0]} vs t{thread.tid}")
-            for reader_tid, reader_clock in readers.get(addr, []):
-                if reader_tid != thread.tid and \
-                        not reader_clock.happens_before(thread.clock):
-                    races.append(f"R-W race on 0x{addr:x}: "
-                                 f"t{reader_tid} vs t{thread.tid}")
-            last_writer[addr] = (thread.tid, thread.clock.copy())
-            readers[addr] = []
-
-        def check_read(thread: _Thread, addr: int) -> None:
-            if not self.check_races or addr in sync_addrs:
-                return
-            writer = last_writer.get(addr)
-            if writer is not None and writer[0] != thread.tid and \
-                    not writer[1].happens_before(thread.clock):
-                races.append(f"W-R race on 0x{addr:x}: "
-                             f"t{writer[0]} vs t{thread.tid}")
-            readers.setdefault(addr, []).append(
-                (thread.tid, thread.clock.copy()))
-
-        def step(thread: _Thread) -> bool:
-            """Execute one op; returns False if the thread must yield."""
-            op = thread.trace[thread.pc]
-            if op.kind == OpKind.COMPUTE or op.kind == OpKind.ACQUIRE:
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.RELEASE:
-                thread.release_pending = True
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.LOAD:
-                tick(thread)
-                for addr in op.addrs:
-                    check_read(thread, addr)
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.STORE:
-                tick(thread)
-                release = thread.release_pending
-                for addr in op.addrs:
-                    if release:
-                        sync_addrs.add(addr)
-                        clock = sync_clock.setdefault(
-                            addr, VectorClock(nthreads))
-                        clock.join(thread.clock)
-                    else:
-                        check_write(thread, addr)
-                    memory[addr] = op.value
-                thread.release_pending = False
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.RMW:
-                tick(thread)
-                addr = op.addrs[0]
-                sync_addrs.add(addr)
-                clock = sync_clock.setdefault(addr, VectorClock(nthreads))
-                if op.acquire:
-                    thread.clock.join(clock)
-                old = memory.get(addr, 0)
-                memory[addr] = op.atomic.apply(old)
-                if op.release or not op.acquire:
-                    # plain atomics still order within the sync var
-                    clock.join(thread.clock)
-                thread.pc += 1
-                return True
-            if op.kind == OpKind.SPIN_LOAD:
-                addr = op.addrs[0]
-                sync_addrs.add(addr)
-                if op.spin_until(memory.get(addr, 0)):
-                    clock = sync_clock.setdefault(
-                        addr, VectorClock(nthreads))
-                    thread.clock.join(clock)
-                    thread.pc += 1
-                    return True
-                thread.spins += 1
-                return False
-            raise AssertionError(f"unhandled {op.kind}")
+        pcs = [0] * nthreads
+        clocks = [[0] * nthreads for _ in range(nthreads)]
+        release_pending = [False] * nthreads
 
         steps = 0
         while True:
             progressed = False
-            for thread in threads:
-                while not thread.done:
+            for tid, trace in enumerate(traces):
+                start = pc = pcs[tid]
+                end = len(trace)
+                clock = clocks[tid]
+                release = release_pending[tid]
+                while pc < end:
                     steps += 1
-                    if steps > self.max_steps:
+                    if steps > max_steps:
                         raise RuntimeError(
                             "reference execution exceeded step budget "
                             "(deadlocked synchronization?)")
-                    if not step(thread):
-                        break
+                    op = trace[pc]
+                    kind = op.kind
+                    if kind is LOAD:
+                        clock[tid] += 1
+                        if check:
+                            epoch = (tid, clock[tid])
+                            for addr in op.addrs:
+                                if addr in sync_addrs:
+                                    continue
+                                writer = last_writer.get(addr)
+                                if writer is not None:
+                                    wtid, wtick = writer
+                                    if wtid != tid and wtick > clock[wtid]:
+                                        races.append(
+                                            f"W-R race on 0x{addr:x}: "
+                                            f"t{wtid} vs t{tid}")
+                                seen = readers.get(addr)
+                                if seen is None:
+                                    readers[addr] = [epoch]
+                                else:
+                                    seen.append(epoch)
+                    elif kind is STORE:
+                        clock[tid] += 1
+                        addrs = op.addrs
+                        memory.update(dict.fromkeys(addrs, op.value))
+                        if release:
+                            release = False
+                            sync_addrs.update(addrs)
+                            for addr in addrs:
+                                published = sync_clock.get(addr)
+                                if published is None:
+                                    sync_clock[addr] = clock[:]
+                                else:
+                                    published[:] = map(max, published,
+                                                       clock)
+                        elif check:
+                            epoch = (tid, clock[tid])
+                            for addr in addrs:
+                                if addr in sync_addrs:
+                                    continue
+                                writer = last_writer.get(addr)
+                                if writer is not None:
+                                    wtid, wtick = writer
+                                    if wtid != tid and wtick > clock[wtid]:
+                                        races.append(
+                                            f"W-W race on 0x{addr:x}: "
+                                            f"t{wtid} vs t{tid}")
+                                seen = readers.pop(addr, None)
+                                if seen:
+                                    for rtid, rtick in seen:
+                                        if rtid != tid and \
+                                                rtick > clock[rtid]:
+                                            races.append(
+                                                f"R-W race on 0x{addr:x}: "
+                                                f"t{rtid} vs t{tid}")
+                                last_writer[addr] = epoch
+                    elif kind is RMW:
+                        clock[tid] += 1
+                        addr = op.addrs[0]
+                        sync_addrs.add(addr)
+                        published = sync_clock.get(addr)
+                        if op.acquire and published is not None:
+                            clock[:] = map(max, clock, published)
+                        memory[addr] = op.atomic.apply(memory.get(addr, 0))
+                        if op.release or not op.acquire:
+                            # plain atomics still order within the sync var
+                            if published is None:
+                                sync_clock[addr] = clock[:]
+                            else:
+                                published[:] = map(max, published, clock)
+                    elif kind is SPIN_LOAD:
+                        addr = op.addrs[0]
+                        sync_addrs.add(addr)
+                        if not op.spin_until(memory.get(addr, 0)):
+                            break
+                        published = sync_clock.get(addr)
+                        if published is not None:
+                            clock[:] = map(max, clock, published)
+                    elif kind is RELEASE:
+                        release = True
+                    elif kind is not COMPUTE and kind is not ACQUIRE:
+                        raise AssertionError(f"unhandled {kind}")
+                    pc += 1
+                if pc != start:
                     progressed = True
-            if all(t.done for t in threads):
+                    pcs[tid] = pc
+                release_pending[tid] = release
+            if all(pc >= len(trace) for pc, trace in zip(pcs, traces)):
                 break
             if not progressed:
-                stuck = [t.tid for t in threads if not t.done]
+                stuck = [tid for tid, trace in enumerate(traces)
+                         if pcs[tid] < len(trace)]
                 raise RuntimeError(
                     f"reference execution deadlocked; threads {stuck} "
                     "are spinning on conditions that can never be met")

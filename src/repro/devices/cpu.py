@@ -61,6 +61,9 @@ class CPUCore(Component):
     # ------------------------------------------------------------------
     def _finish(self) -> None:
         self.done = True
+        # A System ends up as cyclic garbage; dropping the finished trace
+        # lets its Ops die with the workload, not at a full collection.
+        self.trace = []
         self.stats.incr("cpu.ops", self.ops_executed)
         if self.on_done is not None:
             self.on_done()

@@ -99,6 +99,9 @@ class GPUCU(Component):
         if all(w.done for w in self.warps):
             if not self.done:
                 self.done = True
+                # as CPUCore._finish: let the Ops die with the workload
+                for warp in self.warps:
+                    warp.trace = []
                 self.stats.incr("gpu.ops", self.ops_executed)
                 if self.on_done is not None:
                     self.on_done()

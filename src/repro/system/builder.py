@@ -38,6 +38,7 @@ from ..protocols.mesi_llc import MESIDirectoryLLC
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from .config import SystemConfig
+from .readback import CoherentReader
 
 
 class System:
@@ -78,6 +79,7 @@ class System:
         self.home_map: Optional[HomeMap] = None
         self.topology = None      # installed network.topology.Topology
         self.gpu_l2: Optional[GPUL2] = None
+        self._reader: Optional[CoherentReader] = None
         #: endpoint / star-edge records the topology builder consumes
         self._topo_endpoints: List[TopoEndpoint] = []
         self._topo_attachments: List[Attachment] = []
@@ -314,32 +316,11 @@ class System:
         """Owner-aware functional read for post-run validation.
 
         Looks for the word in (priority order) an owning L1, the
-        home-level caches, then DRAM.
+        home-level caches, then DRAM (:class:`CoherentReader`).
         """
-        from ..protocols.denovo import DeNovoL1, DnState
-        from ..protocols.mesi import MESIL1, MesiState
-        line = addr & ~63
-        index = (addr >> 2) & 15
-        for l1 in list(self.cpu_l1s) + list(self.gpu_l1s):
-            resident = l1.array.lookup(line, touch=False)
-            if resident is None:
-                continue
-            if isinstance(l1, DeNovoL1):
-                if resident.word_states[index] == DnState.O:
-                    return resident.data[index]
-            elif isinstance(l1, MESIL1):
-                if resident.state in (MesiState.M, MesiState.E):
-                    return resident.data[index]
-        for home in [self.gpu_l2] + list(self.llcs):
-            if home is None:
-                continue
-            resident = home.array.lookup(line, touch=False)
-            if resident is not None and \
-                    resident.state != home.array.invalid_state:
-                owner = resident.owner[index]
-                if owner is None:
-                    return resident.data[index]
-        return self.dram.peek(line)[index]
+        if self._reader is None:
+            self._reader = CoherentReader(self)
+        return self._reader.read(addr)
 
     def run(self, max_events: Optional[int] = 50_000_000,
             max_cycles: Optional[int] = None):

@@ -9,9 +9,9 @@ over delivery ordering.
 
 The object duck-types what the invariant checker and the diagnostic
 collector expect (``cpu_l1s`` / ``gpu_l1s`` / ``llc`` / ``gpu_l2`` /
-``network`` / ``engine``) and reproduces the builder's
-``read_coherent`` so explored schedules can be checked against the
-sequential reference memory image.
+``network`` / ``engine``) and shares the builder's ``read_coherent``
+so explored schedules can be checked against the sequential reference
+memory image.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from ..core.shard import HomeMap, shard_names, shard_size
 from ..core.tu import make_tu
 from ..mem.dram import MainMemory
 from ..network.noc import LatencyModel, Network
-from ..protocols.denovo import DeNovoL1, DnState
+from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
-from ..protocols.mesi import MESIL1, MesiState
+from ..protocols.mesi import MESIL1
 from ..protocols.mesi_llc import MESIDirectoryLLC
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
 from ..system.config import CONFIGS
+from ..system.readback import CoherentReader
 
 #: thread roles exposed to litmus scenarios, in trace order
 THREAD_NAMES = ("c0", "c1", "g0", "g1")
@@ -73,6 +74,7 @@ class VerifySystem:
         self.l3: Optional[MESIDirectoryLLC] = None
         self.llcs: List = []
         self.home_map: Optional[HomeMap] = None
+        self._reader: Optional[CoherentReader] = None
         #: attached by the explorer: {"scenario":…, "config":…, …} so
         #: diagnostics identify the failing schedule (see repro.faults)
         self.verify_context: Optional[Dict[str, object]] = None
@@ -209,25 +211,9 @@ class VerifySystem:
         return homes
 
     def read_coherent(self, addr: int) -> int:
-        """Owner-aware functional read (mirrors ``System.read_coherent``)."""
-        line = addr & ~63
-        index = (addr >> 2) & 15
-        for l1 in self.cpu_l1s + self.gpu_l1s:
-            resident = l1.array.lookup(line, touch=False)
-            if resident is None:
-                continue
-            if isinstance(l1, DeNovoL1):
-                if resident.word_states[index] == DnState.O:
-                    return resident.data[index]
-            elif isinstance(l1, MESIL1):
-                if resident.state in (MesiState.M, MesiState.E):
-                    return resident.data[index]
-        for home in [self.gpu_l2] + list(self.llcs):
-            if home is None:
-                continue
-            resident = home.array.lookup(line, touch=False)
-            if resident is not None and \
-                    resident.state != home.array.invalid_state:
-                if resident.owner[index] is None:
-                    return resident.data[index]
-        return self.dram.peek(line)[index]
+        """Owner-aware functional read (the same
+        :class:`~repro.system.readback.CoherentReader` as
+        ``System.read_coherent``)."""
+        if self._reader is None:
+            self._reader = CoherentReader(self)
+        return self._reader.read(addr)

@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from ..coherence.messages import atomic_add
 from .base import (BarrierFactory, Workload, WorkloadMeta, chunk,
-                   dense_addrs)
+                   dense_addrs, gc_paused)
 from .graph import community_graph
 from .trace import AddressSpace, Op, Trace
 
@@ -34,6 +34,7 @@ def _partition(items: List[int], parts: int) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 # BC — Betweenness Centrality (push-based, atomics with temporal locality)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_bc(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
             num_vertices: int = 480, rounds: int = 2,
             seed: int = 21) -> Workload:
@@ -94,6 +95,7 @@ def make_bc(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
 # ---------------------------------------------------------------------------
 # PR — PageRank (pull-based, data loads, throughput bound)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_pr(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
             num_vertices: int = 480, iterations: int = 3,
             seed: int = 23) -> Workload:
@@ -155,6 +157,7 @@ def make_pr(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
 # ---------------------------------------------------------------------------
 # HSTI — input-partitioned histogram (Chai)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_hsti(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
               blocks_per_thread: int = 10, lines_per_block: int = 2,
               bins: int = 64, updates_per_block: int = 8,
@@ -211,6 +214,7 @@ def make_hsti(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
 # ---------------------------------------------------------------------------
 # TRNS — in-place transposition (Chai)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_trns(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
               blocks_per_thread: int = 12, pad_flags: bool = False,
               seed: int = 31) -> Workload:
@@ -274,6 +278,7 @@ def make_trns(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
 # ---------------------------------------------------------------------------
 # RSCT — random sample consensus (Chai, task partitioned)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_rsct(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
               tasks: int = 5, input_lines: int = 48,
               param_words: int = 16, seed: int = 37) -> Workload:
@@ -329,6 +334,7 @@ def make_rsct(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
 # ---------------------------------------------------------------------------
 # TQH — task queue histogram (Chai, task partitioned)
 # ---------------------------------------------------------------------------
+@gc_paused
 def make_tqh(num_cpus: int = 4, num_gpus: int = 4, warps_per_cu: int = 2,
              tasks_per_cu: int = 8, lines_per_task: int = 2,
              bins: int = 64, updates_per_task: int = 6,

@@ -8,9 +8,11 @@ atomics and flag spins — so sync cost flows through the protocols.
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..coherence.messages import atomic_add
 from ..consistency.reference import ReferenceResult, assert_drf
@@ -54,15 +56,36 @@ class Workload:
     def reference(self) -> ReferenceResult:
         """DRF-check the workload and return the expected final memory.
 
-        The reference executor seeds memory from ``initial_memory``; we
-        overlay it by prepending nothing — instead callers compare only
-        addresses the traces wrote, or use :meth:`expected_value`.
+        The reference executor runs from all-zero memory (its RMWs and
+        spins read 0 for words only ``initial_memory`` sets); the
+        returned image is ``initial_memory`` overlaid with every word
+        the traces wrote, so untouched initial words are included.
         """
         result = assert_drf(self.all_threads())
         merged = dict(self.initial_memory)
         merged.update(result.memory)
         result.memory = merged
         return result
+
+
+def gc_paused(generator: Callable[..., Workload]
+              ) -> Callable[..., Workload]:
+    """Run a workload generator with cyclic garbage collection paused.
+
+    A generator allocates tens of thousands of long-lived, acyclic Ops,
+    and each collector pass during that build re-traverses them without
+    freeing any (as in ``repro.obs.export.write_chrome_trace``).
+    """
+    @functools.wraps(generator)
+    def build(*args, **kwargs) -> Workload:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return generator(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return build
 
 
 class BarrierFactory:

@@ -20,7 +20,7 @@ import random
 from typing import List
 
 from .base import (BarrierFactory, Workload, WorkloadMeta, chunk,
-                   dense_addrs, strided_line_addrs)
+                   dense_addrs, gc_paused, strided_line_addrs)
 from .trace import AddressSpace, Op, Trace
 
 
@@ -36,6 +36,7 @@ def _gpu_vector_ops(addrs: List[int], lanes: int, kind: str,
     return ops
 
 
+@gc_paused
 def make_indirection(num_cpus: int = 4, num_gpus: int = 4,
                      warps_per_cu: int = 2, lines_per_thread: int = 48,
                      iterations: int = 3, lanes: int = 8,
@@ -113,6 +114,7 @@ def make_indirection(num_cpus: int = 4, num_gpus: int = 4,
     return Workload("Indirection", cpu_traces, gpu_traces, initial, meta)
 
 
+@gc_paused
 def make_reuse_o(num_cpus: int = 4, num_gpus: int = 4,
                  warps_per_cu: int = 2, tile_lines: int = 24,
                  sparse_reads: int = 8, iterations: int = 5,
@@ -182,6 +184,7 @@ def make_reuse_o(num_cpus: int = 4, num_gpus: int = 4,
     return Workload("ReuseO", cpu_traces, gpu_traces, {}, meta)
 
 
+@gc_paused
 def make_reuse_s(num_cpus: int = 4, num_gpus: int = 4,
                  warps_per_cu: int = 2, shared_lines: int = 48,
                  writes_per_iter: int = 4, iterations: int = 5,
@@ -276,6 +279,7 @@ def make_reuse_s(num_cpus: int = 4, num_gpus: int = 4,
     return Workload("ReuseS", cpu_traces, gpu_traces, {}, meta)
 
 
+@gc_paused
 def make_local_sync(num_cpus: int = 2, num_gpus: int = 4,
                     warps_per_cu: int = 2, data_lines: int = 24,
                     rounds: int = 8, lanes: int = 8,
@@ -327,6 +331,7 @@ def make_local_sync(num_cpus: int = 2, num_gpus: int = 4,
                     initial, meta)
 
 
+@gc_paused
 def make_producer_consumer(num_cpus: int = 4, num_gpus: int = 4,
                            warps_per_cu: int = 2, slice_lines: int = 4,
                            iterations: int = 6, lanes: int = 8,

@@ -169,3 +169,56 @@ def test_spin_join_sees_only_released_history():
     t1 = [Op.spin_ge(flag, 1), Op.load(data)]
     result = ReferenceExecutor([t0, t1]).run()
     assert any("0x100" in race for race in result.races)
+
+
+# -- epoch edge cases: an access is recorded as (tid, own tick) ------------
+def test_repeated_reads_each_report_a_race():
+    # One R-W message per recorded read: a reader list deduplicated per
+    # thread would report only one.
+    data, flag = 0x100, 0x200
+    t0 = [Op.spin_ge(flag, 1), Op.store(data, 1)]
+    t1 = [Op.load(data), Op.load(data), Op.store(flag, 1)]  # no release
+    result = ReferenceExecutor([t0, t1]).run()
+    assert result.races == ["R-W race on 0x100: t1 vs t0"] * 2
+
+
+def test_write_resets_the_reader_list():
+    # t1's read is ordered before t0's write; t2's later write races
+    # only with t0's write, not with the read the first write retired.
+    data, flag, handoff = 0x100, 0x200, 0x204
+    t0 = [Op.spin_ge(flag, 1), Op.store(data, 1), Op.store(handoff, 1)]
+    t1 = [Op.load(data), Op.rmw(flag, atomic_add(1), release=True)]
+    t2 = [Op.spin_ge(handoff, 1), Op.store(data, 2)]  # plain handoff
+    result = ReferenceExecutor([t0, t1, t2]).run()
+    assert result.races == ["W-W race on 0x100: t0 vs t2"]
+
+
+def test_rmw_release_by_third_thread_orders_transitively():
+    # t0 -> t1 (RMW acquire) -> t2: t2 holds t0's tick only through t1's
+    # released clock, so the sync clocks must carry every component.
+    data, f1, f2 = 0x100, 0x200, 0x204
+    t0 = [Op.store(data, 5), Op.rmw(f1, atomic_add(1), release=True)]
+    t1 = [Op.rmw(f1, atomic_add(1), acquire=True),
+          Op.rmw(f2, atomic_add(1), release=True)]
+    t2 = [Op.spin_ge(f2, 1), Op.store(data, 6)]
+    assert not ReferenceExecutor([t0, t1, t2]).run().races
+    # releasing before acquiring breaks the chain
+    t1 = [Op.rmw(f2, atomic_add(1), release=True),
+          Op.rmw(f1, atomic_add(1), acquire=True)]
+    result = ReferenceExecutor([t0, t1, t2]).run()
+    assert result.races == ["W-W race on 0x100: t0 vs t2"]
+
+
+def test_epoch_is_compared_against_its_owners_component():
+    # Comparing a writer's tick with the *current* thread's own
+    # component gets both cases wrong: the ordered read below has a
+    # small own tick (false race), the racy one a large one (missed).
+    data, flag, other = 0x100, 0x200, 0x300
+    t0 = [Op.load(other), Op.load(other), Op.load(other),
+          Op.store(data, 1), Op.rmw(flag, atomic_add(1), release=True)]
+    t1 = [Op.spin_ge(flag, 1), Op.load(data)]
+    assert not ReferenceExecutor([t0, t1]).run().races
+    t0 = [Op.store(data, 1)]
+    t1 = [Op.load(other), Op.load(other), Op.load(other), Op.load(data)]
+    result = ReferenceExecutor([t0, t1]).run()
+    assert result.races == ["W-R race on 0x100: t0 vs t1"]
