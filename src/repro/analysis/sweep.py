@@ -10,11 +10,12 @@ Two constraints shape the design:
 
 * ``Op.spin_until`` holds lambdas, so :class:`Workload` objects are not
   picklable.  Workers therefore receive a :class:`CellSpec` — workload
-  *name*, generator kwargs, configuration name — and regenerate the
-  trace locally.  Generators are deterministic (seeded ``random.Random``
-  plus a fixed-base :class:`AddressSpace`), so a regenerated workload is
-  op-for-op identical, and every cell runs on a fresh trace instead of
-  a shared mutable object.
+  *name*, generator kwargs, configuration name and ``SystemConfig``
+  overrides — and regenerate the trace locally.  Generators are
+  deterministic (seeded ``random.Random`` plus a fixed-base
+  :class:`AddressSpace`), so a regenerated workload is op-for-op
+  identical, and every cell runs on a fresh trace instead of a shared
+  mutable object.
 * :class:`~repro.sim.stats.StatsRegistry` is not picklable either (its
   grouped counters are a lambda-backed defaultdict), so workers return
   plain ``snapshot()`` dicts and the parent rebuilds registries with
@@ -37,14 +38,14 @@ import tempfile
 import time
 import warnings
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..sim.stats import StatsRegistry
-from ..system.config import FaultConfig, parse_link_down, scaled_config
+from ..system.config import MONITOR_INTERVAL, TraceConfig, scaled_config
 from ..workloads import APPLICATIONS, MICROBENCHMARKS
 from .report import ConfigResult, WorkloadResult
 
@@ -63,41 +64,6 @@ class SweepError(RuntimeError):
     """A sweep cell could not be described or executed."""
 
 
-#: CellSpec.kwargs keys that override SystemConfig fields (shard-count
-#: and fabric-topology sweep axes) instead of parameterizing the
-#: workload generator
-CONFIG_KWARGS = ("llc_shards", "shard_interleave", "topology",
-                 "num_sockets", "mesh_hop_latency", "switch_latency",
-                 "cross_socket_latency", "cross_socket_return_latency",
-                 "request_policy", "owner_pred")
-
-#: CellSpec.kwargs keys that configure unreliable-fabric fault
-#: injection (sweep axes ``--loss``/``--dup``/``--reorder-*``/
-#: ``--link-down``); like CONFIG_KWARGS they flow into
-#: ``system_config()`` and are stripped from the generator's kwargs.
-#: ``link_down`` rides as raw ``START:LENGTH[:SRC[:DST]]`` spec strings
-#: so the spec stays hashable and JSON-canonical.
-FAULT_KWARGS = ("loss", "dup", "reorder_prob", "reorder_window",
-                "link_down", "fault_seed")
-
-
-def _fault_overrides(kwargs: Mapping[str, object]):
-    """Build the cell's FaultConfig from FAULT_KWARGS, or ``None``."""
-    if not any(key in kwargs for key in FAULT_KWARGS):
-        return None
-    window = int(kwargs.get("reorder_window", 0))
-    prob = float(kwargs.get("reorder_prob", 0.0))
-    if prob > 0 and window <= 0:
-        window = 64
-    return FaultConfig(
-        seed=int(kwargs.get("fault_seed", 0)),
-        drop_prob=float(kwargs.get("loss", 0.0)),
-        dup_prob=float(kwargs.get("dup", 0.0)),
-        reorder_prob=prob, reorder_window=window,
-        link_down=tuple(parse_link_down(str(spec))
-                        for spec in kwargs.get("link_down", ())))
-
-
 # ---------------------------------------------------------------------------
 # cell specification
 # ---------------------------------------------------------------------------
@@ -105,42 +71,38 @@ def _fault_overrides(kwargs: Mapping[str, object]):
 class CellSpec:
     """One (workload, configuration) grid cell, in picklable form.
 
-    ``kwargs`` is a sorted tuple of (name, value) pairs so the spec is
-    hashable and its JSON form is canonical.  ``generator_ref`` (a
-    ``module:qualname`` string) lets non-registry generators ride
-    through the pool; registry workloads resolve by name alone.
-
-    Keys in :data:`CONFIG_KWARGS` parameterize the *system* (shard
-    count, fabric topology) rather than the workload: they flow into
-    ``system_config()`` — and therefore the cache key — but are
-    stripped before the generator is called.
+    ``kwargs`` (the workload generator's arguments) and ``overrides``
+    (``SystemConfig`` field -> value, e.g. ``llc_shards`` or a frozen
+    ``FaultConfig`` under ``faults``) are sorted tuples of (name,
+    value) pairs so the spec is hashable and canonical.  Overrides
+    reach the cache key through ``system_config()``.  ``generator_ref`` (a ``module:qualname``
+    string) lets non-registry generators ride through the pool;
+    registry workloads resolve by name alone.
     """
 
     workload: str
     config: str
     kwargs: Tuple[Tuple[str, object], ...] = ()
     generator_ref: Optional[str] = None
+    overrides: Tuple[Tuple[str, object], ...] = ()
 
     @classmethod
     def make(cls, workload: str, config: str,
              kwargs: Optional[Mapping[str, object]] = None,
-             generator: Optional[Callable] = None) -> "CellSpec":
+             generator: Optional[Callable] = None,
+             overrides: Optional[Mapping[str, object]] = None
+             ) -> "CellSpec":
         ref = None
         if generator is not None and \
                 WORKLOAD_REGISTRY.get(workload) is not generator:
             ref = f"{generator.__module__}:{generator.__qualname__}"
         return cls(workload=workload, config=config,
                    kwargs=tuple(sorted((kwargs or {}).items())),
-                   generator_ref=ref)
+                   generator_ref=ref,
+                   overrides=tuple(sorted((overrides or {}).items())))
 
     def kwargs_dict(self) -> Dict[str, object]:
         return dict(self.kwargs)
-
-    def workload_kwargs(self) -> Dict[str, object]:
-        """The kwargs the workload generator accepts (system-config
-        overrides like ``llc_shards`` and fault axes are stripped)."""
-        return {key: value for key, value in self.kwargs
-                if key not in CONFIG_KWARGS and key not in FAULT_KWARGS}
 
     def resolve_generator(self) -> Callable:
         if self.generator_ref is not None:
@@ -158,22 +120,18 @@ class CellSpec:
 
     def system_config(self):
         kwargs = self.kwargs_dict()
-        overrides = {key: kwargs[key] for key in CONFIG_KWARGS
-                     if key in kwargs}
-        faults = _fault_overrides(kwargs)
-        if faults is not None:
-            overrides["faults"] = faults
         return scaled_config(self.config,
                              int(kwargs.get("num_cpus", 4)),
                              int(kwargs.get("num_gpus", 4)),
-                             **overrides)
+                             **dict(self.overrides))
 
 
 def grid_specs(workloads: Iterable[str], configs: Iterable[str],
-               kwargs: Optional[Mapping[str, object]] = None
+               kwargs: Optional[Mapping[str, object]] = None,
+               overrides: Optional[Mapping[str, object]] = None
                ) -> List[CellSpec]:
     """The full cross product, workload-major (figure order)."""
-    return [CellSpec.make(w, c, kwargs)
+    return [CellSpec.make(w, c, kwargs, overrides=overrides)
             for w in workloads for c in configs]
 
 
@@ -237,17 +195,14 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     when the cell actually simulates.
     """
     started = time.perf_counter()
-    workload = spec.resolve_generator()(**spec.workload_kwargs())
+    workload = spec.resolve_generator()(**spec.kwargs_dict())
     reference = workload.reference() if validate_memory else None
 
     from ..system.builder import build_system
     config = spec.system_config()
     if trace_dir is not None:
-        import dataclasses
-
-        from ..system.config import TraceConfig
-        config = dataclasses.replace(
-            config, trace=TraceConfig(monitor_interval=5000))
+        config = replace(
+            config, trace=TraceConfig(monitor_interval=MONITOR_INTERVAL))
     system = build_system(config)
     system.load_workload(workload)
     run = system.run(max_events=max_events)

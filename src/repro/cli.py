@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -34,7 +35,10 @@ from typing import List, Optional
 from .analysis import (InvariantChecker, InvariantViolation, ResultCache,
                        format_figure, format_traffic_stack, grid_specs,
                        run_sweep, summarize_headline)
+from .core.policy import POLICY_NAMES
+from .core.shard import INTERLEAVINGS
 from .faults import format_diagnostic
+from .network.topology import TOPOLOGIES
 from .obs import (format_health, format_timeline, load_chrome_trace,
                   prometheus_text, registry_samples, stats_samples,
                   validate_chrome_trace, write_chrome_trace)
@@ -42,6 +46,7 @@ from .sim.engine import SimulationError
 from .system import (CONFIG_ORDER, CONFIGS, FaultConfig, TraceConfig,
                      WatchdogConfig, build_system, parse_link_down,
                      scaled_config)
+from .system.config import MONITOR_INTERVAL, REORDER_WINDOW
 from .verify import (CORPUS, CoverageRecorder, DfsExplorer,
                      RandomWalkExplorer, coverage_report, format_coverage,
                      replay_schedule, scenario_by_name, shrink_failure)
@@ -68,9 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     run.add_argument("--config", default="SDD",
                      choices=list(CONFIG_ORDER) + ["all"])
-    run.add_argument("--cpus", type=int, default=2)
-    run.add_argument("--gpus", type=int, default=4)
-    run.add_argument("--warps", type=int, default=2)
+    _add_scale_options(run, cpus=2)
     run.add_argument("--check", action="store_true",
                      help="validate final memory against the DRF "
                           "reference executor")
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="flag any request stalled beyond N cycles "
                           "with a structured diagnostic dump "
-                          "(default: 400000)")
+                          f"(default: {WatchdogConfig.stall_cycles})")
     run.add_argument("--max-cycles", type=int, default=None,
                      help="hard simulated-cycle budget (raises instead "
                           "of looping forever)")
@@ -116,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "MSHR occupancy, link backlogs, transport "
                           "state) and collect per-request critical-"
                           "path spans; implies --trace (default "
-                          "scrape interval: 5000 cycles)")
+                          f"scrape interval: {MONITOR_INTERVAL} cycles)")
     run.add_argument("--monitor-interval", type=int, default=0,
                      metavar="CYCLES",
                      help="health-monitor scrape period in cycles; "
@@ -136,7 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(implies --monitor)")
     run.add_argument("--top", type=int, default=0, metavar="K",
                      help="rows in top-K health rollups (contended "
-                          "lines / shards / links; default: 8)")
+                          "lines / shards / links; default: "
+                          f"{TraceConfig.health_top_k})")
     run.add_argument("--top-every", type=int, default=0,
                      metavar="SCRAPES",
                      help="print the live 'repro top' health view "
@@ -148,17 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               ("figure3", APPLICATIONS)):
         fig = sub.add_parser(figure,
                              help=f"regenerate the paper's {figure}")
-        fig.add_argument("--cpus", type=int, default=4)
-        fig.add_argument("--gpus", type=int, default=4)
-        fig.add_argument("--warps", type=int, default=2)
+        _add_scale_options(fig, cpus=4)
         _add_fabric_options(fig)
         _add_sweep_options(fig)
 
     head = sub.add_parser("headline",
                           help="Sbest-vs-Hbest summary (paper abstract)")
-    head.add_argument("--cpus", type=int, default=4)
-    head.add_argument("--gpus", type=int, default=4)
-    head.add_argument("--warps", type=int, default=2)
+    _add_scale_options(head, cpus=4)
     _add_fabric_options(head)
     _add_sweep_options(head)
 
@@ -170,15 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--configs", default="all",
                        help="comma-separated configuration names "
                             "(default: all six)")
-    sweep.add_argument("--cpus", type=int, default=4)
-    sweep.add_argument("--gpus", type=int, default=4)
-    sweep.add_argument("--warps", type=int, default=2)
+    _add_scale_options(sweep, cpus=4)
     _add_fabric_options(sweep)
-    sweep.add_argument("--fault-seed", type=int, default=None,
-                       metavar="SEED",
+    sweep.add_argument("--fault-seed", type=int, dest="faults.seed",
+                       default=argparse.SUPPRESS, metavar="SEED",
                        help="fault-injection seed for the unreliable-"
-                            "fabric axes below (default: 0 when any "
-                            "is set)")
+                            "fabric axes below (default: "
+                            f"{FaultConfig.seed})")
     _add_fault_options(sweep)
     sweep.add_argument("--json", action="store_true",
                        help="emit the full sweep summary as JSON")
@@ -228,9 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     save = sub.add_parser("save", help="serialize a workload's traces")
     save.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     save.add_argument("path")
-    save.add_argument("--cpus", type=int, default=2)
-    save.add_argument("--gpus", type=int, default=4)
-    save.add_argument("--warps", type=int, default=2)
+    _add_scale_options(save, cpus=2)
 
     replay = sub.add_parser("replay", help="run serialized traces")
     replay.add_argument("path")
@@ -283,126 +279,99 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_scale_options(parser: argparse.ArgumentParser,
+                       cpus: int) -> None:
+    """Workload scale: CPU cores, GPU CUs and warps per CU."""
+    parser.add_argument("--cpus", type=int, default=cpus)
+    parser.add_argument("--gpus", type=int, default=4)
+    parser.add_argument("--warps", type=int, default=2)
+
+
 def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
-    """Shard-count / fabric-topology axes (run, sweep, figures)."""
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="address-interleaved Spandex home shards "
-                             "(1 = the single historical LLC; "
-                             "hierarchical configs ignore this)")
-    parser.add_argument("--interleave", choices=("line", "hash"),
-                        default="line",
-                        help="line->shard mapping: modulo striping or "
-                             "a multiplicative hash")
-    parser.add_argument("--topology",
-                        choices=("p2p", "mesh", "switch", "multi_socket"),
-                        default="p2p",
-                        help="fabric shape: historical point-to-point "
-                             "star, 2D mesh, central switch, or "
-                             "multi-socket with asymmetric cross-"
-                             "socket links")
-    parser.add_argument("--sockets", type=int, default=2, metavar="N",
-                        help="socket count for --topology multi_socket")
-    parser.add_argument("--policy",
-                        choices=("fixed", "criticality", "adaptive"),
-                        default="fixed",
-                        help="per-access request-type policy at the "
-                             "Spandex TUs: the paper's fixed Table II "
-                             "mapping, the criticality-weighted "
-                             "heuristic, or the table-driven adaptive "
-                             "policy (both may convert stores to "
-                             "forwarding write-throughs)")
-    parser.add_argument("--owner-pred", action="store_true",
-                        help="arm the TU owner-prediction table: loads "
-                             "go directly to the predicted owner, with "
-                             "Nack fallback to the home (needs a "
-                             "non-fixed --policy)")
+    """Shard-count / fabric-topology axes (run, sweep, figures); each
+    flag's ``dest`` names the SystemConfig field it sets (see
+    :func:`_config_overrides`)."""
+    flag = functools.partial(parser.add_argument,
+                             default=argparse.SUPPRESS)
+    flag("--shards", type=int, dest="config.llc_shards", metavar="N",
+         help="address-interleaved Spandex home shards (1 = the single "
+              "historical LLC; hierarchical configs ignore this)")
+    flag("--interleave", choices=INTERLEAVINGS,
+         dest="config.shard_interleave",
+         help="line->shard mapping: modulo striping or a multiplicative "
+              "hash")
+    flag("--topology", choices=TOPOLOGIES, dest="config.topology",
+         help="fabric shape: historical point-to-point star, 2D mesh, "
+              "central switch, or multi-socket with asymmetric cross-"
+              "socket links")
+    flag("--sockets", type=int, dest="config.num_sockets", metavar="N",
+         help="socket count for --topology multi_socket")
+    flag("--policy", choices=POLICY_NAMES, dest="config.request_policy",
+         help="per-access request-type policy at the Spandex TUs: the "
+              "paper's fixed Table II mapping, the criticality-weighted "
+              "heuristic, or the table-driven adaptive policy (both may "
+              "convert stores to forwarding write-throughs)")
+    flag("--owner-pred", action="store_true", dest="config.owner_pred",
+         help="arm the TU owner-prediction table: loads go directly to "
+              "the predicted owner, with Nack fallback to the home "
+              "(needs a non-fixed --policy)")
 
 
 def _add_fault_options(parser: argparse.ArgumentParser) -> None:
     """Unreliable-fabric axes: message loss, duplication, reordering
     and scheduled link outages (all consume the reliable-delivery
-    sublayer; see ROBUSTNESS.md)."""
-    parser.add_argument("--loss", type=float, default=0.0, metavar="P",
-                        help="per-message drop probability in [0,1); "
-                             "lost messages are recovered by the "
-                             "reliable-transport sublayer")
-    parser.add_argument("--dup", type=float, default=0.0, metavar="P",
-                        help="per-message duplication probability; "
-                             "duplicates are suppressed receiver-side")
-    parser.add_argument("--reorder-prob", type=float, default=0.0,
-                        metavar="P",
-                        help="probability a message is skewed past "
-                             "later traffic on the same link")
-    parser.add_argument("--reorder-window", type=int, default=0,
-                        metavar="N",
-                        help="max extra cycles a reordered message is "
-                             "skewed by (default: 64 when "
-                             "--reorder-prob is set)")
-    parser.add_argument("--link-down", action="append", default=[],
-                        metavar="SPEC",
-                        help="scheduled link outage START:LENGTH"
-                             "[:SRC[:DST]] (glob endpoint patterns; "
-                             "repeatable)")
+    sublayer; see ROBUSTNESS.md).  Each flag's ``dest`` names the
+    FaultConfig field it sets."""
+    flag = functools.partial(parser.add_argument,
+                             default=argparse.SUPPRESS)
+    flag("--loss", type=float, dest="faults.drop_prob", metavar="P",
+         help="per-message drop probability in [0,1); lost messages are "
+              "recovered by the reliable-transport sublayer")
+    flag("--dup", type=float, dest="faults.dup_prob", metavar="P",
+         help="per-message duplication probability; duplicates are "
+              "suppressed receiver-side")
+    flag("--reorder-prob", type=float, dest="faults.reorder_prob",
+         metavar="P",
+         help="probability a message is skewed past later traffic on "
+              "the same link")
+    flag("--reorder-window", type=int, dest="faults.reorder_window",
+         metavar="N",
+         help="max extra cycles a reordered message is skewed by "
+              f"(default: {REORDER_WINDOW} when --reorder-prob is set)")
+    flag("--link-down", action="append", type=parse_link_down,
+         dest="faults.link_down", metavar="SPEC",
+         help="scheduled link outage START:LENGTH[:SRC[:DST]] (glob "
+              "endpoint patterns; repeatable)")
 
 
-def _unreliable_requested(args) -> bool:
-    return bool(args.loss or args.dup or args.reorder_prob
-                or args.link_down)
+def _config_overrides(args) -> dict:
+    """SystemConfig overrides from the fabric and fault flags.
 
-
-def _fault_config(args) -> Optional[FaultConfig]:
-    """The run's FaultConfig: ``--faults`` stress timing faults plus
-    any unreliable-fabric axes, or ``None`` when nothing is enabled."""
-    if args.faults is None and not _unreliable_requested(args):
-        return None
-    base = (FaultConfig.stress(args.faults) if args.faults is not None
-            else FaultConfig(seed=0))
-    if not _unreliable_requested(args):
-        return base
-    window = args.reorder_window
-    if args.reorder_prob > 0 and window <= 0:
-        window = 64
-    return dataclasses.replace(
-        base, drop_prob=args.loss, dup_prob=args.dup,
-        reorder_prob=args.reorder_prob, reorder_window=window,
-        link_down=tuple(parse_link_down(spec)
-                        for spec in args.link_down))
-
-
-def _fault_kwargs(args) -> dict:
-    """Unreliable-fabric settings as hashable CellSpec kwargs
-    (``link_down`` rides as raw spec strings; workers re-parse)."""
-    kwargs = {}
-    if args.loss:
-        kwargs["loss"] = args.loss
-    if args.dup:
-        kwargs["dup"] = args.dup
-    if args.reorder_prob:
-        kwargs["reorder_prob"] = args.reorder_prob
-    if args.reorder_window:
-        kwargs["reorder_window"] = args.reorder_window
-    if args.link_down:
-        kwargs["link_down"] = tuple(args.link_down)
-    if kwargs and getattr(args, "fault_seed", None) is not None:
-        kwargs["fault_seed"] = args.fault_seed
-    return kwargs
-
-
-def _fabric_overrides(args) -> dict:
-    """Non-default fabric settings as SystemConfig override kwargs."""
-    overrides = {}
-    if getattr(args, "shards", 1) != 1:
-        overrides["llc_shards"] = args.shards
-    if getattr(args, "interleave", "line") != "line":
-        overrides["shard_interleave"] = args.interleave
-    if getattr(args, "topology", "p2p") != "p2p":
-        overrides["topology"] = args.topology
-    if getattr(args, "sockets", 2) != 2:
-        overrides["num_sockets"] = args.sockets
-    if getattr(args, "policy", "fixed") != "fixed":
-        overrides["request_policy"] = args.policy
-    if getattr(args, "owner_pred", False):
-        overrides["owner_pred"] = True
+    A flag whose ``dest`` is ``config.<field>`` sets that SystemConfig
+    field, and ``faults.<field>`` that FaultConfig field.  Unset flags
+    are absent from ``args``, so the dataclass defaults are the only
+    defaults.  The FaultConfig starts from ``run --faults SEED``'s
+    stress profile (else the fault-free default) and is attached only
+    when some fault fires.  Raises ValueError on any value the config
+    classes reject.
+    """
+    fields = {"config": {}, "faults": {}}
+    for dest, value in vars(args).items():
+        target, dot, name = dest.partition(".")
+        if dot:
+            fields[target][name] = (tuple(value) if isinstance(value, list)
+                                    else value)
+    overrides, faults = fields["config"], fields["faults"]
+    if faults.get("reorder_prob", 0) > 0 \
+            and faults.get("reorder_window", 0) <= 0:
+        faults["reorder_window"] = REORDER_WINDOW
+    seed = getattr(args, "faults", None)
+    base = FaultConfig.stress(seed) if seed is not None else FaultConfig()
+    fault_config = dataclasses.replace(base, **faults)
+    if fault_config.active:
+        overrides["faults"] = fault_config
+    for name in CONFIG_ORDER:       # SystemConfig validates on creation
+        scaled_config(name, args.cpus, args.gpus, **overrides)
     return overrides
 
 
@@ -444,7 +413,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, overrides: dict) -> int:
     def fresh_workload():
         # Each configuration gets its own Workload: generators are
         # deterministic, and sharing one object would let a run observe
@@ -457,37 +426,27 @@ def _cmd_run(args) -> int:
     if monitor_interval == 0 and (args.monitor or args.prom_out
                                   or args.health_json
                                   or args.top_every > 0):
-        monitor_interval = 5000
+        monitor_interval = MONITOR_INTERVAL
     tracing = (args.trace or bool(args.trace_filter) or args.trace_out
                or args.timeline is not None or monitor_interval > 0)
 
-    try:
-        faults = _fault_config(args)
-    except ValueError as exc:
-        print(f"bad fault option: {exc}", file=sys.stderr)
-        return 2
-
-    def system_config(config_name: str):
-        config = scaled_config(config_name, args.cpus, args.gpus)
-        replacements = _fabric_overrides(args)
-        if faults is not None:
-            replacements["faults"] = faults
-        if args.watchdog_cycles is not None:
-            replacements["watchdog"] = WatchdogConfig(
-                stall_cycles=args.watchdog_cycles)
-        if tracing:
-            replacements["trace"] = TraceConfig(
-                filters=tuple(args.trace_filter),
-                monitor_interval=monitor_interval,
-                health_top_k=args.top if args.top > 0 else 8)
-        if replacements:
-            config = dataclasses.replace(config, **replacements)
-        return config
+    extras = {}
+    if args.watchdog_cycles is not None:
+        extras["watchdog"] = WatchdogConfig(
+            stall_cycles=args.watchdog_cycles)
+    if tracing:
+        top_k = {"health_top_k": args.top} if args.top > 0 else {}
+        extras["trace"] = TraceConfig(filters=tuple(args.trace_filter),
+                                      monitor_interval=monitor_interval,
+                                      **top_k)
+    configs = [scaled_config(name, args.cpus, args.gpus, **overrides,
+                             **extras)
+               for name in (CONFIG_ORDER if args.config == "all"
+                            else [args.config])]
+    faults = overrides.get("faults")
 
     workload = fresh_workload()
     reference = workload.reference() if args.check else None
-    configs = (list(CONFIG_ORDER) if args.config == "all"
-               else [args.config])
     print(f"{args.workload}: {workload.total_ops():,} operations "
           f"({args.cpus} CPUs, {args.gpus} CUs x {args.warps} warps)")
     if args.faults is not None:
@@ -500,9 +459,10 @@ def _cmd_run(args) -> int:
               f"(reliable transport armed)")
     failures = 0
     trace_sections = []
-    for config_name in configs:
+    for config in configs:
+        config_name = config.name
         workload = fresh_workload()
-        system = build_system(system_config(config_name))
+        system = build_system(config)
         system.load_workload(workload)
         checker: Optional[InvariantChecker] = None
         if args.invariants:
@@ -549,9 +509,8 @@ def _cmd_run(args) -> int:
             line += f"  memory: {'OK' if bad == 0 else f'{bad} BAD'}"
         if checker is not None:
             line += f"  invariants: OK ({checker.audits} audits)"
-        if getattr(args, "policy", "fixed") != "fixed" \
-                or getattr(args, "owner_pred", False):
-            line += (f"  policy[{args.policy}]: "
+        if config.request_policy != "fixed" or config.owner_pred:
+            line += (f"  policy[{config.request_policy}]: "
                      f"{system.stats.get('tu.fwd_direct'):.0f} "
                      f"wtfwd_conversions, "
                      f"{system.stats.home_total('wtfwd_pushes'):.0f} "
@@ -628,24 +587,26 @@ def _cmd_run(args) -> int:
     return 1 if failures else 0
 
 
-def _run_grid(args, workload_names) -> "SweepSummary":
-    """Sweep the full (workload x config) grid for a figure command.
+def _run_grid(args, overrides: dict, workloads, configs=CONFIG_ORDER,
+              **options) -> "SweepSummary":
+    """Sweep the full (workload x config) grid, every cell carrying
+    the fabric and fault flags as SystemConfig overrides.
 
     Sweeping the whole grid at once (rather than per workload) gives
     the pool ``len(workloads) * len(configs)`` independent cells, so
     ``--jobs`` scales past the six configurations.
     """
-    specs = grid_specs(workload_names, CONFIG_ORDER,
+    specs = grid_specs(workloads, configs,
                        dict(num_cpus=args.cpus, num_gpus=args.gpus,
-                            warps_per_cu=args.warps,
-                            **_fabric_overrides(args)))
+                            warps_per_cu=args.warps),
+                       overrides=overrides)
     return run_sweep(specs, jobs=args.jobs, cache=_sweep_cache(args),
                      cell_timeout=args.cell_timeout,
-                     cell_retries=args.cell_retries)
+                     cell_retries=args.cell_retries, **options)
 
 
-def _cmd_figure(args, workloads, title) -> int:
-    summary = _run_grid(args, list(workloads))
+def _cmd_figure(args, overrides: dict, workloads, title) -> int:
+    summary = _run_grid(args, overrides, list(workloads))
     results = summary.workload_results()
     print(format_figure(results, title))
     for result in results:
@@ -656,8 +617,8 @@ def _cmd_figure(args, workloads, title) -> int:
     return 0
 
 
-def _cmd_headline(args) -> int:
-    sweep = _run_grid(args, list(APPLICATIONS))
+def _cmd_headline(args, overrides: dict) -> int:
+    sweep = _run_grid(args, overrides, list(APPLICATIONS))
     summary = summarize_headline(sweep.workload_results())
     print("Sbest vs Hbest across the applications:")
     print(f"  execution time:  -{summary['avg_time_reduction']:.0%} "
@@ -671,7 +632,7 @@ def _cmd_headline(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, overrides: dict) -> int:
     if args.clear_cache:
         cache = ResultCache(args.cache_dir)
         removed = cache.clear()
@@ -692,23 +653,8 @@ def _cmd_sweep(args) -> int:
         print(f"unknown config(s): {', '.join(bad)} "
               f"(try: {', '.join(CONFIG_ORDER)})", file=sys.stderr)
         return 2
-    from .analysis.sweep import _fault_overrides
-
-    fault_kwargs = _fault_kwargs(args)
-    try:
-        _fault_overrides(fault_kwargs)      # validate before the pool
-    except ValueError as exc:
-        print(f"bad fault option: {exc}", file=sys.stderr)
-        return 2
-    specs = grid_specs(names, configs,
-                       dict(num_cpus=args.cpus, num_gpus=args.gpus,
-                            warps_per_cu=args.warps,
-                            **_fabric_overrides(args),
-                            **fault_kwargs))
-    summary = run_sweep(specs, jobs=args.jobs, cache=_sweep_cache(args),
+    summary = _run_grid(args, overrides, names, configs,
                         validate_memory=not args.no_check,
-                        cell_timeout=args.cell_timeout,
-                        cell_retries=args.cell_retries,
                         trace_dir=args.trace_artifacts)
     if args.json:
         json.dump(summary.to_json(), sys.stdout, indent=1,
@@ -991,8 +937,18 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+#: commands whose fabric / fault flags become SystemConfig overrides
+_SYSTEM_COMMANDS = ("run", "figure2", "figure3", "headline", "sweep")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in _SYSTEM_COMMANDS:
+        try:
+            overrides = _config_overrides(args)
+        except ValueError as exc:
+            print(f"bad option: {exc}", file=sys.stderr)
+            return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "bench":
@@ -1000,16 +956,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, overrides)
     if args.command == "figure2":
-        return _cmd_figure(args, MICROBENCHMARKS,
+        return _cmd_figure(args, overrides, MICROBENCHMARKS,
                            "Figure 2: microbenchmarks")
     if args.command == "figure3":
-        return _cmd_figure(args, APPLICATIONS, "Figure 3: applications")
+        return _cmd_figure(args, overrides, APPLICATIONS,
+                           "Figure 3: applications")
     if args.command == "headline":
-        return _cmd_headline(args)
+        return _cmd_headline(args, overrides)
     if args.command == "sweep":
-        return _cmd_sweep(args)
+        return _cmd_sweep(args, overrides)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "save":

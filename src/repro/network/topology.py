@@ -211,12 +211,7 @@ def build_topology(config, endpoints: List[TopoEndpoint],
 
     ``endpoints`` is every network endpoint in construction order;
     ``attachments`` are the logical device->home star edges with the
-    Table VI latencies the p2p wiring uses.
+    Table VI latencies the p2p wiring uses.  ``SystemConfig`` rejects
+    an unknown ``topology`` at construction.
     """
-    try:
-        builder = _BUILDERS[config.topology]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {config.topology!r}; expected one of "
-            f"{TOPOLOGIES}") from None
-    return builder(config, endpoints, attachments)
+    return _BUILDERS[config.topology](config, endpoints, attachments)

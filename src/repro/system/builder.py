@@ -302,14 +302,25 @@ class System:
 
     # ------------------------------------------------------------------
     def load_workload(self, workload) -> None:
-        """Assign traces and initialize memory from a Workload."""
+        """Assign traces and initialize memory from a Workload.
+
+        A workload may use fewer devices than the system has, but never
+        more: a trace without a device would silently never run.
+        """
+        cpu_traces, gpu_traces = workload.cpu_traces, workload.gpu_traces
+        if len(cpu_traces) > len(self.cpus) \
+                or len(gpu_traces) > len(self.gpus):
+            raise ValueError(
+                f"workload {workload.name!r} has {len(cpu_traces)} CPU "
+                f"traces and {len(gpu_traces)} CUs, but the system has "
+                f"only {len(self.cpus)} CPUs and {len(self.gpus)} CUs")
         for addr, value in workload.initial_memory.items():
             line = addr & ~63
             self.dram.poke(line, {(addr >> 2) & 15: value})
         from ..devices.gpu import Warp
-        for core, trace in zip(self.cpus, workload.cpu_traces):
+        for core, trace in zip(self.cpus, cpu_traces):
             core.trace = trace
-        for cu, warp_traces in zip(self.gpus, workload.gpu_traces):
+        for cu, warp_traces in zip(self.gpus, gpu_traces):
             cu.warps = [Warp(t) for t in warp_traces]
 
     def read_coherent(self, addr: int) -> int:

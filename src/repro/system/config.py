@@ -28,8 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..core.policy import POLICY_NAMES
+from ..core.shard import INTERLEAVINGS
+from ..network.topology import TOPOLOGIES
+
 KB = 1024
 MB = 1024 * KB
+
+#: reorder skew bound used when only a reorder probability is given
+REORDER_WINDOW = 64
+#: health-monitor scrape period when monitoring is on but no period
+#: is given
+MONITOR_INTERVAL = 5000
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ class FaultConfig:
         transport converges quickly (drop_prob well below 1, skew well
         under the retransmit timeout)."""
         return cls(seed=seed, drop_prob=0.02, dup_prob=0.02,
-                   reorder_prob=0.05, reorder_window=64,
+                   reorder_prob=0.05, reorder_window=REORDER_WINDOW,
                    link_down=(LinkWindow(start=2_000, length=1_500),))
 
 
@@ -327,6 +337,18 @@ class SystemConfig:
     watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
     #: optional observability (None = no tracing / profiling)
     trace: Optional[TraceConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.llc_shards < 1:
+            raise ValueError(
+                f"llc_shards must be >= 1, got {self.llc_shards}")
+        for what, value, names in (
+                ("topology", self.topology, TOPOLOGIES),
+                ("shard interleave", self.shard_interleave, INTERLEAVINGS),
+                ("request policy", self.request_policy, POLICY_NAMES)):
+            if value not in names:
+                raise ValueError(f"unknown {what} {value!r}; expected "
+                                 f"one of {names}")
 
     @property
     def hierarchical(self) -> bool:

@@ -1,11 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from repro.cli import main
+from repro.system import (CONFIG_ORDER, FaultConfig, LinkWindow,
+                          TraceConfig, scaled_config)
 
 SMALL = ["--cpus", "2", "--gpus", "2", "--warps", "1"]
 
@@ -198,3 +201,175 @@ def test_policy_summary_counts_pushes_across_homes(capsys, monkeypatch,
                    if name.startswith("home.")
                    and name.endswith(".wtfwd_pushes"))
     assert pushes > 0 and pushes == expected
+
+
+# -- knob routing: every fabric / fault flag lands on one config field --------
+class _Captured(Exception):
+    """Raised by the capturing stubs so no cell is simulated."""
+
+
+def _run_config(monkeypatch, flags):
+    """The SystemConfig `repro run ReuseS --config SDD` builds."""
+    import repro.cli as cli
+    built = []
+
+    def capture(config):
+        built.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "build_system", capture)
+    with pytest.raises(_Captured):
+        main(["run", "ReuseS", "--config", "SDD"] + SMALL + flags)
+    (config,) = built
+    return config
+
+
+def _grid_configs(monkeypatch, argv):
+    """Every cell's SystemConfig a sweep-backed command hands to
+    run_sweep."""
+    import repro.cli as cli
+    specs = []
+
+    def capture(cells, **options):
+        specs.extend(cells)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    with pytest.raises(_Captured):
+        main(argv)
+    return [spec.system_config() for spec in specs]
+
+
+def _sweep_config(monkeypatch, flags):
+    (config,) = _grid_configs(
+        monkeypatch, ["sweep", "ReuseS", "--configs", "SDD"] + SMALL + flags)
+    return config
+
+
+def _field(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
+
+
+def _exit_code(argv):
+    """main()'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+KNOBS = [
+    (["--shards", "2"], "llc_shards", 2),
+    (["--interleave", "hash"], "shard_interleave", "hash"),
+    (["--topology", "mesh"], "topology", "mesh"),
+    (["--sockets", "3"], "num_sockets", 3),
+    (["--policy", "criticality"], "request_policy", "criticality"),
+    (["--owner-pred"], "owner_pred", True),
+    (["--loss", "0.02"], "faults.drop_prob", 0.02),
+    (["--dup", "0.01"], "faults.dup_prob", 0.01),
+    (["--reorder-prob", "0.05", "--reorder-window", "32"],
+     "faults.reorder_window", 32),
+    (["--link-down", "2000:1500:c0:llc*"], "faults.link_down",
+     (LinkWindow(2000, 1500, "c0", "llc*"),)),
+]
+
+
+@pytest.mark.parametrize("flags,path,value", KNOBS,
+                         ids=[knob[0][0] for knob in KNOBS])
+def test_each_knob_reaches_the_same_config_via_run_and_sweep(
+        monkeypatch, flags, path, value):
+    run = _run_config(monkeypatch, flags)
+    assert _field(run, path) == value
+    assert run == _sweep_config(monkeypatch, flags)
+
+
+def test_all_knobs_together_reach_the_same_config_via_run_and_sweep(
+        monkeypatch):
+    flags = [arg for knob in KNOBS for arg in knob[0]]
+    flags += ["--link-down", "100:50"]
+    run = _run_config(monkeypatch, flags)
+    assert run == _sweep_config(monkeypatch, flags)
+    assert (run.llc_shards, run.shard_interleave, run.topology,
+            run.num_sockets, run.request_policy, run.owner_pred) == \
+        (2, "hash", "mesh", 3, "criticality", True)
+    faults = run.faults
+    assert (faults.seed, faults.drop_prob, faults.dup_prob,
+            faults.reorder_prob, faults.reorder_window) == \
+        (0, 0.02, 0.01, 0.05, 32)
+    assert [(w.start, w.length, w.src, w.dst) for w in faults.link_down] \
+        == [(2000, 1500, "c0", "llc*"), (100, 50, "*", "*")]
+
+
+def test_no_flags_build_the_plain_scaled_config(monkeypatch):
+    assert _run_config(monkeypatch, []) == scaled_config("SDD", 2, 2)
+    assert _sweep_config(monkeypatch, []) == scaled_config("SDD", 2, 2)
+    configs = _grid_configs(monkeypatch, ["figure2"])
+    assert configs
+    assert all(config == scaled_config(config.name, 4, 4)
+               for config in configs)
+
+
+def test_reorder_prob_alone_defaults_the_window(monkeypatch):
+    for capture in (_run_config, _sweep_config):
+        faults = capture(monkeypatch, ["--reorder-prob", "0.1"]).faults
+        assert (faults.reorder_prob, faults.reorder_window) == (0.1, 64)
+
+
+def test_fault_seeds_route_to_the_fault_config(monkeypatch):
+    faults = _sweep_config(monkeypatch,
+                           ["--loss", "0.02", "--fault-seed", "3"]).faults
+    assert (faults.seed, faults.drop_prob) == (3, 0.02)
+    faults = _run_config(monkeypatch,
+                         ["--faults", "5", "--loss", "0.02"]).faults
+    assert faults == dataclasses.replace(FaultConfig.stress(5),
+                                         drop_prob=0.02)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a command gets as far as simulating."""
+    import repro.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulation started on a bad option")
+
+    monkeypatch.setattr(cli, "build_system", never)
+    monkeypatch.setattr(cli, "run_sweep", never)
+
+
+ONE_CELL = {"run": ["run", "ReuseS", "--config", "SDD"] + SMALL,
+            "sweep": ["sweep", "ReuseS", "--configs", "SDD"] + SMALL}
+
+
+@pytest.mark.parametrize("bad", [["--loss", "1.0"],
+                                 ["--reorder-prob", "1.5"],
+                                 ["--link-down", "bogus"]])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_fault_values_exit_2_before_simulating(no_simulation, command,
+                                                   bad):
+    assert _exit_code(ONE_CELL[command] + bad) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_shards_exit_2_before_simulating(no_simulation, capsys,
+                                              command):
+    assert _exit_code(ONE_CELL[command] + ["--shards", "0"]) == 2
+    assert "llc_shards must be >= 1" in capsys.readouterr().err
+
+
+def test_figure2_fabric_flags_reach_every_cell(monkeypatch):
+    configs = _grid_configs(monkeypatch, ["figure2", "--shards", "2",
+                                          "--topology", "switch"] + SMALL)
+    assert {config.name for config in configs} == set(CONFIG_ORDER)
+    assert len(configs) % len(CONFIG_ORDER) == 0
+    assert all(config.llc_shards == 2 and config.topology == "switch"
+               for config in configs)
+
+
+def test_monitor_flags_build_the_trace_config(monkeypatch):
+    assert _run_config(monkeypatch, ["--monitor"]).trace == \
+        TraceConfig(monitor_interval=5000)
+    trace = _run_config(monkeypatch, ["--monitor", "--top", "3"]).trace
+    assert (trace.monitor_interval, trace.health_top_k) == (5000, 3)

@@ -126,20 +126,20 @@ def test_sharded_multi_socket_under_fault_stress():
 
 # -- sweep plumbing -----------------------------------------------------------
 def test_sweep_routes_shard_axes_to_system_config():
-    spec = CellSpec.make("ReuseS", "SMG",
-                         dict(SMALL, llc_shards=2, topology="switch"))
+    spec = CellSpec.make("ReuseS", "SMG", SMALL,
+                         overrides=dict(llc_shards=2, topology="switch"))
     config = spec.system_config()
     assert config.llc_shards == 2
     assert config.topology == "switch"
     # the generator never sees the system axes
-    assert "llc_shards" not in spec.workload_kwargs()
-    assert "topology" not in spec.workload_kwargs()
+    assert "llc_shards" not in spec.kwargs_dict()
+    assert "topology" not in spec.kwargs_dict()
     result = simulate_cell(spec)
     assert result["memory_ok"] is True
 
 
 def test_sweep_cache_key_distinguishes_shard_counts():
     from repro.analysis.sweep import cell_key
-    one = CellSpec.make("ReuseS", "SMG", dict(SMALL, llc_shards=1))
-    two = CellSpec.make("ReuseS", "SMG", dict(SMALL, llc_shards=2))
+    one = CellSpec.make("ReuseS", "SMG", SMALL, overrides=dict(llc_shards=1))
+    two = CellSpec.make("ReuseS", "SMG", SMALL, overrides=dict(llc_shards=2))
     assert cell_key(one) != cell_key(two)

@@ -1,6 +1,7 @@
 """Unit tests for the parallel, cached experiment-sweep subsystem."""
 
 import json
+import pickle
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.analysis.sweep import (CellSpec, ResultCache, SweepError,
                                   cell_key, code_fingerprint, grid_specs,
                                   run_sweep, simulate_cell)
 from repro.sim.stats import LatencySampler, StatsRegistry
+from repro.system import FaultConfig
 from repro.workloads import MICROBENCHMARKS
 from repro.workloads.synthetic import make_local_sync
 
@@ -44,6 +46,21 @@ def test_cell_key_distinguishes_cells():
         cell_key(base, max_events=123),
     }
     assert len(keys) == 6
+
+
+def test_cell_key_distinguishes_overrides():
+    variants = [None, dict(llc_shards=2), dict(shard_interleave="hash"),
+                dict(topology="mesh"), dict(num_sockets=3),
+                dict(request_policy="adaptive"), dict(owner_pred=True),
+                dict(faults=FaultConfig(drop_prob=0.02)),
+                dict(faults=FaultConfig(drop_prob=0.02, seed=1))]
+    specs = [CellSpec.make("ReuseS", "SDD", SMALL, overrides=overrides)
+             for overrides in variants]
+    assert len({cell_key(spec) for spec in specs}) == len(variants)
+    # overrides ride through process pools and spec-keyed dicts
+    for spec in specs:
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
 
 
 def test_code_fingerprint_is_stable():

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.report import (ConfigResult, WorkloadResult,
                                    format_figure)
 from repro.analysis.sweep import CellSpec, ResultCache, run_sweep
+from repro.system import FaultConfig, LinkWindow
 from repro.workloads import MICROBENCHMARKS
 
 SMALL = dict(num_cpus=2, num_gpus=2, warps_per_cu=1)
@@ -146,22 +147,24 @@ def test_schema_drift_entry_quarantined(tmp_path):
 
 
 # -- unreliable-fabric sweep axes ---------------------------------------------
-def _faulty_spec(**fault_kwargs):
-    return CellSpec.make("ReuseS", "SDD", dict(SMALL, **fault_kwargs))
+def _faulty_spec(**fault_fields):
+    return CellSpec.make("ReuseS", "SDD", SMALL,
+                         overrides={"faults": FaultConfig(**fault_fields)})
 
 
 def test_fault_kwargs_are_stripped_from_generator_kwargs():
-    spec = _faulty_spec(loss=0.02, dup=0.01, reorder_prob=0.05,
-                       reorder_window=32, link_down=("2000:1500",),
-                       fault_seed=3)
-    assert spec.workload_kwargs() == SMALL
+    spec = _faulty_spec(drop_prob=0.02, dup_prob=0.01, reorder_prob=0.05,
+                        reorder_window=32,
+                        link_down=(LinkWindow(2000, 1500),), seed=3)
+    assert spec.kwargs_dict() == SMALL
 
 
 def test_fault_kwargs_build_the_cell_fault_config():
-    spec = _faulty_spec(loss=0.02, dup=0.01, reorder_prob=0.05,
-                       reorder_window=32,
-                       link_down=("2000:1500", "100:50:c0:llc*"),
-                       fault_seed=3)
+    spec = _faulty_spec(drop_prob=0.02, dup_prob=0.01, reorder_prob=0.05,
+                        reorder_window=32,
+                        link_down=(LinkWindow(2000, 1500),
+                                   LinkWindow(100, 50, "c0", "llc*")),
+                        seed=3)
     faults = spec.system_config().faults
     assert faults is not None and faults.unreliable
     assert faults.seed == 3
@@ -172,11 +175,6 @@ def test_fault_kwargs_build_the_cell_fault_config():
         == [(2000, 1500, "*", "*"), (100, 50, "c0", "llc*")]
 
 
-def test_reorder_window_defaults_when_only_prob_given():
-    faults = _faulty_spec(reorder_prob=0.1).system_config().faults
-    assert faults.reorder_window == 64
-
-
 def test_plain_spec_has_no_fault_config():
     assert good_spec().system_config().faults is None
 
@@ -184,14 +182,14 @@ def test_plain_spec_has_no_fault_config():
 def test_fault_axes_change_the_cache_key():
     from repro.analysis.sweep import cell_key
 
-    assert cell_key(good_spec()) != cell_key(_faulty_spec(loss=0.02))
-    assert cell_key(_faulty_spec(loss=0.02)) != \
-        cell_key(_faulty_spec(loss=0.02, fault_seed=9))
+    assert cell_key(good_spec()) != cell_key(_faulty_spec(drop_prob=0.02))
+    assert cell_key(_faulty_spec(drop_prob=0.02)) != \
+        cell_key(_faulty_spec(drop_prob=0.02, seed=9))
 
 
 def test_faulty_cell_simulates_and_validates_memory():
-    summary = run_sweep([_faulty_spec(loss=0.02, dup=0.02,
-                                      fault_seed=1)], jobs=1)
+    summary = run_sweep([_faulty_spec(drop_prob=0.02, dup_prob=0.02,
+                                      seed=1)], jobs=1)
     (cell,) = summary.cells
     assert cell.memory_ok is True
     assert cell.stats().get("transport.acks") > 0

@@ -74,6 +74,21 @@ def test_initial_memory_is_loaded():
     assert system.read_coherent(0x2000) == 123
 
 
+def test_load_workload_rejects_more_traces_than_devices():
+    from repro.workloads import MICROBENCHMARKS
+    system = build_system(scaled_config("SDD", 2, 2))
+    workload = MICROBENCHMARKS["ReuseS"](num_cpus=4, num_gpus=4,
+                                         warps_per_cu=1)
+    with pytest.raises(ValueError, match="4 CPU traces and 4 CUs.*"
+                                         "only 2 CPUs and 2 CUs"):
+        system.load_workload(workload)
+    # fewer traces than devices stays legal
+    system = build_system(scaled_config("SDD", 4, 4))
+    system.load_workload(MICROBENCHMARKS["ReuseS"](
+        num_cpus=2, num_gpus=2, warps_per_cu=1))
+    assert system.run().cycles > 0
+
+
 # -- analysis ------------------------------------------------------------------
 def fake_result(name, cycles_by_config, bytes_by_config=None):
     results = {}
