@@ -1,9 +1,6 @@
 """Experiment running and paper-style reporting."""
 from .invariants import (InvariantChecker, InvariantViolation,
                          check_final_state)
-from .kernelbench import (compare_to_baseline, default_baseline_path,
-                          format_report, kernel_speedup_vs_reference,
-                          load_baseline, run_kernel_bench, save_baseline)
 from .report import (ConfigResult, ExperimentRunner, TRAFFIC_CLASSES,
                      WorkloadResult, format_figure, format_traffic_stack,
                      summarize_headline)
@@ -11,10 +8,7 @@ from .sweep import (CellError, CellResult, CellSpec, ResultCache,
                     SweepSummary, cell_key, code_fingerprint, grid_specs,
                     run_sweep, simulate_cell)
 
-__all__ = ["compare_to_baseline", "default_baseline_path",
-           "format_report", "kernel_speedup_vs_reference",
-           "load_baseline", "run_kernel_bench", "save_baseline",
-           "InvariantChecker", "InvariantViolation",
+__all__ = ["InvariantChecker", "InvariantViolation",
            "check_final_state", "ConfigResult", "ExperimentRunner", "TRAFFIC_CLASSES",
            "WorkloadResult", "format_figure", "format_traffic_stack",
            "summarize_headline",

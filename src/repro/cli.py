@@ -9,10 +9,6 @@ Commands:
 * ``headline`` — the paper's Sbest-vs-Hbest summary numbers;
 * ``sweep`` — run a (workload x configuration) grid across worker
   processes with an on-disk result cache;
-* ``bench`` — the kernel hot-path benchmark: events/sec on the
-  figure-2 sweep and a fault-churn case plus the machine-independent
-  optimized-vs-reference kernel speedup, compared against the stored
-  baseline in ``results/BENCH_kernel.json``;
 * ``verify`` — litmus-driven schedule exploration: enumerate message
   interleavings of the verification corpus across configurations,
   shrink failing schedules into replayable repros, run the mutant
@@ -190,31 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and span snapshot, and Prometheus "
                             "exposition per simulated cell into DIR")
     _add_sweep_options(sweep)
-
-    bench = sub.add_parser(
-        "bench",
-        help="kernel hot-path benchmark: events/sec vs the stored "
-             "baseline (results/BENCH_kernel.json)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="wall-clock repeats per case; the best "
-                            "run is reported (default: 3)")
-    bench.add_argument("--baseline", default=None, metavar="FILE",
-                       help="baseline JSON to compare against "
-                            "(default: results/BENCH_kernel.json)")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="write this run as the new baseline "
-                            "instead of comparing")
-    bench.add_argument("--enforce", action="store_true",
-                       help="exit non-zero on an events/sec drop "
-                            "beyond the tolerance (also enabled by "
-                            "REPRO_BENCH_ENFORCE=1; executed-event "
-                            "drift always fails)")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="allowed events/sec drop vs the baseline "
-                            "(default: 0.15)")
-    bench.add_argument("--json", action="store_true",
-                       help="emit the measurement payload as JSON")
 
     trace = sub.add_parser(
         "trace", help="inspect / validate a recorded Chrome trace file")
@@ -673,53 +644,6 @@ def _cmd_sweep(args, overrides: dict) -> int:
     return 1 if bad_cells else 0
 
 
-def _cmd_bench(args) -> int:
-    from .analysis import kernelbench
-
-    payload = kernelbench.run_kernel_bench(repeats=args.repeats)
-    # --json must emit exactly one JSON document on stdout, so the
-    # human-readable compare/update chatter moves to stderr there
-    info = sys.stderr if args.json else sys.stdout
-    if not args.json:
-        print(kernelbench.format_report(payload))
-    status = 0
-    if args.update_baseline:
-        path = kernelbench.save_baseline(payload, args.baseline)
-        print(f"baseline updated -> {path}", file=info)
-    else:
-        baseline = kernelbench.load_baseline(args.baseline)
-        if baseline is None:
-            print("no baseline to compare against (write one with "
-                  "--update-baseline)", file=sys.stderr)
-        else:
-            tolerance = (args.tolerance if args.tolerance is not None
-                         else kernelbench.DEFAULT_TOLERANCE)
-            behavior, regressions = kernelbench.compare_to_baseline(
-                payload, baseline, tolerance)
-            for problem in behavior:
-                print(f"BEHAVIOR CHANGE: {problem}", file=sys.stderr)
-            enforce = args.enforce or kernelbench.enforcing()
-            for problem in regressions:
-                tag = "REGRESSION" if enforce \
-                    else "regression (not enforced)"
-                print(f"{tag}: {problem}", file=sys.stderr)
-            if not behavior and not regressions:
-                print(f"within {tolerance:.0%} of the baseline "
-                      f"({len(payload['cases'])} cases)", file=info)
-            payload["comparison"] = {
-                "behavior_changes": behavior,
-                "regressions": regressions,
-                "tolerance": tolerance,
-                "enforced": enforce,
-            }
-            if behavior or (enforce and regressions):
-                status = 1
-    if args.json:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-        print()
-    return status
-
-
 def _cmd_trace(args) -> int:
     try:
         payload = load_chrome_trace(args.path)
@@ -951,8 +875,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     if args.command == "list":
         return _cmd_list()
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "run":

@@ -29,7 +29,7 @@ Zero-overhead passthrough: the builder only instantiates this class
 when ``FaultConfig.unreliable`` is true.  Fault-free and
 timing-fault-only systems keep the plain :class:`Network` whose hot
 path is unchanged — the same structural guard as the tracer's
-``is None`` fast path, and pinned by the ``repro bench`` harness.
+``is None`` fast path.
 
 Acks themselves travel over the faulty wire (they can be dropped or
 reordered like anything else) but are *not* sequenced: a cumulative ack

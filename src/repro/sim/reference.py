@@ -11,7 +11,7 @@ Two consumers:
 * the determinism suite swaps it into the system builder and asserts
   that runs are cycle- and memory-identical to the optimized kernel on
   every configuration — the overhaul changed *cost*, not behaviour;
-* the kernel benchmark runs both engines through the same event churn
+* the same suite runs both engines through one event-churn schedule
   in one process, a machine-independent measure of the speedup.
 
 The three scheduler bug fixes that shipped with the overhaul are

@@ -109,3 +109,29 @@ def test_forced_nacks_trigger_tu_retries():
     assert system.stats.get("tu.escalations") == 0
     per_device = system.stats.group("tu.retries_by_device")
     assert per_device and all(v > 0 for v in per_device.values())
+
+
+#: exact (events, cycles, network bytes) of ReuseS at 2 CPUs / 2 CUs x
+#: 2 warps under fault seed 7, per fault profile and LLC family
+PINNED_FAULT_CELLS = {
+    ("stress", "SMG"): (24_380, 23_270, 80_246),
+    ("stress", "HMG"): (22_880, 22_266, 89_088),
+    ("unreliable_stress", "SMG"): (28_222, 32_223, 120_802),
+    ("unreliable_stress", "HMG"): (26_461, 30_526, 129_446),
+}
+
+
+@pytest.mark.parametrize("profile,config_name", sorted(PINNED_FAULT_CELLS))
+def test_faulted_cell_counts_are_pinned(profile, config_name):
+    """Retry/Nack churn (``stress``) and drop/dup/reorder recovery
+    through the reliable transport (``unreliable_stress``) are seeded,
+    so every count is exact: any drift means behaviour changed."""
+    faults = getattr(FaultConfig, profile)(SEED)
+    system = build_system(scaled_config(config_name, 2, 2, faults=faults))
+    system.load_workload(MICROBENCHMARKS["ReuseS"](
+        num_cpus=2, num_gpus=2, warps_per_cu=2))
+    result = system.run(max_events=30_000_000)
+    assert (system.engine.events_executed, result.cycles,
+            result.network_bytes) == \
+        PINNED_FAULT_CELLS[(profile, config_name)]
+
