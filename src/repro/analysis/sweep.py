@@ -320,7 +320,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(json.dumps(payload))
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

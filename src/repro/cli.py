@@ -552,8 +552,8 @@ def _cmd_run(args, overrides: dict) -> int:
                     section["samples"] = list(system.monitor.samples)
                 trace_sections.append(section)
     if args.trace_out and trace_sections:
-        payload = write_chrome_trace(args.trace_out, trace_sections)
-        print(f"wrote {len(payload['traceEvents']):,} trace events "
+        count = write_chrome_trace(args.trace_out, trace_sections)
+        print(f"wrote {count:,} trace events "
               f"({len(trace_sections)} process(es)) -> {args.trace_out}")
     return 1 if failures else 0
 
@@ -705,9 +705,8 @@ def _verify_write_trace(scenario, config_name: str, choices: List[int],
         return
     section = {"name": f"{scenario.name}@{config_name}",
                "events": list(captured[0].tracer.events())}
-    payload = write_chrome_trace(path, [section])
-    print(f"wrote {len(payload['traceEvents']):,} trace events -> "
-          f"{path}")
+    count = write_chrome_trace(path, [section])
+    print(f"wrote {count:,} trace events -> {path}")
 
 
 def _verify_report_failure(args, failure) -> int:

@@ -25,9 +25,8 @@ counts, event counts, or final memory:
   and Prometheus text exposition with a validating parser.
 """
 
-from .export import (chrome_trace_events, format_timeline,
-                     load_chrome_trace, validate_chrome_trace,
-                     write_chrome_trace)
+from .export import (format_timeline, load_chrome_trace,
+                     validate_chrome_trace, write_chrome_trace)
 from .monitor import (Counter, Gauge, HealthMonitor, Histogram,
                       MetricsRegistry, MetricsScope, format_health)
 from .prometheus import (parse_prometheus_text, prometheus_text,
@@ -45,6 +44,6 @@ __all__ = [
     "SpanCollector", "SPAN_STAGES", "decompose",
     "prometheus_text", "parse_prometheus_text", "registry_samples",
     "stats_samples", "sanitize_metric_name",
-    "chrome_trace_events", "write_chrome_trace", "load_chrome_trace",
-    "validate_chrome_trace", "format_timeline",
+    "write_chrome_trace", "load_chrome_trace", "validate_chrome_trace",
+    "format_timeline",
 ]

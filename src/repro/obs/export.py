@@ -9,6 +9,11 @@ counter ("C") tracks.  Cycle timestamps are written directly as
 microseconds — Perfetto's absolute units are irrelevant for a
 simulator; relative spans are what matter.
 
+``write_chrome_trace`` formats each record straight to JSON text, byte
+for byte what ``json.dump`` writes for the equivalent dict (key order,
+separators, ASCII escaping) but without building it: ``json.dump``
+runs CPython's pure-Python encoder, as slow as the traced simulation.
+
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
 and have monotonically non-decreasing timestamps per track.
@@ -16,101 +21,96 @@ and have monotonically non-decreasing timestamps per track.
 
 from __future__ import annotations
 
-import gc
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _str
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .trace import TraceEvent
 
 
-def chrome_trace_events(events: Iterable[TraceEvent], pid: int = 0,
-                        process_name: str = "sim") -> List[dict]:
-    """Render recorder events as Chrome trace-event dicts for ``pid``."""
-    out: List[dict] = [{
-        "ph": "M", "pid": pid, "name": "process_name",
-        "args": {"name": process_name},
-    }]
+def _json(value: object) -> str:
+    """``value`` as ``json.dump`` writes it; strs and ints skip the
+    generic encoder."""
+    kind = type(value)
+    if kind is str:
+        return _str(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _section_records(pid: int, section: dict) -> Iterator[str]:
+    """The JSON text of one section's records: process metadata, then
+    each event (preceded by its track's thread metadata the first time
+    the track appears), then one point per counter of each scrape row
+    (:class:`~repro.obs.monitor.HealthMonitor` samples) at its ``ts``."""
+    name = str(section.get("name", f"sim{pid}"))
+    yield (f'{{"ph": "M", "pid": {pid}, "name": "process_name", '
+           f'"args": {{"name": {_str(name)}}}}}')
     tids: Dict[str, int] = {}
-    for event in events:
+    for event in section["events"]:
         track = event.src or "?"
         tid = tids.get(track)
         if tid is None:
             tid = tids[track] = len(tids)
-            out.append({"ph": "M", "pid": pid, "tid": tid,
-                        "name": "thread_name", "args": {"name": track}})
-        args: Dict[str, object] = {}
+            yield (f'{{"ph": "M", "pid": {pid}, "tid": {tid}, '
+                   f'"name": "thread_name", '
+                   f'"args": {{"name": {_json(track)}}}}}')
+        kind, info = event.kind, event.info
+        args = ""
         if event.line is not None:
-            args["line"] = f"0x{event.line:x}"
+            args = f', "line": "0x{event.line:x}"'
         if event.req_id is not None:
-            args["req_id"] = event.req_id
+            args += f', "req_id": {_json(event.req_id)}'
         if event.dst is not None:
-            args["dst"] = event.dst
+            args += f', "dst": {_json(event.dst)}'
         if event.cls is not None:
-            args["class"] = event.cls
+            args += f', "class": {_json(event.cls)}'
         if event.hop is not None:
-            args["hop"] = event.hop
-        if event.info is not None:
-            args["info"] = event.info
-        name = event.kind if event.info is None \
-            else f"{event.kind} {event.info}"
-        record = {"name": name, "cat": event.kind.split(".", 1)[0],
-                  "pid": pid, "tid": tid, "ts": event.ts, "args": args}
+            args += f', "hop": {_json(event.hop)}'
+        if info is not None:
+            args += f', "info": {_json(info)}'
+        name = kind if info is None else f"{kind} {info}"
+        head = (f'{{"name": {_str(name)}, '
+                f'"cat": {_str(kind.split(".", 1)[0])}, "pid": {pid}, '
+                f'"tid": {tid}, "ts": {_json(event.ts)}, '
+                f'"args": {{{args[2:]}}}')
         if event.dur > 0:
-            record["ph"] = "X"
-            record["dur"] = event.dur
+            yield f'{head}, "ph": "X", "dur": {_json(event.dur)}}}'
         else:
-            record["ph"] = "i"
-            record["s"] = "t"
-        out.append(record)
-    return out
+            yield f'{head}, "ph": "i", "s": "t"}}'
+    for row in section.get("samples") or ():
+        ts, counters = _json(row["ts"]), row["counters"]
+        for counter in sorted(counters):
+            yield (f'{{"ph": "C", "pid": {pid}, "name": {_json(counter)}, '
+                   f'"ts": {ts}, '
+                   f'"args": {{"value": {_json(counters[counter])}}}}}')
 
 
-def counter_events(rows: Sequence[dict], pid: int = 0) -> List[dict]:
-    """Render scrape rows as Chrome counter tracks.
-
-    ``rows`` are :class:`~repro.obs.monitor.HealthMonitor` samples;
-    each row's ``counters`` snapshot becomes one point per counter at
-    the row's ``ts``.
-    """
-    out: List[dict] = []
-    for row in rows:
-        ts, counters = row["ts"], row["counters"]
-        for name in sorted(counters):
-            out.append({"ph": "C", "pid": pid, "name": name, "ts": ts,
-                        "args": {"value": counters[name]}})
-    return out
-
-
-def write_chrome_trace(path: str, sections: Sequence[dict]) -> dict:
+def write_chrome_trace(path: str, sections: Sequence[dict]) -> int:
     """Write one Chrome trace file combining several sections.
 
     Each section is ``{"name": ..., "events": [TraceEvent, ...],
     "samples": optional monitor scrape rows}`` and becomes one
     process (pid) in the trace — ``repro run --config all`` emits one
-    file with a process per configuration.  Returns the payload.
+    file with a process per configuration.  Returns the number of
+    trace-event records written.
 
-    The payload is a large acyclic tree of fresh dicts, so cyclic
-    garbage collection is paused while it is built and written: a
-    collection pass over it could free nothing.
+    One pass over the events: records are formatted as text and
+    written in batches, so no dict per event is ever built.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        trace_events: List[dict] = []
-        for pid, section in enumerate(sections):
-            trace_events.extend(chrome_trace_events(
-                section["events"], pid=pid,
-                process_name=str(section.get("name", f"sim{pid}"))))
-            rows = section.get("samples")
-            if rows:
-                trace_events.extend(counter_events(rows, pid=pid))
-        payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        return payload
-    finally:
-        if enabled:
-            gc.enable()
+    records = chain.from_iterable(
+        _section_records(pid, section)
+        for pid, section in enumerate(sections))
+    count = 0
+    with open(path, "w") as handle:
+        handle.write('{"traceEvents": [')
+        while batch := list(islice(records, 4096)):
+            handle.write((", " if count else "") + ", ".join(batch))
+            count += len(batch)
+        handle.write('], "displayTimeUnit": "ms"}')
+    return count
 
 
 def load_chrome_trace(path: str) -> dict:

@@ -74,7 +74,7 @@ def gc_paused(generator: Callable[..., Workload]
 
     A generator allocates tens of thousands of long-lived, acyclic Ops,
     and each collector pass during that build re-traverses them without
-    freeing any (as in ``repro.obs.export.write_chrome_trace``).
+    freeing any.
     """
     @functools.wraps(generator)
     def build(*args, **kwargs) -> Workload:

@@ -146,12 +146,12 @@ def workload_from_dict(payload: Dict[str, object]) -> Workload:
 
 def save_workload(workload: Workload,
                   file: Union[str, IO[str]]) -> None:
-    payload = workload_to_dict(workload)
+    text = json.dumps(workload_to_dict(workload))
     if isinstance(file, str):
         with open(file, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
     else:
-        json.dump(payload, file)
+        file.write(text)
 
 
 def load_workload(file: Union[str, IO[str]]) -> Workload:

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.obs import load_chrome_trace, validate_chrome_trace
 from repro.system import (CONFIG_ORDER, FaultConfig, LinkWindow,
                           TraceConfig, scaled_config)
 
@@ -373,3 +374,18 @@ def test_monitor_flags_build_the_trace_config(monkeypatch):
         TraceConfig(monitor_interval=5000)
     trace = _run_config(monkeypatch, ["--monitor", "--top", "3"]).trace
     assert (trace.monitor_interval, trace.health_top_k) == (5000, 3)
+
+
+def test_trace_out_reports_the_records_it_wrote(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    code = main(["run", "Indirection", "--config", "all"] + SMALL
+                + ["--trace", "--trace-out", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    match = re.search(r"wrote ([\d,]+) trace events \(6 process\(es\)\)",
+                      out)
+    assert match is not None
+    payload = load_chrome_trace(str(path))
+    assert int(match.group(1).replace(",", "")) == \
+        len(payload["traceEvents"])
+    assert validate_chrome_trace(payload) == []

@@ -11,10 +11,8 @@ from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import Message, MsgKind
 from repro.obs import (SPAN_STAGES, HealthMonitor, MetricsRegistry,
                        SpanCollector, TraceFilter, TraceRecorder,
-                       chrome_trace_events, format_timeline, hop_class,
-                       load_chrome_trace, validate_chrome_trace,
-                       write_chrome_trace)
-from repro.obs.export import counter_events
+                       format_timeline, hop_class, load_chrome_trace,
+                       validate_chrome_trace, write_chrome_trace)
 from repro.sim.stats import StatsRegistry
 
 
@@ -232,14 +230,15 @@ def test_chrome_export_round_trip(tmp_path):
     recorder.record("net.deliver", "cpu0.l1", dst="llc", line=0x40,
                     req_id=1, cls="ReqV")
     path = tmp_path / "trace.json"
-    payload = write_chrome_trace(str(path), [
+    count = write_chrome_trace(str(path), [
         {"name": "SDD", "events": recorder.events(),
          "samples": [{"ts": 10, "counters": {"home.llc.hits": 3.0}}]},
     ])
-    assert validate_chrome_trace(payload) == []
     loaded = load_chrome_trace(str(path))
-    assert loaded == payload
+    assert validate_chrome_trace(loaded) == []
+    assert set(loaded) == {"traceEvents", "displayTimeUnit"}
     events = loaded["traceEvents"]
+    assert count == len(events) == 5
     # process metadata first, then thread metadata, spans, instants,
     # and the counter track
     assert events[0] == {"ph": "M", "pid": 0, "name": "process_name",
@@ -254,11 +253,21 @@ def test_chrome_export_round_trip(tmp_path):
                          "ts": 10, "args": {"value": 3.0}}]
 
 
-def test_chrome_events_share_tid_per_component():
+def _written(tmp_path, sections):
+    """The trace events of ``sections`` after a write/load round trip."""
+    path = tmp_path / "trace.json"
+    write_chrome_trace(str(path), sections)
+    return load_chrome_trace(str(path))["traceEvents"]
+
+
+def test_chrome_events_share_tid_per_component(tmp_path):
     recorder = make_recorder()
     for src in ("cpu0.l1", "llc", "cpu0.l1"):
         recorder.record("l1.state", src)
-    events = chrome_trace_events(recorder.events(), pid=2)
+    # two empty sections first, so this one is rendered as pid 2
+    events = _written(tmp_path, [{"events": []}, {"events": []},
+                                 {"events": recorder.events()}])[2:]
+    assert len(events) == 6          # process + 2 threads + 3 events
     data = [e for e in events if e["ph"] != "M"]
     assert data[0]["tid"] == data[2]["tid"]      # both cpu0.l1
     assert data[0]["tid"] != data[1]["tid"]
@@ -304,7 +313,7 @@ class _QuietSystem:
         self.stats = StatsRegistry()
 
 
-def test_metrics_sample_on_epoch_boundaries():
+def test_metrics_sample_on_epoch_boundaries(tmp_path):
     system = _QuietSystem()
     stats = system.stats
     spans = SpanCollector()
@@ -332,7 +341,9 @@ def test_metrics_sample_on_epoch_boundaries():
     assert [(row["ts"], row["counters"]["x"]) for row in rows] == \
         [(130, 1.0), (460, 2.0), (500, 2.0)]
     # each row renders as one point per counter on a Chrome track
-    assert counter_events(rows, pid=1) == [
+    written = _written(tmp_path, [{"events": []},
+                                  {"events": [], "samples": rows}])
+    assert [e for e in written if e["ph"] != "M"] == [
         {"ph": "C", "pid": 1, "name": "x", "ts": ts,
          "args": {"value": value}}
         for ts, value in ((130, 1.0), (460, 2.0), (500, 2.0))]

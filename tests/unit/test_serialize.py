@@ -1,6 +1,7 @@
 """Tests for workload JSON serialization."""
 
 import io
+import json
 
 import pytest
 
@@ -78,6 +79,7 @@ def test_roundtripped_workload_simulates_identically():
                                          iterations=2)
     stream = io.StringIO()
     save_workload(workload, stream)
+    assert stream.getvalue() == json.dumps(workload_to_dict(workload))
     stream.seek(0)
     back = load_workload(stream)
     outcomes = []
@@ -123,6 +125,8 @@ def test_file_roundtrip(tmp_path):
     workload = MICROBENCHMARKS["ReuseS"](**SMALL)
     path = str(tmp_path / "wl.json")
     save_workload(workload, path)
+    with open(path) as handle:
+        assert handle.read() == json.dumps(workload_to_dict(workload))
     back = load_workload(path)
     assert back.total_ops() == workload.total_ops()
     # DRF certification still passes after the round trip

@@ -97,6 +97,7 @@ def test_cache_roundtrip_and_clear(tmp_path):
     cache = ResultCache(tmp_path)
     assert cache.get("missing") is None
     cache.put("k1", VALID_PAYLOAD)
+    assert (tmp_path / "k1.json").read_text() == json.dumps(VALID_PAYLOAD)
     assert cache.get("k1") == VALID_PAYLOAD
     assert len(cache) == 1
     assert cache.clear() == 1
