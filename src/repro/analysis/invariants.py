@@ -107,9 +107,7 @@ class InvariantChecker:
     def _tick(self) -> None:
         self.audit(final=False)
         if self.system.engine.pending() > 0:
-            self.system.engine.schedule(self.period, self._tick,
-                                        label="invariant-audit",
-                                        idle=True)
+            self.system.engine.schedule(self.period, self._tick, idle=True)
 
     # -- helpers -----------------------------------------------------------
     def _writable_holders(self) -> Dict[Tuple[int, int], List[str]]:

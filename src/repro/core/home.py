@@ -151,8 +151,6 @@ class SpandexHome(Component):
         #: patched onto the instance/class after construction (fault
         #: tests, protocol mutants) are all honoured
         self._req_dispatch: Optional[Dict[MsgKind, Callable]] = None
-        #: MsgKind -> cached "home:<kind>" event label (receive is hot)
-        self._dispatch_labels: Dict[MsgKind, str] = {}
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -197,12 +195,7 @@ class SpandexHome(Component):
             tracer.record("home.busy", self.name, line=msg.line,
                           req_id=msg.req_id, dur=delay,
                           info=msg.kind.value)
-        label = self._dispatch_labels.get(msg.kind)
-        if label is None:
-            label = self._dispatch_labels[msg.kind] = \
-                f"home:{msg.kind.value}"
-        self.engine.schedule(delay, self._dispatch, (self.name, label),
-                              False, (msg,))
+        self.schedule(delay, self._dispatch, (msg,))
 
     def _dispatch(self, msg: Message) -> None:
         if msg.kind in _PROBE_RESPONSES:

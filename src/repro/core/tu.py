@@ -99,8 +99,7 @@ class TranslationUnit(Component):
             tracer.record("tu.out", self.name, dst=msg.dst,
                           line=msg.line, req_id=msg.req_id,
                           dur=self.latency, info=msg.kind.value)
-        self.schedule(self.latency, lambda: self.network.send(msg),
-                      label="tu-out")
+        self.schedule(self.latency, self.network.send, (msg,))
 
     # -- per-access request-type selection (policy layer) --------------------
     def _apply_policy(self, msg: Message) -> None:
@@ -166,8 +165,7 @@ class TranslationUnit(Component):
             tracer.record("tu.in", self.name, line=msg.line,
                           req_id=msg.req_id, dur=self.latency,
                           info=msg.kind.value)
-        self.schedule(self.latency, lambda: self._handle(msg),
-                      label="tu-in")
+        self.schedule(self.latency, self._handle, (msg,))
 
     def _handle(self, msg: Message) -> None:
         if msg.kind == MsgKind.NACK:
@@ -231,8 +229,7 @@ class TranslationUnit(Component):
                               info=f"attempt={attempts + 1}")
             self.schedule(delay, lambda: self.network.send(Message(
                 MsgKind.REQ_V, msg.line, msg.mask, src=self.name,
-                dst=self.l1.home_for(msg.line), req_id=msg.req_id)),
-                label="nack-backoff")
+                dst=self.l1.home_for(msg.line), req_id=msg.req_id)))
             return
         self._retries.pop(msg.req_id, None)
         tracer = self.engine.tracer

@@ -56,7 +56,7 @@ class CPUCore(Component):
         }
 
     def start(self) -> None:
-        self.schedule(0, self._step, "start")
+        self.schedule(0, self._step)
 
     # ------------------------------------------------------------------
     def _finish(self) -> None:
@@ -71,10 +71,10 @@ class CPUCore(Component):
     def _advance(self, delay: int = 0) -> None:
         self._pc += 1
         self.ops_executed += 1
-        self.schedule(max(delay, self.issue_period), self._step, "advance")
+        self.schedule(max(delay, self.issue_period), self._step)
 
     def _retry(self) -> None:
-        self.schedule(self.issue_period, self._step, "retry")
+        self.schedule(self.issue_period, self._step)
 
     def _step(self) -> None:
         if self._pc >= len(self.trace):
@@ -115,7 +115,7 @@ class CPUCore(Component):
 
         def done(values: Dict[int, int]) -> None:
             if op.acquire:
-                self.l1.fence_acquire(lambda: self._advance(),
+                self.l1.fence_acquire(self._advance,
                                       regions=op.regions, scope=op.scope)
             else:
                 self._advance()
@@ -139,13 +139,12 @@ class CPUCore(Component):
             value = values.get(index, 0)
             if op.spin_until(value):
                 # a successful sync read is an acquire
-                self.l1.fence_acquire(lambda: self._advance(),
+                self.l1.fence_acquire(self._advance,
                                       regions=op.regions, scope=op.scope)
                 return
             self.spin_iterations += 1
             self._counters["cpu.spin_iterations"] += 1
-            self.schedule(self.spin_backoff, lambda: self._op_spin(op),
-                          "spin-retry")
+            self.schedule(self.spin_backoff, self._op_spin, (op,))
 
         # Each spin read must observe a fresh value: self-invalidating
         # protocols drop their stale Valid copy first (MESI ignores the
@@ -156,11 +155,11 @@ class CPUCore(Component):
             self._retry()
 
     def _op_acquire(self, op: Op) -> None:
-        self.l1.fence_acquire(lambda: self._advance(),
+        self.l1.fence_acquire(self._advance,
                               regions=op.regions, scope=op.scope)
 
     def _op_release(self, op: Op) -> None:
-        self.l1.fence_release(lambda: self._advance(), scope=op.scope)
+        self.l1.fence_release(self._advance, scope=op.scope)
 
     def _op_compute(self, op: Op) -> None:
         self._advance(delay=op.cycles)

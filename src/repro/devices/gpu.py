@@ -92,7 +92,7 @@ class GPUCU(Component):
             return
         self._tick_scheduled = True
         self.schedule(self.issue_period if delay is None else delay,
-                      self._tick, "tick")
+                      self._tick)
 
     def _tick(self) -> None:
         self._tick_scheduled = False
@@ -149,9 +149,8 @@ class GPUCU(Component):
         """Issue an access, retrying on structural hazards each tick."""
         if not self.l1.try_access(access):
             self._counters["gpu.issue_retries"] += 1
-            self.schedule(self.issue_period,
-                          lambda: self._issue_with_retry(access),
-                          "access-retry")
+            self.schedule(self.issue_period, self._issue_with_retry,
+                          (access,))
 
     def _op_mem(self, warp: Warp, op: Op) -> None:
         """Coalesced vector load/store.
@@ -201,7 +200,7 @@ class GPUCU(Component):
             access = Access("rmw", line_of(addr), 1 << index,
                             atomic=op.atomic, callback=done)
             if not self.l1.try_access(access):
-                self.schedule(self.issue_period, issue, "rmw-retry")
+                self.schedule(self.issue_period, issue)
 
         warp.blocked = True
         if op.release:
@@ -218,7 +217,7 @@ class GPUCU(Component):
             access = Access("load", line_of(addr), 1 << index,
                             callback=check, invalidate_first=True)
             if not self.l1.try_access(access):
-                self.schedule(self.issue_period, attempt, "spin-retry")
+                self.schedule(self.issue_period, attempt)
 
         def check(values: Dict[int, int]) -> None:
             if op.spin_until(values.get(index, 0)):
@@ -227,7 +226,7 @@ class GPUCU(Component):
                     regions=op.regions, scope=op.scope)
                 return
             self.stats.incr("gpu.spin_iterations")
-            self.schedule(self.spin_backoff, attempt, "spin-backoff")
+            self.schedule(self.spin_backoff, attempt)
 
         attempt()
 

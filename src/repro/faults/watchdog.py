@@ -86,8 +86,7 @@ class LivenessWatchdog:
         if self._armed:
             return
         self._armed = True
-        self.system.engine.schedule(self.period, self._tick,
-                                    label="liveness-watchdog", idle=True)
+        self.system.engine.schedule(self.period, self._tick, idle=True)
 
     def _tick(self) -> None:
         self.check()
@@ -95,9 +94,7 @@ class LivenessWatchdog:
         # the watchdog never keeps an otherwise-quiescent engine alive
         # (and never ping-pongs with other periodic auditors).
         if system_busy(self.system):
-            self.system.engine.schedule(self.period, self._tick,
-                                        label="liveness-watchdog",
-                                        idle=True)
+            self.system.engine.schedule(self.period, self._tick, idle=True)
 
     # -- detectors --------------------------------------------------------
     def stalled_entries(self) -> List[Dict[str, object]]:

@@ -61,7 +61,7 @@ class MainMemory(Component):
         if tracer is not None:
             tracer.record("dram.fetch", self.name, line=line, dur=delay)
         data = dict(enumerate(self._line(line)))
-        self.schedule(delay, lambda: callback(data), label="fetch")
+        self.schedule(delay, callback, (data,))
 
     def writeback(self, line: int, mask: int,
                   values: Dict[int, int]) -> None:

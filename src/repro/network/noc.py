@@ -14,8 +14,8 @@ correctness assumption of the protocol controllers.
 ``send`` is one of the two hottest call sites in the simulator (the
 other is the engine loop), so its state is organized for the fast
 path: each link keeps a single :class:`_Link` record (free time, last
-delivery, cached latency, cached event labels together — one dict
-lookup per send instead of four), each endpoint gets one pre-bound
+delivery and cached latency together — one dict lookup per send
+instead of three), each endpoint gets one pre-bound
 delivery callable reused for every message (no per-message closure),
 and the in-flight diagnostic set is pruned event-driven — the delivery
 callable removes its own entry — instead of lazily rescanned on send.
@@ -74,19 +74,18 @@ class _Link:
     """Hot-path record for one ordered (src, dst) pair.
 
     Bundles everything ``send`` needs per message — when the link is
-    next free, the last delivery time (FIFO clamp), the cached base
-    latency, and per-kind event labels — so the per-send cost is one
-    dict lookup instead of one per field.
+    next free, the last delivery time (FIFO clamp) and the cached base
+    latency — so the per-send cost is one dict lookup instead of one
+    per field.
     """
 
-    __slots__ = ("free", "last_delivery", "latency", "version", "labels")
+    __slots__ = ("free", "last_delivery", "latency", "version")
 
     def __init__(self, latency: int, version: int):
         self.free = 0
         self.last_delivery = 0
         self.latency = latency
         self.version = version
-        self.labels: Dict[object, str] = {}
 
 
 class Network:
@@ -233,12 +232,7 @@ class Network:
             # send event is recorded as a span and delivery rides the
             # same scheduled callback — tracing adds no engine events.
             tracer.message_sent(msg, now, delivery)
-        kind = msg.kind
-        label = link.labels.get(kind)
-        if label is None:
-            label = link.labels[kind] = f"net:{kind.value}->{dst}"
-        engine.schedule(delivery - now, self._receiver(dst), label,
-                        False, (msg,))
+        engine.schedule(delivery - now, self._receiver(dst), (msg,))
 
     # -- the delivery-fault path (cold: only with unreliable classes) ------
     def _send_unreliable(self, msg: Message, link: _Link, ready: int,
@@ -276,12 +270,8 @@ class Network:
         self._in_flight[id(msg)] = (delivery, msg, now)
         if tracer is not None:
             tracer.message_sent(msg, now, delivery)
-        kind = msg.kind
-        label = link.labels.get(kind)
-        if label is None:
-            label = link.labels[kind] = f"net:{kind.value}->{msg.dst}"
         receiver = self._receiver(msg.dst)
-        engine.schedule(delivery - now, receiver, label, False, (msg,))
+        engine.schedule(delivery - now, receiver, (msg,))
         if injector.should_duplicate(msg):
             # the wire delivers a second, independent copy one cycle
             # later (a fresh object: receivers mutate what they get)
@@ -290,8 +280,7 @@ class Network:
             self._in_flight[id(twin)] = (twin_delivery, twin, now)
             if tracer is not None:
                 tracer.message_duplicated(twin, now, twin_delivery)
-            engine.schedule(twin_delivery - now, receiver, label,
-                            False, (twin,))
+            engine.schedule(twin_delivery - now, receiver, (twin,))
 
     def in_flight(self) -> List[Tuple[int, Message]]:
         """Undelivered (delivery time, message) pairs, for diagnostics.

@@ -151,8 +151,7 @@ class ReliableNetwork(Network):
         # non-idle: unacked data is real outstanding work that must
         # keep Engine.run alive until the channel drains
         channel.timer = self.engine.schedule(
-            channel.rto, self._retransmit_tick,
-            f"transport:rto:{key[0]}->{key[1]}", False, (key,))
+            channel.rto, self._retransmit_tick, (key,))
 
     def _retransmit_tick(self, key: Tuple[str, str]) -> None:
         channel = self._send_channels[key]
@@ -271,7 +270,7 @@ class ReliableNetwork(Network):
             channel.rto = self.rto
         if not unacked and channel.timer is not None:
             # nothing outstanding: the timer must not stretch the run
-            channel.timer.cancel()
+            self.engine.cancel(channel.timer)
             channel.timer = None
 
     # -- diagnostics -------------------------------------------------------

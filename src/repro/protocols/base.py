@@ -148,7 +148,7 @@ class L1Controller(Component):
         """
         if scope != "cu":
             self.self_invalidate(regions)
-        self.schedule(1, callback, label="acquire")
+        self.schedule(1, callback)
 
     def fence_release(self, callback: Callable[[], None],
                       scope: str = "device") -> None:
@@ -159,7 +159,7 @@ class L1Controller(Component):
         """
         if scope == "cu" or (self.store_buffer.empty
                              and self._pending_writes == 0):
-            self.schedule(1, callback, label="release")
+            self.schedule(1, callback)
             return
         self._release_waiters.append(callback)
         self._drain_store_buffer()
@@ -199,7 +199,7 @@ class L1Controller(Component):
                 and self._pending_writes == 0):
             waiters, self._release_waiters = self._release_waiters, []
             for callback in waiters:
-                self.schedule(1, callback, label="release")
+                self.schedule(1, callback)
 
     def _drain_store_buffer(self) -> None:
         """Issue protocol requests for unissued store-buffer entries."""

@@ -106,8 +106,7 @@ class DeNovoL1(L1Controller):
         forwarded = self.store_buffer.forward(access.line, access.mask)
         if forwarded is not None:
             self.count("hits")
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "sb-fwd"), False, (forwarded,))
+            self.schedule(self.hit_latency, access.callback, (forwarded,))
             return True
         line_obj = self.array.lookup(access.line)
         missing = access.mask
@@ -122,8 +121,7 @@ class DeNovoL1(L1Controller):
             if partial is not None:
                 for index in iter_mask(access.mask & partial.mask):
                     values[index] = partial.values[index]
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "load-hit"), False, (values,))
+            self.schedule(self.hit_latency, access.callback, (values,))
             return True
         if access.line in self.mshrs:
             self.mshrs.attach(access.line, access)
@@ -157,8 +155,7 @@ class DeNovoL1(L1Controller):
                 self.count("hits")
                 line_obj.write_data(access.mask, access.values)
                 self._mark_dirty(line_obj, access.mask)
-                self.engine.schedule(self.hit_latency, access.callback,
-                                     (self.name, "store-hit"), False, ({},))
+                self.schedule(self.hit_latency, access.callback, ({},))
                 return True
         entry = self.store_buffer.entry(access.line)
         if entry is not None and entry.issued:
@@ -169,8 +166,7 @@ class DeNovoL1(L1Controller):
             return False
         self.store_buffer.push(access.line, access.mask, access.values)
         self._schedule_issue()
-        self.engine.schedule(self.hit_latency, access.callback,
-                             (self.name, "store-accept"), False, ({},))
+        self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
     def _do_rmw(self, access: Access) -> bool:
@@ -193,9 +189,7 @@ class DeNovoL1(L1Controller):
             line_obj.data[index] = access.atomic.apply(old)
             self._mark_dirty(line_obj, access.mask)
             self.count("atomic_hits")
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "rmw-hit"), False,
-                                 ({index: old},))
+            self.schedule(self.hit_latency, access.callback, ({index: old},))
             return True
         if self.atomic_policy == "llc":
             msg = self.request(MsgKind.REQ_WT_DATA, access.line,
@@ -240,7 +234,7 @@ class DeNovoL1(L1Controller):
         if self._issue_scheduled:
             return
         self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes, "own-issue")
+        self.schedule(self.coalesce_delay, self._issue_writes)
 
     def _issue_writes(self) -> None:
         self._issue_scheduled = False

@@ -67,8 +67,7 @@ class GPUCoherenceL1(L1Controller):
         forwarded = self.store_buffer.forward(access.line, access.mask)
         if forwarded is not None:
             self.count("hits")
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "sb-fwd"), False, (forwarded,))
+            self.schedule(self.hit_latency, access.callback, (forwarded,))
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state == GpuState.V:
@@ -79,8 +78,7 @@ class GPUCoherenceL1(L1Controller):
             if partial is not None:
                 for index in iter_mask(access.mask & partial.mask):
                     values[index] = partial.values[index]
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "load-hit"), False, (values,))
+            self.schedule(self.hit_latency, access.callback, (values,))
             return True
         # miss: line-granularity ReqV, coalesced through the MSHR
         if access.line in self.mshrs:
@@ -111,8 +109,7 @@ class GPUCoherenceL1(L1Controller):
         if line_obj is not None and line_obj.state == GpuState.V:
             line_obj.write_data(access.mask, access.values)
         self._schedule_issue()
-        self.engine.schedule(self.hit_latency, access.callback,
-                             (self.name, "store-accept"), False, ({},))
+        self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
     def _do_rmw(self, access: Access) -> bool:
@@ -149,7 +146,7 @@ class GPUCoherenceL1(L1Controller):
         if self._issue_scheduled:
             return
         self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes, "wt-issue")
+        self.schedule(self.coalesce_delay, self._issue_writes)
 
     def _issue_writes(self) -> None:
         self._issue_scheduled = False

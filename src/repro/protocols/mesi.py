@@ -97,15 +97,13 @@ class MESIL1(L1Controller):
         forwarded = self.store_buffer.forward(access.line, access.mask)
         if forwarded is not None:
             self.count("hits")
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "sb-fwd"), False, (forwarded,))
+            self.schedule(self.hit_latency, access.callback, (forwarded,))
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state != MesiState.I:
             self.count("hits")
             values = line_obj.read_data(access.mask)
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "load-hit"), False, (values,))
+            self.schedule(self.hit_latency, access.callback, (values,))
             return True
         mshr_entry = self.mshrs.lookup(access.line)
         if mshr_entry is not None:
@@ -133,8 +131,7 @@ class MESIL1(L1Controller):
             self.count("hits")
             line_obj.state = MesiState.M
             line_obj.write_data(access.mask, access.values)
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "store-hit"), False, ({},))
+            self.schedule(self.hit_latency, access.callback, ({},))
             return True
         sb_entry = self.store_buffer.entry(access.line)
         if sb_entry is not None and sb_entry.issued:
@@ -145,8 +142,7 @@ class MESIL1(L1Controller):
             return False
         self.store_buffer.push(access.line, access.mask, access.values)
         self._schedule_issue()
-        self.engine.schedule(self.hit_latency, access.callback,
-                             (self.name, "store-accept"), False, ({},))
+        self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
     def _do_rmw(self, access: Access) -> bool:
@@ -157,9 +153,7 @@ class MESIL1(L1Controller):
             line_obj.state = MesiState.M
             old = line_obj.data[index]
             line_obj.data[index] = access.atomic.apply(old)
-            self.engine.schedule(self.hit_latency, access.callback,
-                                 (self.name, "rmw-hit"), False,
-                                 ({index: old},))
+            self.schedule(self.hit_latency, access.callback, ({index: old},))
             return True
         if (self.mshrs.full or access.line in self.mshrs
                 or self.store_buffer.has_line(access.line)):
@@ -189,7 +183,7 @@ class MESIL1(L1Controller):
         if self._issue_scheduled:
             return
         self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes, "rfo-issue")
+        self.schedule(self.coalesce_delay, self._issue_writes)
 
     def _issue_writes(self) -> None:
         self._issue_scheduled = False

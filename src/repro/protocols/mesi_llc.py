@@ -103,8 +103,7 @@ class MESIDirectoryLLC(Component):
             tracer.record("home.busy", self.name, line=msg.line,
                           req_id=msg.req_id, dur=delay,
                           info=msg.kind.value)
-        self.schedule(delay, lambda: self._dispatch(msg),
-                      label=f"dir:{msg.kind.value}")
+        self.schedule(delay, self._dispatch, (msg,))
 
     def _dispatch(self, msg: Message) -> None:
         if msg.kind == MsgKind.MESI_INV_ACK or (

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel and statistics."""
-from .engine import Component, Engine, Event, SimulationError
+from .engine import Component, Engine, SimulationError
 from .stats import LatencySampler, StatsRegistry
 
-__all__ = ["Component", "Engine", "Event", "SimulationError",
+__all__ = ["Component", "Engine", "SimulationError",
            "LatencySampler", "StatsRegistry"]

@@ -4,125 +4,67 @@ The whole system runs on a single :class:`Engine`: components schedule
 callbacks at integer cycle timestamps, and the engine executes them in
 (time, insertion-order) order so runs are fully deterministic.
 
-The hot path is tuned for event throughput without changing observable
-semantics:
+The queue is a **calendar**: a dict from each due time to that time's
+entries, in the order they were scheduled, plus a heap of the distinct
+due times.  Scheduling appends to a bucket (pushing the time onto the
+heap only when the bucket is new); the run loop takes the earliest
+bucket and walks it front to back.  A zero-delay event scheduled while
+a bucket runs is appended to that same bucket, so it runs after every
+event already due this cycle — same-cycle FIFO order with no special
+case.
 
-* the heap stores plain ``(time, seq, Event)`` tuples, so every heap
-  sift comparison is a C-level int compare instead of a Python
-  ``Event.__lt__`` call;
-* a **live non-idle counter** is maintained by ``schedule``/``cancel``/
-  pop, so deciding whether an ``idle`` housekeeping event may run is
-  O(1) instead of the old O(heap) rescan per idle pop (O(E*H) total);
-* zero-delay events scheduled while the engine is running bypass the
-  heap through a same-cycle **FIFO micro-queue** (they are, by
-  construction, ordered after everything already queued for the
-  current cycle, so FIFO order is exactly (time, seq) order);
-* cancelled events normally stay in the heap and are skipped on pop
-  (O(1) cancellation), but when they exceed half the heap the engine
-  **compacts** — rebuilds the heap without them — so NACK-retry and
-  MSHR-timer churn can no longer grow the heap without bound;
-* events may carry ``args``, letting hot callers (the network) reuse
-  one pre-bound callable per endpoint instead of allocating a closure
-  per event.
+An entry is a plain ``[callback, args, idle]`` list and is also the
+handle :meth:`Engine.schedule` returns.  :meth:`Engine.cancel` clears
+its callback slot in O(1); the run loop clears the slot of every entry
+it takes, so cancelling twice, or after the event ran or was dropped,
+is a no-op.  Cancelled entries stay in their bucket until it runs.
 
-Components never see the heap; they interact through
-:meth:`Engine.schedule` and :meth:`Engine.run`.
+``idle`` entries are housekeeping (watchdog ticks, periodic audits):
+they run only while non-idle work remains queued, so they never keep an
+otherwise-quiescent simulation alive or stretch its measured length.
+
+Live-event counts are O(1): :meth:`Engine.pending` and
+:meth:`Engine.pending_non_idle` are differences of four counters
+(scheduled, executed, retired unexecuted, live idle).  Per event the
+run loop writes only the entry's callback slot and the executed count;
+it stores the count before the callback, so the running event is no
+longer pending and observers sampling mid-run (the health monitor)
+read a current count.
+
+Components never see the calendar; they interact through
+:meth:`Engine.schedule`, :meth:`Engine.cancel` and :meth:`Engine.run`.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional
 
-#: compaction threshold: rebuild the heap when at least this many
-#: cancelled events linger in it *and* they outnumber the live ones.
-COMPACT_MIN_CANCELLED = 64
+#: the ``max_events`` stand-in when no event budget is given
+_NO_BUDGET = 1 << 62
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-class Event:
-    """A scheduled callback.
-
-    Events support cancellation: a cancelled event normally stays in
-    the heap and is skipped when popped, which keeps cancellation O(1);
-    the engine compacts the heap when cancelled events pile up (see the
-    module docstring).
-
-    ``idle`` events are housekeeping (watchdog ticks, periodic audits):
-    they run only while non-idle work remains queued, so they never
-    keep an otherwise-quiescent simulation alive or stretch its
-    measured length.
-
-    ``label`` may be a string or a tuple of strings (joined with ``:``
-    only when the event is actually rendered — diagnostics are rare,
-    per-event string formatting is not).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label",
-                 "idle", "_engine", "_queued", "_fifo")
-
-    def __init__(self, time: int, seq: int, callback: Callable[..., None],
-                 label="", idle: bool = False, args: tuple = (),
-                 engine: Optional["Engine"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.label = label
-        self.idle = idle
-        self._engine = engine
-        self._queued = engine is not None
-        self._fifo = False
-
-    def cancel(self) -> None:
-        """Mark this event so the engine skips it."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._queued and self._engine is not None:
-            self._engine._on_cancel(self)
-
-    def label_str(self) -> str:
-        label = self.label
-        if isinstance(label, tuple):
-            return ":".join(label)
-        return label
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq} {self.label_str()}{state}>"
-
-
 class Engine:
     """Deterministic discrete-event scheduler with integer cycle time."""
 
     def __init__(self):
-        #: (time, seq, Event) tuples — tuple comparison keeps heap
-        #: sifts in C (time, seq) is unique, so Event is never compared
-        self._heap: List[Tuple[int, int, Event]] = []
-        #: same-cycle micro-queue: zero-delay events scheduled while
-        #: running; always sorted by seq and all at the current cycle
-        self._fifo: Deque[Event] = deque()
-        self._seq = 0
+        #: due time -> entries due then, in scheduling order
+        self._buckets: Dict[int, List[list]] = {}
+        #: heap of the distinct due times in ``_buckets``
+        self._times: List[int] = []
         self._now = 0
-        self._events_executed = 0
         self._running = False
-        #: queued non-cancelled events (heap + fifo)
-        self._live = 0
-        #: of those, events not marked ``idle`` — "real work"
-        self._live_nonidle = 0
-        #: cancelled events still sitting in the heap
-        self._cancelled_in_heap = 0
-        #: times the heap was compacted (observability / tests)
-        self.compactions = 0
+        #: entries ever scheduled / executed / retired unexecuted
+        #: (cancelled while queued, or dropped as idle housekeeping)
+        self._scheduled = 0
+        self._executed = 0
+        self._retired = 0
+        #: queued, non-cancelled ``idle`` entries
+        self._idle_live = 0
         #: called when the queue drains (end of run): a liveness
         #: watchdog installs its quiescence check here so a dropped
         #: message raises instead of returning a truncated run.
@@ -142,85 +84,66 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_executed
+        """Events executed so far (current mid-run, too)."""
+        return self._executed
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 label="", idle: bool = False, args: tuple = ()) -> Event:
-        """Schedule ``callback`` to run ``delay`` cycles from now.
+                 args: tuple = (), idle: bool = False) -> list:
+        """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
-        Returns the :class:`Event`, which the caller may cancel.
-        ``idle`` marks housekeeping that should be dropped once only
-        idle events remain (see :class:`Event`).  ``args`` are passed
-        to ``callback`` at execution time, so hot callers can reuse one
-        bound callable instead of closing over per-event state.
+        Returns the entry, which :meth:`cancel` accepts.  ``idle``
+        marks housekeeping that is dropped once only idle events remain.
         """
         if delay < 0:
-            raise SimulationError(f"negative delay {delay} for {label!r}")
-        seq = self._seq
-        self._seq = seq + 1
+            raise SimulationError(
+                f"negative delay {delay} for "
+                f"{getattr(callback, '__qualname__', callback)!r}")
         time = self._now + delay
-        event = Event(time, seq, callback, label, idle, args, self)
-        self._live += 1
-        if not idle:
-            self._live_nonidle += 1
-        if delay == 0 and self._running:
-            # Same-cycle fast path: the new event's (time, seq) orders
-            # it after every event already queued for this cycle, so
-            # appending preserves execution order exactly.
-            event._fifo = True
-            self._fifo.append(event)
+        entry = [callback, args, idle]
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [entry]
+            heappush(self._times, time)
         else:
-            heapq.heappush(self._heap, (time, seq, event))
-        return event
+            bucket.append(entry)
+        self._scheduled += 1
+        if idle:
+            self._idle_live += 1
+        return entry
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    label="", idle: bool = False, args: tuple = ()) -> Event:
-        """Schedule ``callback`` at absolute cycle ``time`` (>= now).
+                    args: tuple = (), idle: bool = False) -> list:
+        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
+        return self.schedule(time - self._now, callback, args, idle)
 
-        ``idle`` marks absolute-time housekeeping (watchdog/audit
-        ticks), exactly as for :meth:`schedule` — without it such
-        ticks would count as live work and stretch quiescent runs.
-        """
-        return self.schedule(time - self._now, callback, label,
-                             idle=idle, args=args)
+    def cancel(self, entry: list) -> None:
+        """Stop a queued entry from running; a no-op once it has left
+        the queue (ran, was dropped, or was already cancelled)."""
+        if entry[0] is None:
+            return
+        entry[0] = None
+        self._retired += 1
+        if entry[2]:
+            self._idle_live -= 1
 
     # -- queue accounting --------------------------------------------------
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live
+        return self._scheduled - self._executed - self._retired
 
     def pending_non_idle(self) -> int:
         """Live events that are real work (not ``idle`` housekeeping)."""
-        return self._live_nonidle
+        return self.pending() - self._idle_live
 
-    def _on_cancel(self, event: Event) -> None:
-        """Counter upkeep for a cancellation; may trigger compaction."""
-        self._live -= 1
-        if not event.idle:
-            self._live_nonidle -= 1
-        if not event._fifo:
-            self._cancelled_in_heap += 1
-            if self._cancelled_in_heap >= COMPACT_MIN_CANCELLED and \
-                    self._cancelled_in_heap * 2 >= len(self._heap):
-                self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled events from the heap and re-heapify.
-
-        (time, seq) keys are unique, so heapify reproduces exactly the
-        order a pop sequence would have produced — determinism holds.
-        The list is mutated in place: ``run`` holds a local reference.
-        """
-        heap = self._heap
-        keep = [entry for entry in heap if not entry[2].cancelled]
-        for entry in heap:
-            if entry[2].cancelled:
-                entry[2]._queued = False
-        heap[:] = keep
-        heapq.heapify(heap)
-        self._cancelled_in_heap = 0
-        self.compactions += 1
+    def _drop_idle(self) -> None:
+        """Retire every queued entry: only idle housekeeping is left."""
+        for bucket in self._buckets.values():
+            for entry in bucket:
+                entry[0] = None
+        self._retired += self._idle_live
+        self._idle_live = 0
+        self._buckets.clear()
+        self._times.clear()
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,
@@ -244,74 +167,88 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
-        heap = self._heap
-        fifo = self._fifo
-        heappop = heapq.heappop
-        # the executed count lives in a local inside the loop (nothing
-        # observes it mid-run); synced back in the ``finally``
-        executed = self._events_executed
+        buckets = self._buckets
+        times = self._times
+        budget = _NO_BUDGET if max_events is None else max_events
+        executed = self._executed
         try:
-            while heap or fifo:
-                # The FIFO head (if any) is at the current cycle; the
-                # heap wins only with a same-cycle, earlier-seq event.
-                if fifo:
-                    event = fifo[0]
-                    if heap and heap[0][0] == event.time and \
-                            heap[0][1] < event.seq:
-                        event = heappop(heap)[2]
-                        from_fifo = False
-                    else:
-                        fifo.popleft()
-                        from_fifo = True
-                else:
-                    event = heappop(heap)[2]
-                    from_fifo = False
-                if event.cancelled:
-                    if not from_fifo:
-                        self._cancelled_in_heap -= 1
-                    event._queued = False
-                    continue
-                idle = event.idle
-                if idle and self._live_nonidle == 0:
-                    # Only housekeeping remains: drop it without
-                    # advancing time, so watchdog/audit ticks never
-                    # stretch a quiescent run.
-                    self._live -= 1
-                    event._queued = False
-                    continue
-                time = event.time
+            while times:
+                time = times[0]
+                bucket = buckets[time]
+                head = bucket[0]
+                if head[0] is None or head[2]:
+                    # cancelled entries must not advance time or trip a
+                    # stop, and an idle head may be droppable
+                    live = 0
+                    while live < len(bucket) and bucket[live][0] is None:
+                        live += 1
+                    if live == len(bucket):
+                        del buckets[time]
+                        heappop(times)
+                        continue
+                    del bucket[:live]
+                    if self.pending_non_idle() == 0:
+                        self._drop_idle()
+                        break
                 if until is not None and time > until:
-                    # Put it back: the caller may resume later.
-                    heapq.heappush(heap, (time, event.seq, event))
-                    event._fifo = False
                     break
                 if max_cycles is not None and time > max_cycles:
-                    heapq.heappush(heap, (time, event.seq, event))
-                    event._fifo = False
                     raise SimulationError(
                         f"cycle budget exhausted ({max_cycles}); "
                         "possible protocol livelock")
-                self._live -= 1
-                if not idle:
-                    self._live_nonidle -= 1
-                event._queued = False
                 self._now = time
-                event.callback(*event.args)
-                executed += 1
-                if max_events is not None and executed >= max_events \
-                        and self._live_nonidle > 0:
-                    raise SimulationError(
-                        f"event budget exhausted ({max_events}); "
-                        "possible protocol livelock")
-            if not self._heap and not self._fifo and \
-                    self.stall_check is not None:
+                cursor = iter(bucket)
+                try:
+                    for entry in cursor:
+                        callback, args, idle = entry
+                        if callback is None:
+                            continue
+                        entry[0] = None
+                        if idle:
+                            if self.pending_non_idle() == 0:
+                                # only housekeeping remains: drop it
+                                self._idle_live -= 1
+                                self._retired += 1
+                                continue
+                            self._idle_live -= 1
+                        # counted on entry, so a running event is
+                        # neither pending nor missing from the count
+                        executed += 1
+                        self._executed = executed
+                        callback(*args)
+                        if executed >= budget and \
+                                self.pending_non_idle() > 0:
+                            break
+                    else:
+                        del buckets[time]
+                        heappop(times)
+                        continue
+                except BaseException:
+                    # the raising event left the queue but did not run
+                    # to completion: retire it uncounted
+                    self._executed = executed - 1
+                    self._retired += 1
+                    self._keep_unrun(time, cursor)
+                    raise
+                self._keep_unrun(time, cursor)
+                raise SimulationError(
+                    f"event budget exhausted ({max_events}); "
+                    "possible protocol livelock")
+            if not times and self.stall_check is not None:
                 self.stall_check()
             if until is not None and self._now < until:
                 self._now = until
         finally:
-            self._events_executed = executed
             self._running = False
         return self._now
+
+    def _keep_unrun(self, time: int, cursor) -> None:
+        """Trim the run part of an interrupted bucket for a resume."""
+        bucket = self._buckets[time]
+        del bucket[:len(bucket) - cursor.__length_hint__()]
+        if not bucket:
+            del self._buckets[time]
+            heappop(self._times)
 
     def drain_check(self) -> None:
         """Raise if live events remain (used by tests for quiescence)."""
@@ -323,23 +260,19 @@ class Engine:
 class Component:
     """Base class for anything that lives on the engine.
 
-    Subclasses get a ``name`` for diagnostics and a convenience
-    ``schedule`` that tags events with the component name.  The tag is
-    a lazy ``(name, label)`` tuple — it is only joined into a string
-    when an event is rendered for diagnostics, never on the hot path.
+    Subclasses get a ``name`` for diagnostics, ``now``, and
+    ``schedule`` — the engine's own bound method, so scheduling through
+    a component costs no extra call.
     """
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
+        self.schedule = engine.schedule
 
     @property
     def now(self) -> int:
         return self.engine._now
-
-    def schedule(self, delay: int, callback: Callable[..., None],
-                 label: str = "") -> Event:
-        return self.engine.schedule(delay, callback, (self.name, label))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

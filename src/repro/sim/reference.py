@@ -4,21 +4,25 @@ This module preserves the *seed* event-loop algorithm — a heap of
 :class:`Event` objects compared through ``Event.__lt__`` plus a linear
 ``any()`` rescan of the whole heap on every idle pop — behind the same
 API as the optimized :class:`repro.sim.engine.Engine` (``idle`` flags,
-``args``-carrying events, tuple labels, ``pending_non_idle``).
+``args``-carrying events, ``cancel``, ``pending_non_idle``).
 
-Two consumers:
+Three consumers:
 
 * the determinism suite swaps it into the system builder and asserts
   that runs are cycle- and memory-identical to the optimized kernel on
   every configuration — the overhaul changed *cost*, not behaviour;
 * the same suite runs both engines through one event-churn schedule
-  in one process, a machine-independent measure of the speedup.
+  in one process, a machine-independent measure of the speedup;
+* ``tests/property/test_engine_queue.py`` plays random schedules
+  (cancels, idle flags, nested scheduling, raising callbacks, stops and
+  resumes) on both and compares every observation.
 
 The three scheduler bug fixes that shipped with the overhaul are
 applied here too (``max_events`` only raising while live non-idle work
 remains, ``schedule_at`` honouring ``idle``, counter-accurate
-``pending``) so the two kernels are semantically identical and only the
-algorithm differs.
+``pending``), and an event counts as executed from the moment its
+callback starts unless that callback raises, so the two kernels are
+semantically identical and only the algorithm differs.
 """
 
 from __future__ import annotations
@@ -32,35 +36,19 @@ from .engine import SimulationError
 class ReferenceEvent:
     """Seed-style event: lives in the heap, compared via ``__lt__``."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label",
-                 "idle")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "idle")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., None],
-                 label="", idle: bool = False, args: tuple = ()):
+                 args: tuple = (), idle: bool = False):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.label = label
         self.idle = idle
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def label_str(self) -> str:
-        label = self.label
-        if isinstance(label, tuple):
-            return ":".join(label)
-        return label
 
     def __lt__(self, other: "ReferenceEvent") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return (f"<ReferenceEvent t={self.time} seq={self.seq} "
-                f"{self.label_str()}{state}>")
 
 
 class ReferenceEngine:
@@ -72,8 +60,6 @@ class ReferenceEngine:
         self._now = 0
         self._events_executed = 0
         self._running = False
-        #: the reference kernel never compacts; kept for API parity
-        self.compactions = 0
         self.stall_check: Optional[Callable[[], None]] = None
         self.tracer = None
 
@@ -86,21 +72,23 @@ class ReferenceEngine:
         return self._events_executed
 
     def schedule(self, delay: int, callback: Callable[..., None],
-                 label="", idle: bool = False,
-                 args: tuple = ()) -> ReferenceEvent:
+                 args: tuple = (), idle: bool = False) -> ReferenceEvent:
         if delay < 0:
-            raise SimulationError(f"negative delay {delay} for {label!r}")
+            raise SimulationError(
+                f"negative delay {delay} for "
+                f"{getattr(callback, '__qualname__', callback)!r}")
         event = ReferenceEvent(self._now + delay, self._seq, callback,
-                               label, idle, args)
+                               args, idle)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    label="", idle: bool = False,
-                    args: tuple = ()) -> ReferenceEvent:
-        return self.schedule(time - self._now, callback, label,
-                             idle=idle, args=args)
+                    args: tuple = (), idle: bool = False) -> ReferenceEvent:
+        return self.schedule(time - self._now, callback, args, idle)
+
+    def cancel(self, event: ReferenceEvent) -> None:
+        event.cancelled = True
 
     def pending(self) -> int:
         """Live events still queued — the seed's O(heap) scan."""
@@ -136,8 +124,12 @@ class ReferenceEngine:
                         f"cycle budget exhausted ({max_cycles}); "
                         "possible protocol livelock")
                 self._now = event.time
-                event.callback(*event.args)
                 self._events_executed += 1
+                try:
+                    event.callback(*event.args)
+                except BaseException:
+                    self._events_executed -= 1
+                    raise
                 if max_events is not None \
                         and self._events_executed >= max_events \
                         and any(not e.cancelled and not e.idle

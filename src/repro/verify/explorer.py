@@ -129,8 +129,7 @@ class ControlledNetwork(Network):
             def deliver(m=msg, t=target, tr=tracer):
                 tr.message_delivered(m)
                 t.receive(m)
-        self.engine.schedule_at(
-            now + 1, deliver, label=f"net:{msg.kind.value}->{msg.dst}")
+        self.engine.schedule_at(now + 1, deliver)
 
     def pending(self) -> int:
         return self.enqueued - self.delivered
@@ -238,9 +237,7 @@ class UnreliableControlledNetwork(ControlledNetwork):
                 def deliver_fn(m=deliverable, t=target, tr=tracer):
                     tr.message_delivered(m)
                     t.receive(m)
-            self.engine.schedule_at(
-                now + 1, deliver_fn,
-                label=f"net:{deliverable.kind.value}->{deliverable.dst}")
+            self.engine.schedule_at(now + 1, deliver_fn)
 
 
 def _conflict(a: Message, b: Message) -> bool:
@@ -295,7 +292,7 @@ class LitmusDriver:
 
     # -- explorer interface -------------------------------------------
     def start(self) -> None:
-        self.engine.schedule(0, self._step, label=f"{self.name}:start")
+        self.engine.schedule(0, self._step)
 
     @property
     def parked(self) -> bool:
@@ -315,7 +312,7 @@ class LitmusDriver:
     def _advance(self) -> None:
         self._pc += 1
         self.ops_executed += 1
-        self.engine.schedule(1, self._step, label=f"{self.name}:advance")
+        self.engine.schedule(1, self._step)
 
     def _step(self) -> None:
         if self._pc >= len(self.trace):

@@ -89,26 +89,25 @@ def _drive_idle_churn(engine):
     order = []
     horizon = n_ticks + 10
     for i in range(n_background):
-        engine.schedule(horizon + i, order.append, "audit", idle=True,
-                        args=(i,))
+        engine.schedule(horizon + i, order.append, (i,), idle=True)
     # one real-work sentinel keeps the simulation live throughout
     engine.schedule(horizon + n_background + n_ticks * churn + 1,
-                    order.append, "sentinel", args=(-999,))
+                    order.append, (-999,))
     pending = []
 
     def tick(i):
         order.append(-1 - i)
         for event in pending:
-            event.cancel()
+            engine.cancel(event)
         pending.clear()
         for c in range(churn):
             pending.append(engine.schedule(
                 horizon + n_background + i * churn + c,
-                order.append, "churn", args=(-1,)))
+                order.append, (-1,)))
         if i + 1 < n_ticks:
-            engine.schedule(1, tick, "tick", idle=True, args=(i + 1,))
+            engine.schedule(1, tick, (i + 1,), idle=True)
 
-    engine.schedule(1, tick, "tick", idle=True, args=(0,))
+    engine.schedule(1, tick, (0,), idle=True)
     gc.collect()        # keep earlier tests' garbage off the clock
     started = time.perf_counter()
     engine.run()

@@ -62,12 +62,22 @@ def test_negative_delay_rejected():
         engine.schedule(-1, lambda: None)
 
 
+def test_negative_delay_names_the_callback():
+    def retry_tick():
+        pass
+
+    engine = Engine()
+    with pytest.raises(SimulationError,
+                       match=r"negative delay -3 for .*retry_tick"):
+        engine.schedule(-3, retry_tick)
+
+
 def test_cancelled_event_skipped():
     engine = Engine()
     seen = []
     event = engine.schedule(5, lambda: seen.append("cancelled"))
     engine.schedule(6, lambda: seen.append("kept"))
-    event.cancel()
+    engine.cancel(event)
     engine.run()
     assert seen == ["kept"]
 
@@ -136,7 +146,7 @@ def test_pending_counts_live_events():
     engine = Engine()
     kept = engine.schedule(5, lambda: None)
     cancelled = engine.schedule(6, lambda: None)
-    cancelled.cancel()
+    engine.cancel(cancelled)
     assert engine.pending() == 1
     engine.run()
     assert engine.pending() == 0

@@ -1,10 +1,12 @@
-"""Hot-path engine overhaul: counters, compaction, FIFO, bug fixes.
+"""Hot-path engine semantics: counters, cancellation, same-cycle order.
 
-These tests pin the observable semantics of the indexed event queue
+These tests pin the observable semantics of the calendar event queue
 (`repro.sim.engine`): the O(1) live/non-idle counters across schedule,
-cancel, pop and compaction; heap compaction preserving execution order;
-the same-cycle FIFO micro-queue; ``args``-carrying events; and the
-three scheduler bug fixes that shipped with the overhaul —
+cancel and execution; lazily cancelled entries never running, never
+reordering the survivors and never outliving their cycle in storage;
+same-cycle FIFO order for zero-delay events; ``args``-carrying events;
+and the three scheduler bug fixes that shipped with the first kernel
+overhaul —
 
 * ``Engine.run(max_events=N)`` no longer raises when the N-th event
   legitimately drained the queue (off-by-one);
@@ -18,8 +20,7 @@ import pytest
 
 from repro.coherence.messages import Message, MsgKind
 from repro.network.noc import LatencyModel, Network
-from repro.sim.engine import (COMPACT_MIN_CANCELLED, Engine,
-                              SimulationError)
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.stats import StatsRegistry
 
 
@@ -33,12 +34,12 @@ def test_counters_track_schedule_and_cancel():
             for _ in range(3)]
     assert engine.pending() == 7
     assert engine.pending_non_idle() == 4
-    work[0].cancel()
-    idle[0].cancel()
+    engine.cancel(work[0])
+    engine.cancel(idle[0])
     assert engine.pending() == 5
     assert engine.pending_non_idle() == 3
     # double-cancel must not decrement twice
-    work[0].cancel()
+    engine.cancel(work[0])
     assert engine.pending() == 5
     assert engine.pending_non_idle() == 3
 
@@ -71,57 +72,77 @@ def test_counters_survive_nested_scheduling():
     assert engine.pending() == 0
 
 
+def _stored(engine):
+    """Entries physically held by the queue, cancelled ones included."""
+    return sum(len(bucket) for bucket in engine._buckets.values())
+
+
 # ----------------------------------------------------------------------
-# heap compaction
+# lazy cancellation: order, exact counters, bounded storage
 # ----------------------------------------------------------------------
 def test_compaction_triggers_and_preserves_order():
+    # Cancelling three in four far-future events leaves the survivors'
+    # order intact, the counters exact, and no dead entry behind once
+    # its cycle has passed.
     engine = Engine()
-    total = 4 * COMPACT_MIN_CANCELLED
+    total = 256
     seen = []
-    events = [engine.schedule(10 + i, seen.append, args=(i,))
+    events = [engine.schedule(10 + i, seen.append, (i,))
               for i in range(total)]
     survivors = [i for i in range(total) if i % 4 == 0]
     for i in range(total):
         if i % 4:
-            events[i].cancel()
-    assert engine.compactions >= 1
+            engine.cancel(events[i])
     assert engine.pending() == len(survivors)
-    # the heap physically shrank: compaction really dropped the dead
-    assert len(engine._heap) < total
+    assert engine.pending_non_idle() == len(survivors)
+    engine.run(until=10 + total // 2)
+    half = len(survivors) // 2 + 1
+    assert seen == survivors[:half]
+    # everything before the first survivor still due is gone, including
+    # the cancelled entries just past ``until``
+    assert _stored(engine) == total - survivors[half]
     engine.run()
     assert seen == survivors
     assert engine.pending() == 0
+    assert _stored(engine) == 0
 
 
 def test_no_compaction_below_threshold():
+    # A handful of cancellations behind live work: the victims never
+    # run, and the counters match the live set exactly at every step.
     engine = Engine()
-    keep = [engine.schedule(5, lambda: None)
-            for _ in range(4 * COMPACT_MIN_CANCELLED)]
-    victims = [engine.schedule(6, lambda: None)
-               for _ in range(COMPACT_MIN_CANCELLED - 1)]
+    order = []
+    keep = [engine.schedule(5, order.append, ("keep",))
+            for _ in range(8)]
+    victims = [engine.schedule(6, order.append, ("victim",))
+               for _ in range(3)]
     for event in victims:
-        event.cancel()
-    # under the count floor: cancelled events stay lazily in the heap
-    assert engine.compactions == 0
+        engine.cancel(event)
     assert engine.pending() == len(keep)
+    assert engine.pending_non_idle() == len(keep)
+    assert engine.run() == 5
+    assert order == ["keep"] * len(keep)
+    assert engine.events_executed == len(keep)
+    assert engine.pending() == 0
+    assert _stored(engine) == 0
 
 
 # ----------------------------------------------------------------------
-# same-cycle FIFO micro-queue
+# same-cycle FIFO order
 # ----------------------------------------------------------------------
 def test_same_cycle_fifo_respects_heap_seq_order():
     engine = Engine()
     order = []
-    # three heap events at t=5 (seqs 0..2); the first two each push a
-    # zero-delay event (seqs 3..4) — (time, seq) order interleaves the
-    # micro-queue strictly after the same-cycle heap events
+    # three events at t=5 (seqs 0..2); the first two each push a
+    # zero-delay event (seqs 3..4) — (time, seq) order runs them
+    # strictly after every event already due this cycle
     engine.schedule(5, lambda: (order.append("a"),
                                 engine.schedule(0, order.append,
-                                                args=("d",))))
+                                                ("d",))))
     engine.schedule(5, lambda: (order.append("b"),
                                 engine.schedule(0, order.append,
-                                                args=("e",))))
-    engine.schedule(5, order.append, args=("c",))
+                                                ("e",))))
+    engine.schedule(5, order.append, ("c",))
     engine.run()
     assert order == ["a", "b", "c", "d", "e"]
 
@@ -133,9 +154,9 @@ def test_fifo_chain_executes_in_order():
     def chain(i):
         order.append(i)
         if i < 5:
-            engine.schedule(0, chain, args=(i + 1,))
+            engine.schedule(0, chain, (i + 1,))
 
-    engine.schedule(2, chain, args=(0,))
+    engine.schedule(2, chain, (0,))
     engine.run()
     assert order == [0, 1, 2, 3, 4, 5]
     assert engine.now == 2
@@ -146,9 +167,9 @@ def test_fifo_event_can_be_cancelled():
     order = []
 
     def first():
-        victim = engine.schedule(0, order.append, args=("victim",))
-        engine.schedule(0, order.append, args=("kept",))
-        victim.cancel()
+        victim = engine.schedule(0, order.append, ("victim",))
+        engine.schedule(0, order.append, ("kept",))
+        engine.cancel(victim)
 
     engine.schedule(1, first)
     engine.run()
@@ -158,12 +179,22 @@ def test_fifo_event_can_be_cancelled():
 
 
 def test_zero_delay_outside_run_goes_through_heap():
+    # Zero-delay events scheduled between runs run at the current cycle
+    # in scheduling order, ahead of anything they schedule themselves.
     engine = Engine()
     order = []
-    engine.schedule(0, order.append, args=("a",))
-    engine.schedule(0, order.append, args=("b",))
-    engine.run()
-    assert order == ["a", "b"]
+    engine.schedule(0, lambda: (order.append("a"),
+                                engine.schedule(0, order.append, ("c",))))
+    engine.schedule(0, order.append, ("b",))
+    assert engine.pending() == 2
+    assert engine.run() == 0
+    assert order == ["a", "b", "c"]
+    assert engine.events_executed == 3
+    engine.run(until=4)
+    engine.schedule(0, order.append, ("d",))
+    assert engine.run() == 4
+    assert order == ["a", "b", "c", "d"]
+    assert _stored(engine) == 0
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +236,7 @@ def test_schedule_at_keeps_idle_flag():
     engine = Engine()
     engine.schedule(5, lambda: None)
     ticked = []
-    engine.schedule_at(100, ticked.append, idle=True, args=("tick",))
+    engine.schedule_at(100, ticked.append, ("tick",), idle=True)
     assert engine.pending_non_idle() == 1
     engine.run()
     assert ticked == []
@@ -215,7 +246,7 @@ def test_schedule_at_keeps_idle_flag():
 def test_schedule_at_passes_args():
     engine = Engine()
     seen = []
-    engine.schedule_at(7, seen.append, args=(42,))
+    engine.schedule_at(7, seen.append, (42,))
     engine.run()
     assert seen == [42]
     assert engine.now == 7

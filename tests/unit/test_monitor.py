@@ -137,6 +137,24 @@ def test_monitor_rows_cover_every_surface():
         assert entry["capacity"] >= entry["high_water"] >= 1
 
 
+def test_monitor_engine_events_are_current_mid_run():
+    # Regression: the engine booked its executed count only when run()
+    # returned, so every mid-run row read 0 events and the last window
+    # absorbed the whole run (a bogus ~107 events/cycle peak gauge).
+    system = _monitored_system()
+    system.run(max_events=30_000_000)
+    rows = list(system.monitor.samples)
+    events = [row["engine"]["events"] for row in rows]
+    assert len(events) > 2
+    assert all(a < b for a, b in zip(events, events[1:]))
+    assert events[-1] == system.engine.events_executed
+    peak = system.monitor.health_summary()["peaks"][
+        "engine.events_per_cycle"]
+    assert peak == pytest.approx(
+        max(row["engine"]["events_per_cycle"] for row in rows), abs=1e-4)
+    assert peak < 10
+
+
 def test_mshr_high_water_tracks_peak_occupancy():
     system = _monitored_system()
     system.run(max_events=30_000_000)

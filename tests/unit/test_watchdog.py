@@ -88,8 +88,7 @@ def test_stalled_request_detected_while_queue_stays_busy():
     def chatter(remaining=80):
         if remaining:
             mini.load("dev1", 0x2000 + (remaining % 4) * 64, 0x1)
-            mini.engine.schedule(20, lambda: chatter(remaining - 1),
-                                 label="chatter")
+            mini.engine.schedule(20, chatter, (remaining - 1,))
 
     chatter()
     mini.load("dev0", 0x1000, 0x1)
@@ -119,9 +118,9 @@ def make_self_feeding_engine(step=1):
     engine = Engine()
 
     def tick():
-        engine.schedule(step, tick, label="tick")
+        engine.schedule(step, tick)
 
-    engine.schedule(step, tick, label="tick")
+    engine.schedule(step, tick)
     return engine
 
 
@@ -142,9 +141,8 @@ def test_max_cycles_budget_raises():
 def test_idle_events_dropped_when_only_housekeeping_remains():
     engine = Engine()
     ran = []
-    engine.schedule(10, lambda: ran.append("real"), label="real")
-    engine.schedule(100, lambda: ran.append("idle"), label="idle",
-                    idle=True)
+    engine.schedule(10, ran.append, ("real",))
+    engine.schedule(100, ran.append, ("idle",), idle=True)
     assert engine.run() == 10
     assert ran == ["real"]
 
@@ -152,8 +150,7 @@ def test_idle_events_dropped_when_only_housekeeping_remains():
 def test_idle_events_run_while_real_work_remains():
     engine = Engine()
     ran = []
-    engine.schedule(5, lambda: ran.append("idle"), label="idle",
-                    idle=True)
-    engine.schedule(10, lambda: ran.append("real"), label="real")
+    engine.schedule(5, ran.append, ("idle",), idle=True)
+    engine.schedule(10, ran.append, ("real",))
     engine.run()
     assert ran == ["idle", "real"]
