@@ -15,8 +15,8 @@ counts, event counts, or final memory:
   partition of critical-path stages with top-K contended-line / shard
   / link rollups, and books every network hop into a traffic-class x
   hop-class flight rollup (the indirection cycles).
-* :mod:`repro.obs.monitor` — a hierarchical :class:`MetricsRegistry`
-  of typed instruments and a :class:`HealthMonitor` that the span
+* :mod:`repro.obs.monitor` — a :class:`MetricsRegistry` of labelled
+  :class:`Gauge` series and a :class:`HealthMonitor` that the span
   collector drives on an engine-cycle interval; each scrape row also
   snapshots the :class:`~repro.sim.stats.StatsRegistry` counters.
 * :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
@@ -27,8 +27,7 @@ counts, event counts, or final memory:
 
 from .export import (format_timeline, load_chrome_trace,
                      validate_chrome_trace, write_chrome_trace)
-from .monitor import (Counter, Gauge, HealthMonitor, Histogram,
-                      MetricsRegistry, MetricsScope, format_health)
+from .monitor import Gauge, HealthMonitor, MetricsRegistry, format_health
 from .prometheus import (parse_prometheus_text, prometheus_text,
                          registry_samples, sanitize_metric_name,
                          stats_samples)
@@ -39,8 +38,7 @@ from .trace import (INDIRECTION_HOPS, TraceEvent, TraceFilter,
 __all__ = [
     "TraceEvent", "TraceFilter", "TraceRecorder", "hop_class",
     "INDIRECTION_HOPS",
-    "MetricsRegistry", "MetricsScope", "HealthMonitor",
-    "Counter", "Gauge", "Histogram", "format_health",
+    "MetricsRegistry", "Gauge", "HealthMonitor", "format_health",
     "SpanCollector", "SPAN_STAGES", "decompose",
     "prometheus_text", "parse_prometheus_text", "registry_samples",
     "stats_samples", "sanitize_metric_name",

@@ -1,18 +1,17 @@
-"""Hierarchical metrics registry + live contention health monitor.
+"""Gauge registry + live contention health monitor.
 
 Two pieces:
 
 :class:`MetricsRegistry`
-    typed instruments — counters, gauges, histograms — keyed by a
-    dotted name (the registry grammar shared with
-    ``repro.sim.stats``) plus a fixed label set, so one metric family
-    (``home.queue_depth``) carries per-component label dimensions
-    (``{home="llc0"}``) instead of exploding into per-component names.
-    Re-registering an identical (name, labels, kind) returns the
-    existing instrument — per-link gauges materialize lazily as links
-    first carry traffic — while a kind mismatch or a grammar violation
-    raises :class:`~repro.sim.stats.MetricNameError` at registration
-    (builder) time.
+    :class:`Gauge` instruments keyed by a dotted name (the registry
+    grammar shared with ``repro.sim.stats``) plus a fixed label set,
+    so one metric family (``home.queue_depth``) carries per-component
+    label dimensions (``{home="llc0"}``) instead of exploding into
+    per-component names.  Re-registering an identical (name, labels)
+    returns the existing gauge; a grammar violation raises
+    :class:`~repro.sim.stats.MetricNameError` at registration
+    (builder) time.  Counts live in the
+    :class:`~repro.sim.stats.StatsRegistry`, not here.
 
 :class:`HealthMonitor`
     scrapes the live simulation on an engine-cycle interval with
@@ -31,13 +30,11 @@ Two pieces:
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.stats import (HISTOGRAM_BUCKETS, MetricNameError, _bucket_of,
-                         validate_metric_name)
-
-import re
+from ..sim.stats import MetricNameError, validate_metric_name
 
 #: Prometheus-compatible label-name grammar (stricter than values,
 #: which may hold any escaped string).
@@ -54,56 +51,20 @@ def _label_key(labels: Optional[Dict[str, str]]) -> Tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Instrument:
-    """Base: identity (name + labels), help text, unit."""
+class Gauge:
+    """Point-in-time level of one (name, labels) series; tracks its
+    own whole-run high-water mark."""
 
-    kind = "instrument"
-    __slots__ = ("name", "labels", "help", "unit")
+    kind = "gauge"
+    __slots__ = ("name", "labels", "help", "unit", "value", "high_water")
 
     def __init__(self, name: str, labels: Tuple, help: str, unit: str):
         self.name = name
         self.labels = labels
         self.help = help
         self.unit = unit
-
-    def label_dict(self) -> Dict[str, str]:
-        return dict(self.labels)
-
-
-class Counter(Instrument):
-    """Monotonic count."""
-
-    kind = "counter"
-    __slots__ = ("value",)
-
-    def __init__(self, name, labels, help, unit):
-        super().__init__(name, labels, help, unit)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} decremented")
-        self.value += amount
-
-    def sample(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
-                "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(), "value": float(self.value)}
-
-
-class Gauge(Instrument):
-    """Point-in-time level; tracks its own high-water mark.  ``fn``
-    makes the gauge *callback-backed*: it is polled at collect time."""
-
-    kind = "gauge"
-    __slots__ = ("value", "high_water", "fn")
-
-    def __init__(self, name, labels, help, unit,
-                 fn: Optional[Callable[[], float]] = None):
-        super().__init__(name, labels, help, unit)
         self.value = 0.0
         self.high_water = 0.0
-        self.fn = fn
 
     def set(self, value: float) -> None:
         self.value = value
@@ -111,132 +72,39 @@ class Gauge(Instrument):
             self.high_water = value
 
     def sample(self) -> Dict[str, object]:
-        if self.fn is not None:
-            self.set(float(self.fn()))
         return {"name": self.name, "kind": self.kind,
                 "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(), "value": float(self.value),
+                "labels": dict(self.labels), "value": float(self.value),
                 "high_water": float(self.high_water)}
 
 
-class Histogram(Instrument):
-    """Power-of-two bucket histogram (same geometry as
-    :class:`~repro.sim.stats.LatencySampler`), rendered cumulatively
-    by the Prometheus exporter."""
-
-    kind = "histogram"
-    __slots__ = ("buckets", "sum", "count")
-
-    def __init__(self, name, labels, help, unit):
-        super().__init__(name, labels, help, unit)
-        self.buckets: Dict[int, int] = {}
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        bucket = _bucket_of(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.sum += value
-        self.count += 1
-
-    def sample(self) -> Dict[str, object]:
-        return {"name": self.name, "kind": self.kind,
-                "help": self.help, "unit": self.unit,
-                "labels": self.label_dict(),
-                "buckets": {str(b): int(n)
-                            for b, n in sorted(self.buckets.items())},
-                "sum": float(self.sum), "count": int(self.count)}
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Instruments keyed by (name, labels); hierarchical via prefixes."""
+    """Gauges keyed by (name, labels)."""
 
     def __init__(self):
-        self._instruments: Dict[Tuple[str, Tuple], Instrument] = {}
-
-    # -- registration ------------------------------------------------------
-    def _register(self, kind: str, name: str,
-                  labels: Optional[Dict[str, str]], help: str,
-                  unit: str, **kwargs) -> Instrument:
-        validate_metric_name(name)
-        key = (name, _label_key(labels))
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if existing.kind != kind:
-                raise MetricNameError(
-                    f"metric {name!r}{dict(key[1])!r} already registered "
-                    f"as a {existing.kind}, not a {kind}")
-            return existing
-        # one name must stay one kind across all label sets
-        for (other_name, _), other in self._instruments.items():
-            if other_name == name and other.kind != kind:
-                raise MetricNameError(
-                    f"metric {name!r} already registered as a "
-                    f"{other.kind}, not a {kind}")
-        instrument = _KINDS[kind](name, key[1], help, unit, **kwargs)
-        self._instruments[key] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "", unit: str = "",
-                labels: Optional[Dict[str, str]] = None) -> Counter:
-        return self._register("counter", name, labels, help, unit)
+        self._gauges: Dict[Tuple[str, Tuple], Gauge] = {}
 
     def gauge(self, name: str, help: str = "", unit: str = "",
-              labels: Optional[Dict[str, str]] = None,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
-        gauge = self._register("gauge", name, labels, help, unit, fn=fn)
-        if fn is not None and gauge.fn is None:
-            gauge.fn = fn
+              labels: Optional[Dict[str, str]] = None) -> Gauge:
+        """The gauge for (name, labels), created on first use."""
+        validate_metric_name(name)
+        key = (name, _label_key(labels))
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            gauge = self._gauges[key] = Gauge(name, key[1], help, unit)
         return gauge
 
-    def histogram(self, name: str, help: str = "", unit: str = "",
-                  labels: Optional[Dict[str, str]] = None) -> Histogram:
-        return self._register("histogram", name, labels, help, unit)
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self, prefix)
-
-    # -- inspection --------------------------------------------------------
-    def instruments(self) -> List[Instrument]:
-        return [self._instruments[key]
-                for key in sorted(self._instruments)]
+    def instruments(self) -> List[Gauge]:
+        return [self._gauges[key] for key in sorted(self._gauges)]
 
     def collect(self) -> List[Dict[str, object]]:
-        """One JSON-safe sample per instrument, sorted by identity
-        (callback gauges are polled here)."""
-        return [inst.sample() for inst in self.instruments()]
+        """One JSON-safe sample per gauge, sorted by identity."""
+        return [gauge.sample() for gauge in self.instruments()]
 
     def snapshot(self) -> Dict[str, object]:
         """JSON round-trip exact: every container is a plain dict/list
         with string keys, so ``json.loads(json.dumps(s)) == s``."""
         return {"metrics": self.collect()}
-
-
-class MetricsScope:
-    """A child view registering ``<prefix>.<name>`` instruments."""
-
-    __slots__ = ("registry", "prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str):
-        validate_metric_name(prefix)
-        self.registry = registry
-        self.prefix = prefix
-
-    def counter(self, name: str, **kwargs) -> Counter:
-        return self.registry.counter(f"{self.prefix}.{name}", **kwargs)
-
-    def gauge(self, name: str, **kwargs) -> Gauge:
-        return self.registry.gauge(f"{self.prefix}.{name}", **kwargs)
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        return self.registry.histogram(f"{self.prefix}.{name}",
-                                       **kwargs)
-
-    def scope(self, prefix: str) -> "MetricsScope":
-        return MetricsScope(self.registry, f"{self.prefix}.{prefix}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +182,8 @@ class HealthMonitor:
                                help="peak simultaneous MSHR entries",
                                unit="entries",
                                labels={"cache": l1.name}))
+        #: per-link gauge pairs, created as links first appear
+        self._link_gauges: Dict[Tuple[str, str], Tuple[Gauge, Gauge]] = {}
         self._transport_gauges = None
         if hasattr(system.network, "_send_channels"):
             self._transport_gauges = (
@@ -330,17 +200,17 @@ class HealthMonitor:
                                help="arrivals held for in-order "
                                     "delivery", unit="messages"))
 
-    def _link_gauges(self, src: str, dst: str):
-        # lazy per-link materialization: identical re-registration
-        # returns the existing instruments
-        return (self.registry.gauge(
-                    "link.in_flight",
-                    help="undelivered messages on the link",
-                    unit="messages", labels={"src": src, "dst": dst}),
-                self.registry.gauge(
-                    "link.backlog",
-                    help="cycles until the link is free",
-                    unit="cycles", labels={"src": src, "dst": dst}))
+    def _new_link_gauges(self, src: str, dst: str
+                         ) -> Tuple[Gauge, Gauge]:
+        labels = {"src": src, "dst": dst}
+        pair = self._link_gauges[(src, dst)] = (
+            self.registry.gauge("link.in_flight",
+                                help="undelivered messages on the link",
+                                unit="messages", labels=labels),
+            self.registry.gauge("link.backlog",
+                                help="cycles until the link is free",
+                                unit="cycles", labels=labels))
+        return pair
 
     def sample_at(self, ts: int) -> None:
         system = self.system
@@ -393,7 +263,10 @@ class HealthMonitor:
             backlog = link.free - ts
             if backlog < 0:
                 backlog = 0
-            flight_gauge, backlog_gauge = self._link_gauges(src, dst)
+            gauges = self._link_gauges.get((src, dst))
+            if gauges is None:
+                gauges = self._new_link_gauges(src, dst)
+            flight_gauge, backlog_gauge = gauges
             flight_gauge.set(in_flight)
             backlog_gauge.set(backlog)
             if in_flight or backlog:
@@ -459,10 +332,10 @@ class HealthMonitor:
         """Last scrape + whole-run peaks, for diagnostic dumps and the
         JSON health artifact."""
         peaks = {}
-        for inst in self.registry.instruments():
-            if inst.kind == "gauge" and inst.high_water > 0:
-                label = "".join(f"{{{k}={v}}}" for k, v in inst.labels)
-                peaks[f"{inst.name}{label}"] = inst.high_water
+        for gauge in self.registry.instruments():
+            if gauge.high_water > 0:
+                label = "".join(f"{{{k}={v}}}" for k, v in gauge.labels)
+                peaks[f"{gauge.name}{label}"] = gauge.high_water
         summary: Dict[str, object] = {
             "interval": self.interval,
             "scrapes": self.scrapes,

@@ -1,8 +1,8 @@
 """Prometheus text exposition + JSON-snapshot exporters.
 
-Renders :class:`~repro.obs.monitor.MetricsRegistry` instruments and
-flat :class:`~repro.sim.stats.StatsRegistry` counters into the
-Prometheus text exposition format (v0.0.4), plus a deliberately
+Renders :class:`~repro.obs.monitor.MetricsRegistry` gauges and flat
+:class:`~repro.sim.stats.StatsRegistry` counters into the Prometheus
+text exposition format (v0.0.4), plus a deliberately
 strict :func:`parse_prometheus_text` used by tests and the CI
 ``obs-smoke`` job to validate what we emit — names against the
 Prometheus grammar, label values against the escaping rules —
@@ -10,8 +10,8 @@ without needing a real Prometheus install in the container.
 
 Dotted registry names map to Prometheus by replacing ``.`` with
 ``_`` under a ``repro_`` namespace prefix: ``home.queue_depth``
-becomes ``repro_home_queue_depth``.  Power-of-two histograms render
-cumulatively with ``le`` bucket bounds.
+becomes ``repro_home_queue_depth``.  Each gauge also exports its
+whole-run peak as a ``<name>_high_water`` series.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Tuple
 #: Prometheus metric-name grammar (we never emit ':', reserved for
 #: recording rules)
 PROM_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-PROM_LABEL_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
 NAMESPACE = "repro"
 
@@ -47,13 +46,11 @@ def escape_help(text: str) -> str:
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _render_labels(labels: Dict[str, str],
-                   extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    pairs = sorted(labels.items()) + list(extra)
-    if not pairs:
+def _render_labels(labels: Dict[str, str]) -> str:
+    if not labels:
         return ""
     inner = ",".join(f'{k}="{escape_label_value(v)}"'
-                     for k, v in pairs)
+                     for k, v in sorted(labels.items()))
     return "{" + inner + "}"
 
 
@@ -64,7 +61,7 @@ def _format_value(value: float) -> str:
 
 
 def registry_samples(registry) -> List[Dict[str, object]]:
-    """Samples from a :class:`MetricsRegistry` (polls gauges)."""
+    """One gauge sample per :class:`MetricsRegistry` series."""
     return registry.collect()
 
 
@@ -89,10 +86,11 @@ def stats_samples(stats) -> List[Dict[str, object]]:
 
 
 def prometheus_text(samples: Iterable[Dict[str, object]]) -> str:
-    """Render samples (see :meth:`Instrument.sample`) as exposition
-    text.  ``# HELP`` / ``# TYPE`` emit once per family, families stay
-    contiguous, histograms render cumulative ``_bucket`` series plus
-    ``_sum`` / ``_count``."""
+    """Render counter and gauge samples (see :func:`stats_samples` and
+    :func:`registry_samples`) as exposition text.  ``# HELP`` /
+    ``# TYPE`` emit once per family, families stay contiguous, and a
+    gauge sample carrying ``high_water`` adds a ``_high_water``
+    series."""
     by_family: Dict[str, List[Dict[str, object]]] = {}
     order: List[str] = []
     for sample in samples:
@@ -111,38 +109,15 @@ def prometheus_text(samples: Iterable[Dict[str, object]]) -> str:
         if unit:
             help_text = f"{help_text} [{unit}]"
         lines.append(f"# HELP {prom} {escape_help(help_text)}")
-        lines.append(f"# TYPE {prom} "
-                     f"{'gauge' if kind == 'gauge' else kind}")
+        lines.append(f"# TYPE {prom} {kind}")
         for sample in family:
-            labels = dict(sample.get("labels") or {})
-            if kind == "histogram":
-                cumulative = 0
-                for bucket, count in sorted(
-                        ((int(b), n) for b, n in
-                         sample["buckets"].items())):
-                    cumulative += count
-                    bound = float(2 ** bucket)
-                    lines.append(
-                        f"{prom}_bucket"
-                        f"{_render_labels(labels, (('le', repr(bound)),))}"
-                        f" {cumulative}")
-                lines.append(
-                    f"{prom}_bucket"
-                    f"{_render_labels(labels, (('le', '+Inf'),))}"
-                    f" {sample['count']}")
-                lines.append(f"{prom}_sum{_render_labels(labels)} "
-                             f"{_format_value(sample['sum'])}")
-                lines.append(f"{prom}_count{_render_labels(labels)} "
-                             f"{sample['count']}")
-            else:
-                lines.append(f"{prom}{_render_labels(labels)} "
-                             f"{_format_value(sample['value'])}")
-                if kind == "gauge" and "high_water" in sample:
-                    hw = sanitize_metric_name(
-                        f"{name}.high_water")
-                    lines.append(
-                        f"{hw}{_render_labels(labels)} "
-                        f"{_format_value(sample['high_water'])}")
+            labels = _render_labels(sample.get("labels") or {})
+            lines.append(f"{prom}{labels} "
+                         f"{_format_value(sample['value'])}")
+            if kind == "gauge" and "high_water" in sample:
+                hw = sanitize_metric_name(f"{name}.high_water")
+                lines.append(f"{hw}{labels} "
+                             f"{_format_value(sample['high_water'])}")
     return "\n".join(lines) + "\n"
 
 

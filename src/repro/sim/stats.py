@@ -7,9 +7,10 @@ registry, so a system-wide report is a single object.
 
 :class:`LatencySampler` keeps streaming (count/sum/min/max) moments per
 label plus a fixed geometric histogram (power-of-two buckets), which
-gives p50/p95/p99 estimates that merge exactly across sweep worker
-processes — averages alone hide the tail behaviour the paper's latency
-arguments rest on.
+gives p50/p95/p99 estimates without storing samples — averages alone
+hide the tail behaviour the paper's latency arguments rest on.  The
+span collector owns one per traced run; sweeps merge only
+:class:`StatsRegistry` snapshots.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from math import ceil
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Mapping
 
 #: The registry-name grammar (documented in DESIGN.md): dotted
 #: lower-case segments, each ``[a-z][a-z0-9_]*`` for the first segment
@@ -224,8 +225,7 @@ class LatencySampler:
 
     Per label: (count, sum, min, max) moments plus a sparse geometric
     histogram.  Percentiles are bucket-resolved (within a factor of
-    two, clamped to the observed max) and — unlike sorted-sample
-    percentiles — merge exactly across worker processes.
+    two, clamped to the observed min/max).
     """
 
     def __init__(self):
@@ -258,21 +258,8 @@ class LatencySampler:
         entry = self._data.get(label)
         return entry[0] if entry else 0
 
-    def minimum(self, label: str) -> float:
-        entry = self._data.get(label)
-        return entry[2] if entry else 0.0
-
-    def maximum(self, label: str) -> float:
-        entry = self._data.get(label)
-        return entry[3] if entry else 0.0
-
     def labels(self) -> Iterable[str]:
         return list(self._data)
-
-    # -- histogram / percentiles ------------------------------------------
-    def histogram(self, label: str) -> Dict[int, int]:
-        """Sparse copy: bucket index -> count (see ``_bucket_of``)."""
-        return dict(self._hist.get(label, {}))
 
     def percentile(self, label: str, p: float) -> float:
         """Bucket-resolved percentile estimate for ``label``.
@@ -293,42 +280,10 @@ class LatencySampler:
                 return min(max(upper, entry[2]), entry[3])
         return entry[3]
 
-    def summary(self, label: str) -> Dict[str, float]:
-        """count/mean/min/max/p50/p95/p99 for one label."""
-        return {
-            "count": float(self.count(label)),
-            "mean": self.mean(label),
-            "min": self.minimum(label),
-            "max": self.maximum(label),
-            "p50": self.percentile(label, 50),
-            "p95": self.percentile(label, 95),
-            "p99": self.percentile(label, 99),
-        }
-
-    # -- aggregation -------------------------------------------------------
-    def merge(self, other: "LatencySampler") -> None:
-        """Fold another sampler's streams (moments + histograms)."""
-        for label, (count, total, lo, hi) in other._data.items():
-            mine = self._data.get(label)
-            if mine is not None:
-                mine[0] += count
-                mine[1] += total
-                mine[2] = min(mine[2], lo)
-                mine[3] = max(mine[3], hi)
-            else:
-                self._data[label] = [count, total, lo, hi]
-                self._hist[label] = {}
-            hist = self._hist[label]
-            for bucket, n in other._hist.get(label, {}).items():
-                hist[bucket] = hist.get(bucket, 0) + n
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Deep plain-dict copy, JSON-round-trip safe.
-
-        Histogram keys are stringified bucket indices (JSON objects
-        only have string keys); :meth:`from_snapshot` converts back, so
-        snapshot -> json -> from_snapshot -> snapshot is the identity.
-        """
+        """Deep plain-dict copy, JSON-round-trip safe: histogram keys
+        are stringified bucket indices (JSON objects only have string
+        keys)."""
         return {
             label: {
                 "count": int(entry[0]),
@@ -340,28 +295,3 @@ class LatencySampler:
             }
             for label, entry in sorted(self._data.items())
         }
-
-    @classmethod
-    def from_snapshot(cls, payload: Mapping[str, object]
-                      ) -> "LatencySampler":
-        """Rebuild a sampler from :meth:`snapshot` output.
-
-        Accepts the current dict format and the legacy 4-tuple / JSON
-        list ``(count, sum, min, max)`` format (histograms then start
-        empty, so percentiles degrade to the observed max).
-        """
-        sampler = cls()
-        for label, entry in payload.items():
-            if isinstance(entry, Mapping):
-                sampler._data[label] = [
-                    int(entry["count"]), float(entry["sum"]),
-                    float(entry["min"]), float(entry["max"])]
-                sampler._hist[label] = {
-                    int(bucket): int(n)
-                    for bucket, n in entry.get("hist", {}).items()}
-            else:
-                count, total, lo, hi = entry
-                sampler._data[label] = [int(count), float(total),
-                                        float(lo), float(hi)]
-                sampler._hist[label] = {}
-        return sampler

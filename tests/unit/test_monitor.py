@@ -1,13 +1,12 @@
-"""MetricsRegistry instruments, name grammar, and HealthMonitor
+"""MetricsRegistry gauges, name grammar, and HealthMonitor
 sampling behaviour."""
 
 import json
 
 import pytest
 
-from repro.obs import (Counter, Gauge, HealthMonitor, Histogram,
-                       MetricsRegistry, SpanCollector, TraceEvent,
-                       format_health)
+from repro.obs import (Gauge, HealthMonitor, MetricsRegistry,
+                       SpanCollector, TraceEvent, format_health)
 from repro.sim.stats import MetricNameError, StatsRegistry
 from repro.system import (TraceConfig, WatchdogConfig, build_system,
                           scaled_config)
@@ -19,45 +18,25 @@ from repro.workloads import MICROBENCHMARKS
 # ---------------------------------------------------------------------------
 def test_instrument_kinds_and_values():
     registry = MetricsRegistry()
-    counter = registry.counter("a.count", help="things", unit="things")
-    assert isinstance(counter, Counter)
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-    gauge = registry.gauge("a.level")
-    assert isinstance(gauge, Gauge)
+    gauge = registry.gauge("a.level", help="things", unit="things")
+    assert isinstance(gauge, Gauge) and gauge.kind == "gauge"
     gauge.set(7)
     gauge.set(3)
     assert gauge.value == 3 and gauge.high_water == 7
-
-    histogram = registry.histogram("a.dist")
-    assert isinstance(histogram, Histogram)
-    for value in (1, 5, 5, 300):
-        histogram.observe(value)
-    assert histogram.count == 4 and histogram.sum == 311
+    (sample,) = registry.collect()
+    assert sample == {"name": "a.level", "kind": "gauge",
+                      "help": "things", "unit": "things", "labels": {},
+                      "value": 3.0, "high_water": 7.0}
 
 
 def test_registration_is_idempotent_per_name_and_labels():
     registry = MetricsRegistry()
-    first = registry.counter("x.y", labels={"shard": "llc0"})
-    again = registry.counter("x.y", labels={"shard": "llc0"})
+    first = registry.gauge("x.y", labels={"shard": "llc0"})
+    again = registry.gauge("x.y", labels={"shard": "llc0"})
     assert first is again
-    other = registry.counter("x.y", labels={"shard": "llc1"})
+    other = registry.gauge("x.y", labels={"shard": "llc1"})
     assert other is not first
     assert len(registry.instruments()) == 2
-
-
-def test_kind_collision_raises():
-    registry = MetricsRegistry()
-    registry.counter("x.y")
-    with pytest.raises(MetricNameError):
-        registry.gauge("x.y")
-    # also across label sets: one name stays one kind
-    with pytest.raises(MetricNameError):
-        registry.gauge("x.y", labels={"shard": "llc0"})
 
 
 def test_name_grammar_enforced():
@@ -65,32 +44,15 @@ def test_name_grammar_enforced():
     for bad in ("Upper.case", "1starts.with.digit", "trailing.",
                 "sp ace", "dash-es.allowed", ""):
         with pytest.raises(MetricNameError):
-            registry.counter(bad)
+            registry.gauge(bad)
     with pytest.raises(MetricNameError):
         registry.gauge("ok.name", labels={"BadLabel": "v"})
 
 
-def test_gauge_callback_polled_at_collect():
-    registry = MetricsRegistry()
-    level = {"value": 0}
-    registry.gauge("cb.level", fn=lambda: level["value"])
-    level["value"] = 42
-    (sample,) = registry.collect()
-    assert sample["value"] == 42 and sample["high_water"] == 42
-
-
-def test_scope_prefixes_names():
-    registry = MetricsRegistry()
-    scope = registry.scope("engine").scope("queue")
-    counter = scope.counter("drops")
-    assert counter.name == "engine.queue.drops"
-
-
 def test_snapshot_json_round_trip_exact():
     registry = MetricsRegistry()
-    registry.counter("a.b", labels={"k": "v"}).inc(3)
+    registry.gauge("a.b", labels={"k": "v"}).set(3)
     registry.gauge("a.g").set(1.5)
-    registry.histogram("a.h").observe(9)
     snapshot = registry.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
 
@@ -183,9 +145,9 @@ def test_on_sample_callbacks_fire_per_scrape():
 def test_monitor_gauge_high_water_is_whole_run_peak():
     system = _monitored_system()
     system.run(max_events=30_000_000)
-    peak = max(inst.high_water
-               for inst in system.registry.instruments()
-               if inst.kind == "gauge" and inst.name == "mshr.high_water")
+    peak = max(gauge.high_water
+               for gauge in system.registry.instruments()
+               if gauge.name == "mshr.high_water")
     direct = max(l1.mshrs.high_water
                  for l1 in system.cpu_l1s + system.gpu_l1s)
     assert peak == direct

@@ -212,6 +212,6 @@ def test_latency_sampler():
         sampler.sample("load", value)
     assert sampler.mean("load") == 10
     assert sampler.count("load") == 3
-    assert sampler.minimum("load") == 5
-    assert sampler.maximum("load") == 15
+    snap = sampler.snapshot()["load"]
+    assert snap["min"] == 5 and snap["max"] == 15
     assert sampler.mean("missing") == 0

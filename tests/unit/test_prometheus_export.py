@@ -55,41 +55,27 @@ def test_escape_label_value_is_exposition_compliant():
 # exposition rendering
 # ---------------------------------------------------------------------------
 def test_exposition_families_and_series():
+    stats = StatsRegistry()
+    stats.incr_group("req.count", "llc0", 3)
+    stats.incr_group("req.count", "llc1", 4)
     registry = MetricsRegistry()
-    registry.counter("req.count", help="requests", unit="requests",
-                     labels={"shard": "llc0"}).inc(3)
-    registry.counter("req.count", labels={"shard": "llc1"}).inc(4)
     gauge = registry.gauge("queue.depth", help="depth")
     gauge.set(9)
     gauge.set(2)
-    histogram = registry.histogram("lat.dist", help="latency",
-                                   unit="cycles")
-    for value in (1, 3, 3, 100):
-        histogram.observe(value)
-    text = prometheus_text(registry_samples(registry))
+    registry.gauge("link.depth", labels={"src": "a", "dst": "b"}).set(1)
+    text = prometheus_text(stats_samples(stats)
+                           + registry_samples(registry))
 
     assert text.count("# TYPE repro_req_count counter") == 1
-    assert 'repro_req_count{shard="llc0"} 3' in text
-    assert 'repro_req_count{shard="llc1"} 4' in text
+    assert 'repro_req_count{key="llc0"} 3' in text
+    assert 'repro_req_count{key="llc1"} 4' in text
+    assert text.count("# TYPE repro_queue_depth gauge") == 1
     # gauges also expose their high-water series
     assert "repro_queue_depth 2" in text
     assert "repro_queue_depth_high_water 9" in text
-    # histogram: cumulative buckets, +Inf, sum, count
-    assert 'repro_lat_dist_bucket{le="+Inf"} 4' in text
-    assert "repro_lat_dist_sum 107" in text
-    assert "repro_lat_dist_count 4" in text
+    assert 'repro_link_depth_high_water{dst="b",src="a"} 1' in text
     parsed = parse_prometheus_text(text)
-    inf_rows = [(name, labels, value) for name, labels, value in parsed
-                if labels.get("le") == "+Inf"]
-    assert inf_rows == [("repro_lat_dist_bucket", {"le": "+Inf"}, 4.0)]
-    # cumulative monotonicity across the finite bounds
-    bounds = [(float(labels["le"]), value)
-              for name, labels, value in parsed
-              if name == "repro_lat_dist_bucket"
-              and labels["le"] != "+Inf"]
-    assert bounds == sorted(bounds)
-    assert [count for _, count in bounds] == \
-        sorted(count for _, count in bounds)
+    assert len(parsed) == 2 + 2 * 2
 
 
 def test_stats_samples_flatten_groups_into_label_dimension():
@@ -140,9 +126,8 @@ def test_parser_accepts_comments_blanks_and_infinities():
 # ---------------------------------------------------------------------------
 def test_registry_snapshot_survives_json_round_trip():
     registry = MetricsRegistry()
-    registry.counter("a.count", labels={"x": "1"}).inc(2)
+    registry.gauge("a.level", labels={"x": "1"}).set(2)
     registry.gauge("a.gauge").set(3.5)
-    registry.histogram("a.hist").observe(17)
     snapshot = registry.snapshot()
     rehydrated = json.loads(json.dumps(snapshot))
     assert rehydrated == snapshot

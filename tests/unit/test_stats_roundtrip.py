@@ -1,6 +1,6 @@
 """Regression tests for the stats layer's snapshot semantics: deep
 copies (no live defaultdict ever escapes), exact JSON round-trips, and
-the LatencySampler's histogram percentiles and exact merges."""
+the LatencySampler's histogram percentiles."""
 
 import json
 
@@ -64,10 +64,11 @@ def test_sampler_percentiles_track_the_tail():
     assert 10 <= sampler.percentile("lat", 50) <= 16
     # p99 must see the outlier's bucket, clamped to the observed max
     assert sampler.percentile("lat", 99.5) == 1000
-    assert sampler.percentile("lat", 0) >= sampler.minimum("lat")
-    summary = sampler.summary("lat")
-    assert summary["count"] == 100 and summary["max"] == 1000
-    assert summary["p50"] <= summary["p95"] <= summary["p99"]
+    snap = sampler.snapshot()["lat"]
+    assert sampler.percentile("lat", 0) >= snap["min"] == 10
+    assert snap["count"] == 100 and snap["max"] == 1000
+    assert sampler.percentile("lat", 50) <= sampler.percentile("lat", 95) \
+        <= sampler.percentile("lat", 99)
 
 
 def test_sampler_percentile_exact_for_single_bucket():
@@ -79,40 +80,12 @@ def test_sampler_percentile_exact_for_single_bucket():
     assert sampler.percentile("missing", 50) == 0.0
 
 
-def test_sampler_merge_is_exact():
-    left, right, combined = (LatencySampler() for _ in range(3))
-    for value in (1, 5, 9, 200):
-        left.sample("lat", value)
-        combined.sample("lat", value)
-    for value in (3, 7, 100000):
-        right.sample("lat", value)
-        combined.sample("lat", value)
-    right.sample("other", 2)
-    combined.sample("other", 2)
-    left.merge(right)
-    assert left.snapshot() == combined.snapshot()
-    for p in (50, 95, 99):
-        assert left.percentile("lat", p) == combined.percentile("lat", p)
-
-
 def test_sampler_snapshot_round_trips_exactly():
     sampler = LatencySampler()
     for value in (0, 1, 2, 3.5, 1000, 2 ** 50):
         sampler.sample("lat", value)
     snap = sampler.snapshot()
-    via_json = json.loads(json.dumps(snap))
-    rebuilt = LatencySampler.from_snapshot(via_json)
-    assert rebuilt.snapshot() == snap
-    assert rebuilt.percentile("lat", 99) == sampler.percentile("lat", 99)
+    assert json.loads(json.dumps(snap)) == snap
     # huge values clamp into the last bucket
     assert max(int(b) for b in snap["lat"]["hist"]) \
         == HISTOGRAM_BUCKETS - 1
-
-
-def test_sampler_accepts_legacy_snapshot_format():
-    rebuilt = LatencySampler.from_snapshot(
-        {"lat": [4, 100.0, 10.0, 40.0]})
-    assert rebuilt.count("lat") == 4
-    assert rebuilt.mean("lat") == 25.0
-    # no histogram: percentile degrades to the observed max
-    assert rebuilt.percentile("lat", 50) == 40.0

@@ -9,7 +9,9 @@ from repro.analysis import ExperimentRunner
 from repro.analysis.sweep import (CellSpec, ResultCache, SweepError,
                                   cell_key, code_fingerprint, grid_specs,
                                   run_sweep, simulate_cell)
-from repro.sim.stats import LatencySampler, StatsRegistry
+from repro.obs import (load_chrome_trace, parse_prometheus_text,
+                       validate_chrome_trace)
+from repro.sim.stats import StatsRegistry
 from repro.system import FaultConfig
 from repro.workloads import MICROBENCHMARKS
 from repro.workloads.synthetic import make_local_sync
@@ -130,6 +132,28 @@ def test_serial_sweep_matches_direct_simulation(tmp_path):
     assert cell.wall_time > 0
 
 
+def test_trace_artifacts_are_valid_and_passive(tmp_path):
+    spec = CellSpec.make("ReuseS", "SDD", SMALL)
+    traced = simulate_cell(spec, trace_dir=str(tmp_path))
+    plain = simulate_cell(spec)
+    for key in ("cycles", "network_bytes", "stats"):
+        assert traced[key] == plain[key], key
+    artifacts = {key for key in traced if key.endswith("_artifact")}
+    assert artifacts == {"trace_artifact", "metrics_artifact",
+                         "prom_artifact"}
+    trace = load_chrome_trace(traced["trace_artifact"])
+    assert trace["traceEvents"]
+    assert validate_chrome_trace(trace) == []
+    with open(traced["metrics_artifact"]) as handle:
+        metrics = json.load(handle)
+    assert json.loads(json.dumps(metrics)) == metrics
+    assert metrics["monitor"]["scrapes"] > 0
+    with open(traced["prom_artifact"]) as handle:
+        names = {name for name, _, _ in
+                 parse_prometheus_text(handle.read())}
+    assert "repro_home_queue_depth" in names
+
+
 def test_warm_cache_rerun_simulates_nothing(tmp_path):
     cache = ResultCache(tmp_path)
     cold = run_sweep(TINY_SPECS, jobs=1, cache=cache)
@@ -211,23 +235,3 @@ def test_stats_registry_from_snapshot_merge():
     parent.incr("cycles", 5)
     parent.merge(rebuilt)
     assert parent.get("cycles") == 15
-
-
-def test_latency_sampler_merge_and_snapshot():
-    a = LatencySampler()
-    b = LatencySampler()
-    for value in (5, 10):
-        a.sample("load", value)
-    for value in (1, 20):
-        b.sample("load", value)
-    b.sample("store", 3)
-    a.merge(b)
-    assert a.count("load") == 4
-    assert a.mean("load") == pytest.approx(9)
-    assert a.minimum("load") == 1
-    assert a.maximum("load") == 20
-    assert a.count("store") == 1
-    rebuilt = LatencySampler.from_snapshot(
-        json.loads(json.dumps(a.snapshot())))
-    assert rebuilt.count("load") == 4
-    assert rebuilt.maximum("load") == 20
