@@ -42,28 +42,21 @@ from .readback import CoherentReader
 
 
 class System:
-    """A fully wired machine ready to execute a workload."""
+    """A fully wired machine ready to execute a workload.
+
+    Subclass hooks: :meth:`_make_network`, :meth:`_l1_kwargs` and the
+    L1 name patterns (see :class:`repro.verify.systems.VerifySystem`).
+    """
+
+    CPU_L1_NAME = "cpu{}.l1"
+    GPU_L1_NAME = "gpu{}.l1"
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.engine = Engine()
         self.stats = StatsRegistry()
         self.latency_model = LatencyModel(default=config.net_default)
-        # Zero-overhead passthrough: the reliable-transport sublayer is
-        # only interposed when a delivery-fault class is armed; every
-        # other run keeps the plain Network's unchanged hot path.
-        if config.faults is not None and config.faults.unreliable:
-            self.network = ReliableNetwork(
-                self.engine, self.stats, self.latency_model,
-                config.link_bytes_per_cycle,
-                rto=config.transport_rto,
-                rto_cap=config.transport_rto_cap,
-                dead_cycles=config.transport_dead_cycles)
-            self.network.diagnostic_source = self
-        else:
-            self.network = Network(self.engine, self.stats,
-                                   self.latency_model,
-                                   config.link_bytes_per_cycle)
+        self.network = self._make_network()
         self.dram = MainMemory(self.engine, self.stats,
                                latency=config.dram_latency,
                                banks=config.llc_banks)
@@ -132,6 +125,23 @@ class System:
             self.spans.monitor = self.monitor
 
     # ------------------------------------------------------------------
+    def _make_network(self) -> Network:
+        config = self.config
+        # Zero-overhead passthrough: the reliable-transport sublayer is
+        # only interposed when a delivery-fault class is armed; every
+        # other run keeps the plain Network's unchanged hot path.
+        if config.faults is not None and config.faults.unreliable:
+            network = ReliableNetwork(
+                self.engine, self.stats, self.latency_model,
+                config.link_bytes_per_cycle,
+                rto=config.transport_rto,
+                rto_cap=config.transport_rto_cap,
+                dead_cycles=config.transport_dead_cycles)
+            network.diagnostic_source = self
+            return network
+        return Network(self.engine, self.stats, self.latency_model,
+                       config.link_bytes_per_cycle)
+
     def _build(self) -> None:
         config = self.config
         if config.hierarchical:
@@ -198,7 +208,7 @@ class System:
             self._topo_endpoints.append(TopoEndpoint(shard_name, "home"))
         self.llc = self.llcs[0]
         for index in range(config.num_cpus):
-            name = f"cpu{index}.l1"
+            name = self.CPU_L1_NAME.format(index)
             if config.cpu_protocol == "MESI":
                 l1 = MESIL1(self.engine, name, dialect="spandex",
                             register_on_network=False,
@@ -225,7 +235,7 @@ class System:
                            issue_period=config.cpu_issue_period)
             self.cpus.append(core)
         for index in range(config.num_gpus):
-            name = f"gpu{index}.l1"
+            name = self.GPU_L1_NAME.format(index)
             if config.gpu_protocol == "GPU":
                 l1 = GPUCoherenceL1(self.engine, name,
                                     register_on_network=False,
@@ -270,7 +280,7 @@ class System:
         self._topo_attachments.append(
             Attachment("gpu_l2", "l3", config.net_l2_l3))
         for index in range(config.num_cpus):
-            name = f"cpu{index}.l1"
+            name = self.CPU_L1_NAME.format(index)
             l1 = MESIL1(self.engine, name, dialect="mesi",
                         **self._base_kwargs("l3"), **self._l1_kwargs())
             self._topo_endpoints.append(TopoEndpoint(name, "cpu"))
@@ -281,7 +291,7 @@ class System:
                            issue_period=config.cpu_issue_period)
             self.cpus.append(core)
         for index in range(config.num_gpus):
-            name = f"gpu{index}.l1"
+            name = self.GPU_L1_NAME.format(index)
             if config.gpu_protocol == "GPU":
                 l1 = GPUCoherenceL1(self.engine, name,
                                     **self._base_kwargs("gpu_l2"),

@@ -1,8 +1,9 @@
 """Owner-aware functional reads for post-run validation.
 
-Both :class:`~repro.system.builder.System` and the litmus-scale
-:class:`~repro.verify.systems.VerifySystem` check a finished run against
-the reference memory image through one :class:`CoherentReader`.
+:meth:`System.read_coherent <repro.system.builder.System.read_coherent>`
+(inherited by the litmus-scale
+:class:`~repro.verify.systems.VerifySystem`) checks a finished run
+against the reference memory image through a :class:`CoherentReader`.
 """
 
 from __future__ import annotations

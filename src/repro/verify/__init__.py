@@ -2,9 +2,10 @@
 
 The subsystem has four cooperating layers:
 
-* :mod:`repro.verify.systems` — miniature but faithfully wired
-  instances of each Table V configuration, small enough that a litmus
-  scenario's reachable interleaving space is tractable;
+* :mod:`repro.verify.systems` — each Table V configuration built by
+  the simulator's own :class:`~repro.system.builder.System` from a
+  litmus-scale ``SystemConfig``, small enough that a litmus scenario's
+  reachable interleaving space is tractable;
 * :mod:`repro.verify.litmus` — the declarative scenario corpus,
   distilled from PROTOCOL.md's race table;
 * :mod:`repro.verify.explorer` — a controllable network shim plus

@@ -58,7 +58,7 @@ class CoverageRecorder:
     # -- wiring --------------------------------------------------------
     def attach(self, system) -> None:
         self._resolve = dict(system.l1s)
-        for shard in getattr(system, "llcs", None) or [system.llc]:
+        for shard in system.llcs:
             self._resolve[shard.name] = shard
         if system.gpu_l2 is not None:
             self._resolve[system.gpu_l2.name] = system.gpu_l2

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.invariants import InvariantChecker, InvariantViolation
@@ -38,9 +38,13 @@ from ..network.noc import Network
 from ..network.reliable import _RecvChannel
 from ..protocols.base import Access
 from ..sim.engine import SimulationError
+from ..system.config import SystemConfig
 from ..workloads.trace import Op
 from .legality import check_value_legality
 from .systems import THREAD_NAMES, VerifySystem
+
+#: scenario-spec keys forwarded to the litmus system's SystemConfig
+_CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
 #: engine-event and delivery budgets: generous livelock backstops
 EVENT_BUDGET = 2_000_000
@@ -509,15 +513,9 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
     network_cls = UnreliableControlledNetwork if unreliable \
         else ControlledNetwork
     system = VerifySystem(config_name, network_cls=network_cls,
-                          l1_size=spec.get("l1_size", 8 * 1024),
-                          l1_assoc=spec.get("l1_assoc", 8),
-                          llc_shards=spec.get("llc_shards", 1),
-                          shard_interleave=spec.get("shard_interleave",
-                                                    "line"),
-                          request_policy=spec.get("request_policy",
-                                                  "fixed"),
-                          owner_pred=spec.get("owner_pred", False),
-                          trace=trace)
+                          trace=trace,
+                          **{key: value for key, value in spec.items()
+                             if key in _CONFIG_FIELDS})
     if unreliable:
         system.network.drop_budget = verify_drops
         system.network.dup_budget = verify_dups

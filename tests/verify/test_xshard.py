@@ -57,7 +57,7 @@ def test_verify_system_single_shard_keeps_name():
 @pytest.mark.tier1
 def test_hierarchical_ignores_shard_request():
     system = VerifySystem("HMG", llc_shards=2)
-    assert system.llc_shards == 1
+    assert [shard.name for shard in system.llcs] == ["l3"]
 
 
 # -- full sweep (nightly) -----------------------------------------------------
