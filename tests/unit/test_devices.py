@@ -2,7 +2,7 @@
 
 from repro.coherence.messages import atomic_add
 from repro.devices.cpu import CPUCore
-from repro.devices.gpu import GPUCU, Warp, coalesce
+from repro.devices.gpu import GPUCU, Warp
 from repro.workloads.trace import Op
 
 from tests.harness import MiniSpandex
@@ -10,31 +10,75 @@ from tests.harness import MiniSpandex
 LINE = 0x3000
 
 
-def cpu_rig(trace, protocol="DeNovo"):
-    mini = MiniSpandex({"dev": protocol}, coalesce_delay=1)
+def cpu_rig(trace, protocol="DeNovo", **l1_kwargs):
+    mini = MiniSpandex({"dev": protocol}, coalesce_delay=1, **l1_kwargs)
     core = CPUCore(mini.engine, "core", mini.l1s["dev"], mini.stats,
                    trace=trace)
     return mini, core
 
 
-def gpu_rig(warp_traces, protocol="GPU"):
-    mini = MiniSpandex({"dev": protocol}, coalesce_delay=1)
+def gpu_rig(warp_traces, protocol="GPU", **l1_kwargs):
+    mini = MiniSpandex({"dev": protocol}, coalesce_delay=1, **l1_kwargs)
     cu = GPUCU(mini.engine, "cu", mini.l1s["dev"], mini.stats,
                warp_traces=warp_traces)
     return mini, cu
 
 
+def spy_accesses(mini, device="dev"):
+    """Record every ``try_access`` call on a device's L1.
+
+    Each record is a dict with the call cycle, the access fields, and
+    whether the L1 accepted it; ``done`` is set to the cycle the
+    access's completion callback fires.
+    """
+    l1 = mini.l1s[device]
+    real = l1.try_access
+    calls = []
+
+    def spy(access):
+        record = {"at": mini.engine.now, "kind": access.kind,
+                  "line": access.line, "mask": access.mask,
+                  "values": dict(access.values), "done": None}
+        callback = access.callback
+
+        def completed(values):
+            record["done"] = mini.engine.now
+            callback(values)
+
+        access.callback = completed
+        record["accepted"] = real(access)
+        calls.append(record)
+        return record["accepted"]
+
+    l1.try_access = spy
+    return calls
+
+
 # -- coalescer -----------------------------------------------------------------
 def test_coalesce_groups_by_line():
-    groups = coalesce([0x100, 0x104, 0x140, 0x17C])
-    assert set(groups) == {0x100, 0x140}
-    assert set(groups[0x100]) == {0, 1}
-    assert set(groups[0x140]) == {0, 15}
+    """A vector load reaches the L1 as one masked access per line, in
+    ascending line order, whatever the lane order."""
+    mini, cu = gpu_rig([[Op.load([0x17C, 0x104, 0x140, 0x100])]])
+    calls = spy_accesses(mini)
+    cu.start()
+    mini.run()
+    assert cu.done
+    assert [(c["kind"], c["line"], c["mask"]) for c in calls] == [
+        ("load", 0x100, 0b11), ("load", 0x140, (1 << 15) | 1)]
 
 
 def test_coalesce_duplicate_words_merge():
-    groups = coalesce([0x100, 0x100, 0x100])
-    assert len(groups[0x100]) == 1
+    """Lanes naming the same word merge into one mask bit, and a
+    vector store carries the op's value for every masked word."""
+    mini, cu = gpu_rig([[Op.store([0x100, 0x100, 0x108, 0x100, 0x2C0], 9)]])
+    calls = spy_accesses(mini)
+    cu.start()
+    mini.run()
+    assert cu.done
+    assert [(c["kind"], c["line"], c["mask"], c["values"])
+            for c in calls] == [
+        ("store", 0x100, 0b101, {0: 9, 2: 9}),
+        ("store", 0x2C0, 1, {0: 9})]
 
 
 # -- CPU core -------------------------------------------------------------------
@@ -99,6 +143,24 @@ def test_cpu_rmw_returns_old_value_path():
         counter, touch=False).data[0] == 10
 
 
+def test_cpu_load_latency_counts_from_the_accepted_issue():
+    """A load retried on full MSHRs is timed from the cycle the L1
+    accepts it, not from its first rejected attempt."""
+    mini, core = cpu_rig([Op.load(LINE)], mshr_entries=1)
+    blocker = mini.load("dev", LINE + 0x1000, 1)   # holds the only MSHR
+    calls = spy_accesses(mini)
+    core.start()
+    mini.run()
+    assert blocker.done and core.done
+    rejected = [c for c in calls if not c["accepted"]]
+    (accepted,) = [c for c in calls if c["accepted"]]
+    assert rejected and rejected[0]["at"] < accepted["at"]
+    assert mini.stats.get("l1.mshr_stalls") == len(rejected)
+    assert mini.stats.get("cpu.load_count") == 1
+    assert mini.stats.get("cpu.load_latency_total") == \
+        accepted["done"] - accepted["at"]
+
+
 def test_cpu_on_done_callback():
     mini, core = cpu_rig([Op.compute(5)])
     fired = []
@@ -142,6 +204,25 @@ def test_gpu_vector_store_accepted_counts():
     assert cu.done
     assert mini.llc_word(LINE, 0) == 7
     assert mini.llc_word(LINE + 64, 3) == 7
+
+
+def test_gpu_load_latency_counts_from_the_first_issue():
+    """Every line of a vector load is timed from the op's first issue,
+    including a line that retried on full MSHRs."""
+    mini, cu = gpu_rig([[Op.load([LINE, LINE + 64])]], mshr_entries=1)
+    calls = spy_accesses(mini)
+    cu.start()
+    mini.run()
+    assert cu.done
+    first = calls[0]["at"]
+    accepted = [c for c in calls if c["accepted"]]
+    assert [c["line"] for c in accepted] == [LINE, LINE + 64]
+    retries = len(calls) - len(accepted)
+    assert retries > 0 and accepted[1]["at"] > first
+    assert mini.stats.get("gpu.issue_retries") == retries
+    assert mini.stats.get("gpu.load_count") == 2
+    assert mini.stats.get("gpu.load_latency_total") == \
+        sum(c["done"] - first for c in accepted)
 
 
 def test_gpu_many_outstanding_misses():

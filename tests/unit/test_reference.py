@@ -222,3 +222,20 @@ def test_epoch_is_compared_against_its_owners_component():
     t1 = [Op.load(other), Op.load(other), Op.load(other), Op.load(data)]
     result = ReferenceExecutor([t0, t1]).run()
     assert result.races == ["W-R race on 0x100: t0 vs t1"]
+
+
+def test_epochs_decode_with_hundreds_of_threads():
+    # An epoch packs (tid, tick) into one int; with 300 threads and a
+    # tick past the thread count, the racing pair must still decode to
+    # t0 and t299, and an ordered pair must not race.
+    data, other, flag, private = 0x100, 0x140, 0x200, 0x4000
+    threads = [[] for _ in range(300)]
+    threads[0] = [Op.load(private) for _ in range(400)] + \
+        [Op.store(data, 1), Op.load(other)]
+    threads[299] = [Op.load(data), Op.store(other, 2)]
+    result = ReferenceExecutor(threads).run()
+    assert result.races == ["W-R race on 0x100: t0 vs t299",
+                            "R-W race on 0x140: t0 vs t299"]
+    threads[0] += [Op.rmw(flag, atomic_add(1), release=True)]
+    threads[299] = [Op.spin_ge(flag, 1), Op.load(data), Op.store(other, 2)]
+    assert not ReferenceExecutor(threads).run().races
