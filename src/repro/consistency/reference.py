@@ -22,7 +22,7 @@ Synchronization edges recognized:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from ..workloads.trace import OpKind, Trace
 
@@ -76,12 +76,13 @@ class ReferenceExecutor:
         all finish.
 
         Every thread and sync variable keeps a vector clock (a plain
-        list).  A data access is recorded as the *epoch* ``(tid, tick)``
-        — the accessing thread and its own clock component — rather than
-        as a snapshot of its whole clock, and an earlier access with
-        epoch ``(u, k)`` happens-before the current thread ``t`` exactly
-        when ``k <= clock_t[u]`` (FastTrack: Flanagan & Freund, PLDI
-        2009).  This is exact, not an approximation: a thread's own
+        list).  A data access is recorded as the *epoch* ``(u, k)`` —
+        the accessing thread ``u`` and its own clock component ``k``,
+        packed into the int ``k * nthreads + u`` — rather than as a
+        snapshot of its whole clock, and an earlier access with epoch
+        ``(u, k)`` happens-before the current thread ``t`` exactly when
+        ``k <= clock_t[u]`` (FastTrack: Flanagan & Freund, PLDI 2009).
+        This is exact, not an approximation: a thread's own
         component changes only through its own tick, and each LOAD,
         STORE or RMW ticks before it touches memory, so any clock that
         carries ``u``'s component at ``>= k`` was published by ``u`` at
@@ -93,6 +94,9 @@ class ReferenceExecutor:
         ``readers`` keeps one epoch per read (duplicates included) and is
         reset on each write, so the ``races`` list — messages, order and
         repeats — is what a full vector-clock comparison produces.
+        Epochs are ints, not tuples: the garbage collector does not
+        track ints, so the epochs a run keeps alive trigger no
+        collections.
         """
         traces = self.traces
         nthreads = len(traces)
@@ -103,8 +107,8 @@ class ReferenceExecutor:
         COMPUTE, ACQUIRE = OpKind.COMPUTE, OpKind.ACQUIRE
         memory: Dict[int, int] = {}
         sync_clock: Dict[int, List[int]] = {}
-        last_writer: Dict[int, Tuple[int, int]] = {}
-        readers: Dict[int, List[Tuple[int, int]]] = {}
+        last_writer: Dict[int, int] = {}
+        readers: Dict[int, List[int]] = {}
         sync_addrs: Set[int] = set()
         races: List[str] = []
         pcs = [0] * nthreads
@@ -130,14 +134,15 @@ class ReferenceExecutor:
                     if kind is LOAD:
                         clock[tid] += 1
                         if check:
-                            epoch = (tid, clock[tid])
+                            epoch = clock[tid] * nthreads + tid
                             for addr in op.addrs:
                                 if addr in sync_addrs:
                                     continue
                                 writer = last_writer.get(addr)
                                 if writer is not None:
-                                    wtid, wtick = writer
-                                    if wtid != tid and wtick > clock[wtid]:
+                                    wtid = writer % nthreads
+                                    if wtid != tid and \
+                                            writer // nthreads > clock[wtid]:
                                         races.append(
                                             f"W-R race on 0x{addr:x}: "
                                             f"t{wtid} vs t{tid}")
@@ -161,22 +166,24 @@ class ReferenceExecutor:
                                     published[:] = map(max, published,
                                                        clock)
                         elif check:
-                            epoch = (tid, clock[tid])
+                            epoch = clock[tid] * nthreads + tid
                             for addr in addrs:
                                 if addr in sync_addrs:
                                     continue
                                 writer = last_writer.get(addr)
                                 if writer is not None:
-                                    wtid, wtick = writer
-                                    if wtid != tid and wtick > clock[wtid]:
+                                    wtid = writer % nthreads
+                                    if wtid != tid and \
+                                            writer // nthreads > clock[wtid]:
                                         races.append(
                                             f"W-W race on 0x{addr:x}: "
                                             f"t{wtid} vs t{tid}")
                                 seen = readers.pop(addr, None)
                                 if seen:
-                                    for rtid, rtick in seen:
-                                        if rtid != tid and \
-                                                rtick > clock[rtid]:
+                                    for reader in seen:
+                                        rtid = reader % nthreads
+                                        if rtid != tid and reader // \
+                                                nthreads > clock[rtid]:
                                             races.append(
                                                 f"R-W race on 0x{addr:x}: "
                                                 f"t{rtid} vs t{tid}")

@@ -1,5 +1,5 @@
 """Device models: latency-sensitive CPU cores, throughput GPU CUs."""
 from .cpu import CPUCore
-from .gpu import GPUCU, Warp, coalesce
+from .gpu import GPUCU, Warp
 
-__all__ = ["CPUCore", "GPUCU", "Warp", "coalesce"]
+__all__ = ["CPUCore", "GPUCU", "Warp"]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..coherence.addr import line_of, mask_of
 from ..protocols.base import Access, L1Controller
 from ..sim.engine import Component, Engine
 from ..sim.stats import StatsRegistry
@@ -42,6 +41,8 @@ class CPUCore(Component):
         self.on_done: Optional[Callable[[], None]] = None
         self.ops_executed = 0
         self.spin_iterations = 0
+        #: issue cycle of the one outstanding load (the core blocks on it)
+        self._load_issued_at = 0
         #: live flat-counter dict for the per-op latency accounting
         self._counters = stats.raw_counters()
         #: OpKind -> bound handler, built once (``_step`` is per-op hot)
@@ -84,20 +85,22 @@ class CPUCore(Component):
         self._dispatch[op.kind](op)
 
     # ------------------------------------------------------------------
+    # Completion callbacks are bound methods, not per-op closures: the
+    # core has at most one blocking access outstanding, so they read the
+    # current op back from ``self.trace[self._pc]``.
     def _op_load(self, op: Op) -> None:
         addr = op.addrs[0]
-        issued_at = self.now
-
-        def done(values: Dict[int, int]) -> None:
-            counters = self._counters
-            counters["cpu.load_latency_total"] += self.now - issued_at
-            counters["cpu.load_count"] += 1
-            self._advance()
-
-        access = Access("load", line_of(addr), mask_of(addr),
-                        callback=done)
+        self._load_issued_at = self.now
+        access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
+                        callback=self._load_done)
         if not self.l1.try_access(access):
             self._retry()
+
+    def _load_done(self, values: Dict[int, int]) -> None:
+        counters = self._counters
+        counters["cpu.load_latency_total"] += self.now - self._load_issued_at
+        counters["cpu.load_count"] += 1
+        self._advance()
 
     def _op_store(self, op: Op) -> None:
         addr = op.addrs[0]
@@ -111,48 +114,47 @@ class CPUCore(Component):
         self._advance()
 
     def _op_rmw(self, op: Op) -> None:
-        addr = op.addrs[0]
-
-        def done(values: Dict[int, int]) -> None:
-            if op.acquire:
-                self.l1.fence_acquire(self._advance,
-                                      regions=op.regions, scope=op.scope)
-            else:
-                self._advance()
-
-        def issue() -> None:
-            access = Access("rmw", line_of(addr), mask_of(addr),
-                            atomic=op.atomic, callback=done)
-            if not self.l1.try_access(access):
-                self._retry()
-
         if op.release:
-            self.l1.fence_release(issue, scope=op.scope)
+            self.l1.fence_release(self._issue_rmw, scope=op.scope)
         else:
-            issue()
+            self._issue_rmw()
+
+    def _issue_rmw(self) -> None:
+        op = self.trace[self._pc]
+        addr = op.addrs[0]
+        access = Access("rmw", addr & ~63, 1 << ((addr >> 2) & 15),
+                        atomic=op.atomic, callback=self._rmw_done)
+        if not self.l1.try_access(access):
+            self._retry()
+
+    def _rmw_done(self, values: Dict[int, int]) -> None:
+        op = self.trace[self._pc]
+        if op.acquire:
+            self.l1.fence_acquire(self._advance,
+                                  regions=op.regions, scope=op.scope)
+        else:
+            self._advance()
 
     def _op_spin(self, op: Op) -> None:
         addr = op.addrs[0]
-        index = (addr >> 2) & 15
-
-        def check(values: Dict[int, int]) -> None:
-            value = values.get(index, 0)
-            if op.spin_until(value):
-                # a successful sync read is an acquire
-                self.l1.fence_acquire(self._advance,
-                                      regions=op.regions, scope=op.scope)
-                return
-            self.spin_iterations += 1
-            self._counters["cpu.spin_iterations"] += 1
-            self.schedule(self.spin_backoff, self._op_spin, (op,))
-
         # Each spin read must observe a fresh value: self-invalidating
         # protocols drop their stale Valid copy first (MESI ignores the
         # hint — the writer invalidates it).
-        access = Access("load", line_of(addr), mask_of(addr),
-                        callback=check, invalidate_first=True)
+        access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
+                        callback=self._spin_check, invalidate_first=True)
         if not self.l1.try_access(access):
             self._retry()
+
+    def _spin_check(self, values: Dict[int, int]) -> None:
+        op = self.trace[self._pc]
+        if op.spin_until(values.get((op.addrs[0] >> 2) & 15, 0)):
+            # a successful sync read is an acquire
+            self.l1.fence_acquire(self._advance,
+                                  regions=op.regions, scope=op.scope)
+            return
+        self.spin_iterations += 1
+        self._counters["cpu.spin_iterations"] += 1
+        self.schedule(self.spin_backoff, self._op_spin, (op,))
 
     def _op_acquire(self, op: Op) -> None:
         self.l1.fence_acquire(self._advance,

@@ -13,10 +13,10 @@ The CU issues one warp-instruction per ``issue_period`` cycles (the
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from ..coherence.addr import line_of, word_index
+from ..coherence.addr import iter_mask
 from ..protocols.base import Access, L1Controller
 from ..sim.engine import Component, Engine
 from ..sim.stats import StatsRegistry
@@ -24,9 +24,17 @@ from ..workloads.trace import Op, OpKind, Trace
 
 
 class Warp:
-    """One warp: a trace plus scheduling state."""
+    """One warp: a trace plus scheduling state.
 
-    __slots__ = ("trace", "pc", "blocked", "outstanding", "wake_at")
+    ``issued_at`` is the issue cycle of the warp's blocking vector
+    access.  The remaining slots hold the callbacks its accesses and
+    fences complete through, which :meth:`GPUCU._bind` builds on the
+    warp's first issue.
+    """
+
+    __slots__ = ("trace", "pc", "blocked", "outstanding", "wake_at",
+                 "issued_at", "advance", "on_load", "on_store",
+                 "issue_rmw", "on_rmw", "on_spin")
 
     def __init__(self, trace: Trace):
         self.trace = trace
@@ -34,22 +42,13 @@ class Warp:
         self.blocked = False
         self.outstanding = 0
         self.wake_at = 0
+        self.issued_at = 0
+        self.advance = self.on_load = self.on_store = None
+        self.issue_rmw = self.on_rmw = self.on_spin = None
 
     @property
     def done(self) -> bool:
         return self.pc >= len(self.trace)
-
-
-def coalesce(addrs: List[int]) -> Dict[int, Dict[int, int]]:
-    """Group lane addresses into {line: {word_index: lane_ordinal}}.
-
-    Address math is inlined (``line_of`` / ``word_index`` equivalents
-    for the 64B/4B geometry): one call per lane adds up fast.
-    """
-    groups: Dict[int, Dict[int, int]] = defaultdict(dict)
-    for ordinal, addr in enumerate(addrs):
-        groups[addr & ~63][(addr >> 2) & 15] = ordinal
-    return groups
 
 
 class GPUCU(Component):
@@ -96,6 +95,10 @@ class GPUCU(Component):
 
     def _tick(self) -> None:
         self._tick_scheduled = False
+        warp = self._pick_warp()
+        if warp is not None:
+            self._issue(warp)
+            return
         if all(w.done for w in self.warps):
             if not self.done:
                 self.done = True
@@ -106,15 +109,11 @@ class GPUCU(Component):
                 if self.on_done is not None:
                     self.on_done()
             return
-        warp = self._pick_warp()
-        if warp is None:
-            # every live warp is blocked; wake with the earliest timer
-            timers = [w.wake_at for w in self.warps
-                      if not w.done and w.wake_at > self.now]
-            if timers:
-                self._schedule_tick(min(timers) - self.now)
-            return
-        self._issue(warp)
+        # every live warp is blocked; wake with the earliest timer
+        timers = [w.wake_at for w in self.warps
+                  if not w.done and w.wake_at > self.now]
+        if timers:
+            self._schedule_tick(min(timers) - self.now)
 
     def _pick_warp(self) -> Optional[Warp]:
         count = len(self.warps)
@@ -129,18 +128,24 @@ class GPUCU(Component):
         return None
 
     # ------------------------------------------------------------------
+    def _bind(self, warp: Warp) -> None:
+        """Build the warp's callbacks, once per warp."""
+        warp.advance = partial(self._warp_advance, warp)
+        warp.on_load = partial(self._load_done, warp)
+        warp.on_store = partial(self._line_done, warp)
+        warp.issue_rmw = partial(self._issue_rmw, warp)
+        warp.on_rmw = partial(self._rmw_done, warp)
+        warp.on_spin = partial(self._spin_check, warp)
+
     def _warp_advance(self, warp: Warp) -> None:
         warp.pc += 1
         self.ops_executed += 1
         warp.blocked = False
         self._schedule_tick()
 
-    def _warp_unblock(self, warp: Warp) -> None:
-        warp.outstanding -= 1
-        if warp.outstanding == 0:
-            self._warp_advance(warp)
-
     def _issue(self, warp: Warp) -> None:
+        if warp.advance is None:
+            self._bind(warp)
         op = warp.trace[warp.pc]
         self._dispatch[op.kind](warp, op)
         self._schedule_tick()
@@ -155,90 +160,97 @@ class GPUCU(Component):
     def _op_mem(self, warp: Warp, op: Op) -> None:
         """Coalesced vector load/store.
 
-        The warp blocks until every per-line access completes (loads)
-        or is accepted into the write buffer (stores) — acceptance is
-        when the store callback fires, so both paths share the same
-        outstanding-count plumbing.
+        Lanes are grouped into one word mask per line (duplicate lanes
+        merge) and issued in ascending line order.  The warp blocks
+        until every per-line access completes (loads) or is accepted
+        into the write buffer (stores) — acceptance is when the store
+        callback fires, so both paths share the outstanding count.
         """
-        groups = coalesce(op.addrs)
+        masks: Dict[int, int] = {}
+        for addr in op.addrs:
+            line = addr & ~63
+            masks[line] = masks.get(line, 0) | 1 << ((addr >> 2) & 15)
         warp.blocked = True
-        warp.outstanding = len(groups)
-        issued_at = self.now
-        for line, words in sorted(groups.items()):
-            mask = 0
-            values: Dict[int, int] = {}
-            for index in words:
-                mask |= 1 << index
-                if op.kind == OpKind.STORE:
-                    values[index] = op.value
-            kind = "load" if op.kind == OpKind.LOAD else "store"
+        warp.outstanding = len(masks)
+        warp.issued_at = self.now
+        if op.kind is OpKind.LOAD:
+            on_load = warp.on_load
+            for line in sorted(masks):
+                self._issue_with_retry(
+                    Access("load", line, masks[line], callback=on_load))
+            return
+        on_store, value = warp.on_store, op.value
+        for line in sorted(masks):
+            mask = masks[line]
+            self._issue_with_retry(
+                Access("store", line, mask,
+                       values=dict.fromkeys(iter_mask(mask), value),
+                       callback=on_store))
 
-            def done(_v, w=warp, k=kind, t=issued_at):
-                if k == "load":
-                    counters = self._counters
-                    counters["gpu.load_latency_total"] += self.now - t
-                    counters["gpu.load_count"] += 1
-                self._warp_unblock(w)
+    def _load_done(self, warp: Warp, values: Dict[int, int]) -> None:
+        counters = self._counters
+        counters["gpu.load_latency_total"] += self.now - warp.issued_at
+        counters["gpu.load_count"] += 1
+        self._line_done(warp, values)
 
-            access = Access(kind, line, mask, values=values,
-                            callback=done)
-            self._issue_with_retry(access)
+    def _line_done(self, warp: Warp, values: Dict[int, int]) -> None:
+        warp.outstanding -= 1
+        if warp.outstanding == 0:
+            self._warp_advance(warp)
 
+    # A sync op blocks its warp on one access at a time, so the
+    # callbacks below read the op back from ``warp.trace[warp.pc]``.
     def _op_rmw(self, warp: Warp, op: Op) -> None:
-        addr = op.addrs[0]
-        index = word_index(addr)
-
-        def done(_values: Dict[int, int]) -> None:
-            if op.acquire:
-                self.l1.fence_acquire(
-                    lambda: self._warp_advance(warp),
-                    regions=op.regions, scope=op.scope)
-            else:
-                self._warp_advance(warp)
-
-        def issue() -> None:
-            access = Access("rmw", line_of(addr), 1 << index,
-                            atomic=op.atomic, callback=done)
-            if not self.l1.try_access(access):
-                self.schedule(self.issue_period, issue)
-
         warp.blocked = True
         if op.release:
-            self.l1.fence_release(issue, scope=op.scope)
+            self.l1.fence_release(warp.issue_rmw, scope=op.scope)
         else:
-            issue()
+            self._issue_rmw(warp)
+
+    def _issue_rmw(self, warp: Warp) -> None:
+        op = warp.trace[warp.pc]
+        addr = op.addrs[0]
+        access = Access("rmw", addr & ~63, 1 << ((addr >> 2) & 15),
+                        atomic=op.atomic, callback=warp.on_rmw)
+        if not self.l1.try_access(access):
+            self.schedule(self.issue_period, self._issue_rmw, (warp,))
+
+    def _rmw_done(self, warp: Warp, values: Dict[int, int]) -> None:
+        op = warp.trace[warp.pc]
+        if op.acquire:
+            self.l1.fence_acquire(warp.advance,
+                                  regions=op.regions, scope=op.scope)
+        else:
+            self._warp_advance(warp)
 
     def _op_spin(self, warp: Warp, op: Op) -> None:
-        addr = op.addrs[0]
-        index = word_index(addr)
         warp.blocked = True
+        self._spin_attempt(warp)
 
-        def attempt() -> None:
-            access = Access("load", line_of(addr), 1 << index,
-                            callback=check, invalidate_first=True)
-            if not self.l1.try_access(access):
-                self.schedule(self.issue_period, attempt)
+    def _spin_attempt(self, warp: Warp) -> None:
+        addr = warp.trace[warp.pc].addrs[0]
+        access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
+                        callback=warp.on_spin, invalidate_first=True)
+        if not self.l1.try_access(access):
+            self.schedule(self.issue_period, self._spin_attempt, (warp,))
 
-        def check(values: Dict[int, int]) -> None:
-            if op.spin_until(values.get(index, 0)):
-                self.l1.fence_acquire(
-                    lambda: self._warp_advance(warp),
-                    regions=op.regions, scope=op.scope)
-                return
-            self.stats.incr("gpu.spin_iterations")
-            self.schedule(self.spin_backoff, attempt)
-
-        attempt()
+    def _spin_check(self, warp: Warp, values: Dict[int, int]) -> None:
+        op = warp.trace[warp.pc]
+        if op.spin_until(values.get((op.addrs[0] >> 2) & 15, 0)):
+            self.l1.fence_acquire(warp.advance,
+                                  regions=op.regions, scope=op.scope)
+            return
+        self.stats.incr("gpu.spin_iterations")
+        self.schedule(self.spin_backoff, self._spin_attempt, (warp,))
 
     def _op_acquire(self, warp: Warp, op: Op) -> None:
         warp.blocked = True
-        self.l1.fence_acquire(lambda: self._warp_advance(warp),
+        self.l1.fence_acquire(warp.advance,
                               regions=op.regions, scope=op.scope)
 
     def _op_release(self, warp: Warp, op: Op) -> None:
         warp.blocked = True
-        self.l1.fence_release(lambda: self._warp_advance(warp),
-                              scope=op.scope)
+        self.l1.fence_release(warp.advance, scope=op.scope)
 
     def _op_compute(self, warp: Warp, op: Op) -> None:
         warp.wake_at = self.now + op.cycles

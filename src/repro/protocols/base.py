@@ -14,7 +14,6 @@ DRF requirements of paper §III-E:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.addr import iter_mask
@@ -35,8 +34,7 @@ class Access:
     """
 
     __slots__ = ("kind", "line", "mask", "values", "atomic", "callback",
-                 "invalidate_first", "uid")
-    _uids = itertools.count()
+                 "invalidate_first")
 
     def __init__(self, kind: str, line: int, mask: int,
                  callback: Callable[[Dict[int, int]], None],
@@ -51,7 +49,6 @@ class Access:
         self.atomic = atomic
         self.callback = callback
         self.invalidate_first = invalidate_first
-        self.uid = next(Access._uids)
 
     def __repr__(self) -> str:
         return (f"<Access {self.kind} line=0x{self.line:x} "
