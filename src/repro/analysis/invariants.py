@@ -102,6 +102,11 @@ class InvariantChecker:
         if self._armed:
             return
         self._armed = True
+        if self.system.engine.pending() == 0:
+            # armed before the devices start (e.g. ahead of System.run):
+            # audit once they have, or the empty queue ends the audits
+            self.system.engine.schedule(0, self._tick, idle=True)
+            return
         self._tick()
 
     def _tick(self) -> None:

@@ -444,19 +444,13 @@ def _cmd_run(args, overrides: dict) -> int:
                 if monitor.scrapes % every == 0:
                     print(format_health(monitor))
             system.monitor.on_sample.append(live_view)
-        for core in system.cpus:
-            if core.trace:
-                core.start()
-        for cu in system.gpus:
-            if cu.warps:
-                cu.start()
         if checker is not None:
             checker.arm()
-        if system.watchdog is not None:
-            system.watchdog.arm()
         try:
-            result_cycles = system.engine.run(
-                max_events=200_000_000, max_cycles=args.max_cycles)
+            # not System.run: its execution.cycles counter would join
+            # the monitor's final scrape and every telemetry export
+            cycles = system.simulate(max_events=200_000_000,
+                                     max_cycles=args.max_cycles)
             if checker is not None:
                 checker.audit(final=True)
             if system.monitor is not None:
@@ -474,7 +468,7 @@ def _cmd_run(args, overrides: dict) -> int:
             bad = sum(1 for addr, value in reference.memory.items()
                       if system.read_coherent(addr) != value)
             failures += bad
-        line = (f"  {config_name}: {result_cycles:>10,} cycles  "
+        line = (f"  {config_name}: {cycles:>10,} cycles  "
                 f"{system.stats.get('network.bytes'):>12,.0f} B")
         if reference is not None:
             line += f"  memory: {'OK' if bad == 0 else f'{bad} BAD'}"

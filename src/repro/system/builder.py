@@ -345,7 +345,18 @@ class System:
 
     def run(self, max_events: Optional[int] = 50_000_000,
             max_cycles: Optional[int] = None):
-        """Start every device and run to quiescence.
+        """:meth:`simulate`, then record ``execution.cycles``, take the
+        monitor's final scrape and return a :class:`RunResult`."""
+        cycles = self.simulate(max_events, max_cycles)
+        self.stats.set("execution.cycles", cycles)
+        if self.monitor is not None:
+            self.monitor.finalize(self.engine.now)
+        return RunResult(self.config.name, cycles, self.stats, self.dram)
+
+    def simulate(self, max_events: Optional[int] = 50_000_000,
+                 max_cycles: Optional[int] = None) -> int:
+        """Start every device and run to quiescence; returns the cycle
+        the last device finished.
 
         ``max_events`` / ``max_cycles`` bound the simulation; exceeding
         either raises :class:`~repro.sim.engine.SimulationError`.  When
@@ -367,11 +378,7 @@ class System:
         if self.watchdog is not None:
             self.watchdog.arm()
         self.engine.run(max_events=max_events, max_cycles=max_cycles)
-        cycles = max(done_times.values()) if done_times else self.engine.now
-        self.stats.set("execution.cycles", cycles)
-        if self.monitor is not None:
-            self.monitor.finalize(self.engine.now)
-        return RunResult(self.config.name, cycles, self.stats, self.dram)
+        return max(done_times.values()) if done_times else self.engine.now
 
 
 class RunResult:
