@@ -161,6 +161,28 @@ class GPUL2(SpandexHome):
             self._granted_state[msg.line] = state
         for waiter in pending["waiters"]:
             waiter(dict(msg.data))
+        if pending["invalidated"] and msg.kind == MsgKind.DATA_S:
+            # IS_D_I: an Inv overtook this grant (the owner's data took a
+            # slower link) and was acked, so the directory no longer
+            # counts us as a sharer.  The waiters above had their one
+            # use of the data; drop the copy now or it stays stale for
+            # good.  Words L1s own keep the line (their data is theirs).
+            self._drop_invalidated(msg.line)
+
+    def _drop_invalidated(self, line: int) -> None:
+        line_obj = self.array.lookup(line, touch=False)
+        if line_obj is None or self._owned_mask(line_obj):
+            return
+        tracer = self.engine.tracer
+        if tracer is not None:
+            tracer.record("l2.up_state", self.name, line=line,
+                          info="S->I inv-after-grant")
+        if line_obj.pinned:
+            line_obj.state = HomeState.I
+            line_obj.meta["dirty_mask"] = 0
+            self._set_up_state(line_obj, "I")
+        else:
+            self.array.evict(line)
 
     def _fill_complete(self, line: int, data) -> None:
         line_obj = self.array.lookup(line)

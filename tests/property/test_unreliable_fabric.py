@@ -139,6 +139,30 @@ def test_unreliable_stress_all_configs(config_name):
     assert stats.get("transport.acks") > 0
 
 
+def test_hmg_lossy_multi_socket_inv_overtaking_gets_grant():
+    """The GPU L2 drops a Shared grant that a directory Inv overtook.
+
+    Across sockets, with drops and retransmits, the L3's Inv can reach
+    the GPU L2 before the forwarded owner's DATA_S for its GetS.  The
+    L2 acks the Inv, so installing the data afterwards left a stale
+    copy no later write would invalidate, and the warps spun on it
+    past a 200k-event budget."""
+    workload = MICROBENCHMARKS["ProducerConsumer"](
+        num_cpus=2, num_gpus=2, warps_per_cu=2)
+    reference = workload.reference()
+    system = build_system(_config(
+        "HMG", FaultConfig.unreliable_stress(1),
+        topology="multi_socket", num_sockets=2))
+    system.load_workload(workload)
+    checker = InvariantChecker(system, period=500)
+    checker.arm()
+    system.run(max_events=200_000)
+    checker.audit(final=True)
+    assert checker.audits > 2
+    for addr, value in reference.memory.items():
+        assert system.read_coherent(addr) == value, hex(addr)
+
+
 @pytest.mark.parametrize("config_name", ("SDD", "SMG"))
 def test_unreliable_runs_are_deterministic(config_name):
     faults = FaultConfig.unreliable_stress(5)

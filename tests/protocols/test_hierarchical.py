@@ -7,6 +7,7 @@ Spandex is evaluated against (paper §II-D, §IV-A).
 
 
 from repro.coherence.messages import atomic_add
+from repro.core.home import HomeState
 from repro.core.tu import make_tu
 from repro.protocols.denovo import DeNovoL1, DnState
 from repro.protocols.gpu_coherence import GPUCoherenceL1
@@ -155,3 +156,29 @@ def test_directory_blocking_serializes_writers():
     else:
         values.append(dir_line.data[0])
     assert values == [3]
+
+
+def test_gpu_l2_drops_an_invalidated_grant_unless_l1s_own_words():
+    """After an Inv overtook a DATA_S grant (IS_D_I), the GPU L2 drops
+    the stale copy: evicted when free, marked I and clean when pinned
+    (an upstream request is pending), and kept when L1s own words."""
+    l2 = MiniHier().gpu_l2
+    line_obj = l2.array.install(LINE)
+    line_obj.state = HomeState.V
+    l2._drop_invalidated(LINE)
+    assert l2.array.lookup(LINE, touch=False) is None
+
+    line_obj = l2.array.install(LINE)
+    line_obj.state = HomeState.V
+    line_obj.meta["dirty_mask"] = 0b1
+    line_obj.pin()
+    l2._drop_invalidated(LINE)
+    assert line_obj.state == HomeState.I
+    assert line_obj.meta["dirty_mask"] == 0
+    assert l2._up_state(line_obj) == "I"
+
+    line_obj.state = HomeState.V
+    l2._set_word_owner(line_obj, 0, "gpu0")
+    l2._drop_invalidated(LINE)
+    assert line_obj.state == HomeState.V
+    assert l2.array.lookup(LINE, touch=False) is line_obj
