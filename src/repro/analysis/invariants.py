@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.home import HomeState
-from ..faults.diagnostics import collect_diagnostic
+from ..faults.diagnostics import (collect_diagnostic, system_homes,
+                                  system_l1s)
 from ..protocols.denovo import DeNovoL1, DnState
 from ..protocols.gpu_coherence import GPUCoherenceL1, GpuState
 from ..protocols.mesi import MESIL1, MesiState
@@ -133,17 +134,12 @@ class InvariantChecker:
         return holders
 
     def _l1s(self):
-        return list(self.system.cpu_l1s) + list(self.system.gpu_l1s)
+        return system_l1s(self.system)
 
     def _homes(self):
-        homes = []
-        if self.system.gpu_l2 is not None:
-            homes.append(self.system.gpu_l2)
-        for shard in getattr(self.system, "llcs", None) \
-                or [self.system.llc]:
-            if hasattr(shard, "_owned_mask"):
-                homes.append(shard)
-        return homes
+        """The Spandex-style homes (the MESI directory is not audited)."""
+        return [home for home in system_homes(self.system)
+                if hasattr(home, "_owned_mask")]
 
     def _home_of(self, l1, line: int) -> Optional[object]:
         """The home auditing ``line`` for ``l1`` (a shard when sharded)."""

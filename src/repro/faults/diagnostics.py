@@ -24,12 +24,12 @@ MAX_LINES_DUMPED = 16
 TRACE_TAIL_EVENTS = 50
 
 
-def _l1s(system) -> List:
+def system_l1s(system) -> List:
     return list(getattr(system, "cpu_l1s", [])) + \
         list(getattr(system, "gpu_l1s", []))
 
 
-def _homes(system) -> List:
+def system_homes(system) -> List:
     homes = []
     gpu_l2 = getattr(system, "gpu_l2", None)
     if gpu_l2 is not None:
@@ -137,13 +137,13 @@ def _implicated_lines(system, stalled) -> List[int]:
             line = int(line, 16)
         if line is not None and line not in lines:
             lines.append(line)
-    for l1 in _l1s(system):
+    for l1 in system_l1s(system):
         mshrs = getattr(l1, "mshrs", None)
         if mshrs is not None:
             for line in mshrs.lines():
                 if line not in lines:
                     lines.append(line)
-    for home in _homes(system):
+    for home in system_homes(system):
         for txn in getattr(home, "_txns", {}).values():
             if txn.line not in lines:
                 lines.append(txn.line)
@@ -160,8 +160,10 @@ def collect_diagnostic(system, reason: str,
         "reason": reason,
         "cycle": now,
         "stalled": list(stalled or []),
-        "devices": {l1.name: _device_view(l1, now) for l1 in _l1s(system)},
-        "homes": {home.name: _home_view(home) for home in _homes(system)},
+        "devices": {l1.name: _device_view(l1, now)
+                    for l1 in system_l1s(system)},
+        "homes": {home.name: _home_view(home)
+                  for home in system_homes(system)},
     }
     context = getattr(system, "verify_context", None)
     if context:
@@ -188,7 +190,7 @@ def collect_diagnostic(system, reason: str,
     lines: Dict[str, Dict[str, object]] = {}
     for line in implicated:
         cross: Dict[str, object] = {}
-        for holder in _l1s(system) + _homes(system):
+        for holder in system_l1s(system) + system_homes(system):
             array = getattr(holder, "array", None)
             if array is None:
                 continue

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim.engine import SimulationError
-from .diagnostics import collect_diagnostic, format_diagnostic
+from .diagnostics import (collect_diagnostic, format_diagnostic,
+                          system_homes, system_l1s)
 
 
 class DeadlockError(SimulationError):
@@ -34,22 +35,6 @@ class DeadlockError(SimulationError):
         self.diagnostic = diagnostic or {}
 
 
-def _l1s(system) -> List:
-    return list(getattr(system, "cpu_l1s", [])) + \
-        list(getattr(system, "gpu_l1s", []))
-
-
-def _homes(system) -> List:
-    homes = []
-    gpu_l2 = getattr(system, "gpu_l2", None)
-    if gpu_l2 is not None:
-        homes.append(gpu_l2)
-    llc = getattr(system, "llc", None)
-    if llc is not None:
-        homes.append(llc)
-    return homes
-
-
 def system_busy(system) -> bool:
     """Does any layer still have unfinished protocol work?"""
     for core in getattr(system, "cpus", []):
@@ -58,10 +43,10 @@ def system_busy(system) -> bool:
     for cu in getattr(system, "gpus", []):
         if cu.warps and not cu.done:
             return True
-    for l1 in _l1s(system):
+    for l1 in system_l1s(system):
         if getattr(l1, "_inflight", None) or l1.outstanding():
             return True
-    for home in _homes(system):
+    for home in system_homes(system):
         if getattr(home, "_txns", None) or \
                 getattr(home, "_deferred", None) or \
                 getattr(home, "_fetching", None):
@@ -101,7 +86,7 @@ class LivenessWatchdog:
         """Every request/MSHR entry older than the stall bound."""
         now = self.system.engine.now
         stalled: List[Dict[str, object]] = []
-        for l1 in _l1s(self.system):
+        for l1 in system_l1s(self.system):
             for req_id, entry in getattr(l1, "_inflight", {}).items():
                 age = now - getattr(entry, "issued_at", now)
                 if age > self.stall_cycles:

@@ -11,6 +11,8 @@ from repro.coherence.messages import MsgKind
 from repro.faults import (DeadlockError, LivenessWatchdog,
                           format_diagnostic, system_busy)
 from repro.sim.engine import Engine, SimulationError
+from repro.system import build_system, scaled_config
+from repro.workloads import MICROBENCHMARKS
 from tests.harness import MiniSpandex
 
 
@@ -73,6 +75,22 @@ def test_clean_run_passes_quiescence_check():
     mini.run()
     assert completion.done and completion.values[0] == 42
     assert not system_busy(SystemView(mini))
+
+
+def test_quiescence_check_sees_every_home_shard():
+    """Work left on a shard other than the first still counts."""
+    system = build_system(scaled_config("SDD", 2, 2, llc_shards=2))
+    system.load_workload(MICROBENCHMARKS["ReuseS"](
+        num_cpus=2, num_gpus=2, warps_per_cu=1))
+    system.run()
+    system.watchdog.quiescence_check()      # drained: nothing to report
+    shard = system.llcs[1]
+    assert shard is not system.llc
+    txn = shard._new_txn(0x1000, 1, "stuck", lambda t: None)
+    shard._txns[txn.txn_id] = txn
+    with pytest.raises(DeadlockError) as excinfo:
+        system.watchdog.quiescence_check()
+    assert excinfo.value.diagnostic["homes"][shard.name]["txns"]
 
 
 # -- periodic stall detector --------------------------------------------------
