@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.addr import iter_mask
 from ..coherence.messages import AtomicOp, Message, MsgKind
+from ..mem.cache import CacheArray, CacheLine
 from ..mem.mshr import MSHRFile
 from ..mem.store_buffer import StoreBuffer
 from ..network.noc import Network
@@ -83,7 +84,13 @@ class Inflight:
 
 
 class L1Controller(Component):
-    """Common plumbing: MSHRs, store buffer, stats, downstream routing.
+    """Common plumbing: cache array, MSHRs, store buffer, stats,
+    downstream routing, and the access skeleton every protocol shares.
+
+    A protocol supplies ``_do_load`` / ``_do_store`` / ``_do_rmw``, the
+    store-buffer drain ``_issue_writes``, ``_request_complete``,
+    ``receive`` and ``self_invalidate``; ``_evict`` when replacing a
+    line needs more than dropping it.
 
     ``home`` is the network name this controller sends protocol requests
     to (the Spandex TU in flat configurations, the GPU L2 or the MESI
@@ -92,12 +99,20 @@ class L1Controller(Component):
 
     #: protocol classification row for Table I reproduction
     PROPERTIES: Dict[str, str] = {}
+    #: the protocol's invalid state (a fresh cache line's state)
+    INVALID: object = None
 
     def __init__(self, engine: Engine, name: str, network: Network,
                  stats: StatsRegistry, home: str,
                  mshr_entries: int = 128, store_buffer_words: int = 128,
-                 hit_latency: int = 1, register_on_network: bool = True):
+                 hit_latency: int = 1, register_on_network: bool = True,
+                 size_bytes: int = 32 * 1024, assoc: int = 8,
+                 coalesce_delay: int = 8):
         super().__init__(engine, name)
+        self.array: CacheArray = CacheArray(size_bytes, assoc, self.INVALID)
+        #: cycles the store buffer coalesces before it issues
+        self.coalesce_delay = coalesce_delay
+        self._issue_scheduled = False
         self.network = network
         self.stats = stats
         self.home = home
@@ -131,7 +146,36 @@ class L1Controller(Component):
         buffer, in-flight same-line store) forces the device to retry
         next cycle.  On True the access will eventually call back.
         """
-        raise NotImplementedError
+        if access.kind == "load":
+            return self._do_load(access)
+        if access.kind == "store":
+            return self._do_store(access)
+        return self._do_rmw(access)
+
+    def _buffer_store(self, access: Access) -> bool:
+        """Admit a store to the store buffer, schedule the drain and
+        acknowledge the device; False when the buffer cannot take it."""
+        entry = self.store_buffer.entry(access.line)
+        if entry is not None and entry.issued:
+            self.count("sb_conflict_stalls")
+            return False
+        if not self.store_buffer.can_accept(access.mask, access.line):
+            self.count("sb_full_stalls")
+            return False
+        self.store_buffer.push(access.line, access.mask, access.values)
+        self._schedule_issue()
+        self.schedule(self.hit_latency, access.callback, ({},))
+        return True
+
+    def _with_buffered(self, access: Access,
+                       values: Dict[int, int]) -> Dict[int, int]:
+        """Overlay this cache's younger buffered stores on ``values``
+        (same-thread ordering); returns ``values``."""
+        partial = self.store_buffer.entry(access.line)
+        if partial is not None:
+            for index in iter_mask(access.mask & partial.mask):
+                values[index] = partial.values[index]
+        return values
 
     def fence_acquire(self, callback: Callable[[], None],
                       regions: Optional[List[Tuple[int, int]]] = None,
@@ -198,9 +242,36 @@ class L1Controller(Component):
             for callback in waiters:
                 self.schedule(1, callback)
 
+    def _schedule_issue(self) -> None:
+        if self._issue_scheduled:
+            return
+        self._issue_scheduled = True
+        self.schedule(self.coalesce_delay, self._issue_writes)
+
     def _drain_store_buffer(self) -> None:
+        """Issue the store buffer now unless a drain is already due."""
+        if not self._issue_scheduled:
+            self._issue_writes()
+
+    def _issue_writes(self) -> None:
         """Issue protocol requests for unissued store-buffer entries."""
         raise NotImplementedError
+
+    # -- line residency --------------------------------------------------------
+    def _resident(self, line: int) -> CacheLine:
+        """``line``'s cache entry, installed (after replacing a victim)
+        when absent."""
+        line_obj = self.array.lookup(line)
+        if line_obj is not None:
+            return line_obj
+        victim = self.array.victim_for(line)
+        if victim is not None:
+            self._evict(victim)
+        return self.array.install(line)
+
+    def _evict(self, victim: CacheLine) -> None:
+        """Replace ``victim``: a clean line just leaves the array."""
+        self.array.evict(victim.line)
 
     # -- in-flight request reassembly -----------------------------------------
     def _track(self, msg: Message, purpose: str,

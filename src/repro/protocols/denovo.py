@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from ..coherence.addr import iter_mask
 from ..coherence.messages import Message, MsgKind
-from ..mem.cache import CacheArray, CacheLine
+from ..mem.cache import CacheLine
 from ..sim.engine import SimulationError
 from .base import Access, Inflight, L1Controller
 
@@ -45,22 +45,18 @@ class DeNovoL1(L1Controller):
         "store_granularity": "word",
     }
     PROTOCOL_FAMILY = "DeNovo"
+    INVALID = DnState.I
 
-    def __init__(self, *args, size_bytes: int = 32 * 1024, assoc: int = 8,
-                 coalesce_delay: int = 8, atomic_policy: str = "own",
+    def __init__(self, *args, atomic_policy: str = "own",
                  nack_retry_limit: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
         if atomic_policy not in ("own", "llc"):
             raise ValueError(f"bad atomic policy {atomic_policy!r}")
-        self.array: CacheArray[DnState] = CacheArray(
-            size_bytes, assoc, DnState.I)
-        self.coalesce_delay = coalesce_delay
         #: 'own' = ReqO+data and perform locally; 'llc' = ReqWT+data at
         #: the LLC (the SDG CPU policy that avoids blocking states when
         #: synchronizing with GPU-coherence devices).
         self.atomic_policy = atomic_policy
         self.nack_retry_limit = nack_retry_limit
-        self._issue_scheduled = False
         #: line -> {word: value} retained until RspWB (paper §III-C.2)
         self._pending_wb: Dict[int, Dict[int, int]] = {}
         #: line -> word mask downgraded while an ownership grant was
@@ -83,13 +79,6 @@ class DeNovoL1(L1Controller):
     # ------------------------------------------------------------------
     # device-facing API
     # ------------------------------------------------------------------
-    def try_access(self, access: Access) -> bool:
-        if access.kind == "load":
-            return self._do_load(access)
-        if access.kind == "store":
-            return self._do_store(access)
-        return self._do_rmw(access)
-
     def _word_state(self, line: int, index: int) -> DnState:
         line_obj = self.array.lookup(line, touch=False)
         if line_obj is None:
@@ -116,11 +105,8 @@ class DeNovoL1(L1Controller):
                     missing &= ~(1 << index)
         if not missing:
             self.count("hits")
-            values = line_obj.read_data(access.mask)
-            partial = self.store_buffer.entry(access.line)
-            if partial is not None:
-                for index in iter_mask(access.mask & partial.mask):
-                    values[index] = partial.values[index]
+            values = self._with_buffered(
+                access, line_obj.read_data(access.mask))
             self.schedule(self.hit_latency, access.callback, (values,))
             return True
         if access.line in self.mshrs:
@@ -157,17 +143,7 @@ class DeNovoL1(L1Controller):
                 self._mark_dirty(line_obj, access.mask)
                 self.schedule(self.hit_latency, access.callback, ({},))
                 return True
-        entry = self.store_buffer.entry(access.line)
-        if entry is not None and entry.issued:
-            self.count("sb_conflict_stalls")
-            return False
-        if not self.store_buffer.can_accept(access.mask, access.line):
-            self.count("sb_full_stalls")
-            return False
-        self.store_buffer.push(access.line, access.mask, access.values)
-        self._schedule_issue()
-        self.schedule(self.hit_latency, access.callback, ({},))
-        return True
+        return self._buffer_store(access)
 
     def _do_rmw(self, access: Access) -> bool:
         if self.mshrs.full:
@@ -230,12 +206,6 @@ class DeNovoL1(L1Controller):
         line_obj.meta["dirty_mask"] = \
             int(line_obj.meta.get("dirty_mask", 0)) | mask
 
-    def _schedule_issue(self) -> None:
-        if self._issue_scheduled:
-            return
-        self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes)
-
     def _issue_writes(self) -> None:
         self._issue_scheduled = False
         entry = self.store_buffer.next_unissued()
@@ -253,23 +223,9 @@ class DeNovoL1(L1Controller):
             self._write_issued()
             entry = self.store_buffer.next_unissued()
 
-    def _drain_store_buffer(self) -> None:
-        if self._issue_scheduled:
-            return
-        self._issue_writes()
-
     # ------------------------------------------------------------------
-    # line residency / replacement
+    # replacement
     # ------------------------------------------------------------------
-    def _resident(self, line: int) -> CacheLine:
-        line_obj = self.array.lookup(line)
-        if line_obj is not None:
-            return line_obj
-        victim = self.array.victim_for(line)
-        if victim is not None:
-            self._evict(victim)
-        return self.array.install(line)
-
     def _evict(self, victim: CacheLine) -> None:
         owned = victim.words_in(DnState.O)
         if owned:

@@ -16,7 +16,6 @@ import enum
 
 from ..coherence.addr import FULL_LINE_MASK, iter_mask
 from ..coherence.messages import Message, MsgKind
-from ..mem.cache import CacheArray
 from ..sim.engine import SimulationError
 from .base import Access, Inflight, L1Controller
 
@@ -40,25 +39,11 @@ class GPUCoherenceL1(L1Controller):
         "store_granularity": "word",
     }
     PROTOCOL_FAMILY = "GPU"
-
-    def __init__(self, *args, size_bytes: int = 32 * 1024, assoc: int = 8,
-                 coalesce_delay: int = 8, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.array: CacheArray[GpuState] = CacheArray(
-            size_bytes, assoc, GpuState.I)
-        self.coalesce_delay = coalesce_delay
-        self._issue_scheduled = False
+    INVALID = GpuState.I
 
     # ------------------------------------------------------------------
     # device-facing API
     # ------------------------------------------------------------------
-    def try_access(self, access: Access) -> bool:
-        if access.kind == "load":
-            return self._do_load(access)
-        if access.kind == "store":
-            return self._do_store(access)
-        return self._do_rmw(access)
-
     def _do_load(self, access: Access) -> bool:
         if access.invalidate_first:
             resident = self.array.lookup(access.line, touch=False)
@@ -72,12 +57,8 @@ class GPUCoherenceL1(L1Controller):
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state == GpuState.V:
             self.count("hits")
-            values = line_obj.read_data(access.mask)
-            # overlay younger buffered stores (same-thread ordering)
-            partial = self.store_buffer.entry(access.line)
-            if partial is not None:
-                for index in iter_mask(access.mask & partial.mask):
-                    values[index] = partial.values[index]
+            values = self._with_buffered(
+                access, line_obj.read_data(access.mask))
             self.schedule(self.hit_latency, access.callback, (values,))
             return True
         # miss: line-granularity ReqV, coalesced through the MSHR
@@ -96,20 +77,12 @@ class GPUCoherenceL1(L1Controller):
         return True
 
     def _do_store(self, access: Access) -> bool:
-        entry = self.store_buffer.entry(access.line)
-        if entry is not None and entry.issued:
-            self.count("sb_conflict_stalls")
+        if not self._buffer_store(access):
             return False
-        if not self.store_buffer.can_accept(access.mask, access.line):
-            self.count("sb_full_stalls")
-            return False
-        self.store_buffer.push(access.line, access.mask, access.values)
         # keep a Valid local copy coherent with our own writes
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state == GpuState.V:
             line_obj.write_data(access.mask, access.values)
-        self._schedule_issue()
-        self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
     def _do_rmw(self, access: Access) -> bool:
@@ -142,12 +115,6 @@ class GPUCoherenceL1(L1Controller):
     # ------------------------------------------------------------------
     # write buffer draining
     # ------------------------------------------------------------------
-    def _schedule_issue(self) -> None:
-        if self._issue_scheduled:
-            return
-        self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes)
-
     def _issue_writes(self) -> None:
         self._issue_scheduled = False
         entry = self.store_buffer.next_unissued()
@@ -159,11 +126,6 @@ class GPUCoherenceL1(L1Controller):
             inflight.meta["sb_line"] = entry.line
             self._write_issued()
             entry = self.store_buffer.next_unissued()
-
-    def _drain_store_buffer(self) -> None:
-        if self._issue_scheduled:
-            return
-        self._issue_writes()
 
     # ------------------------------------------------------------------
     # responses
@@ -201,12 +163,7 @@ class GPUCoherenceL1(L1Controller):
         entry = self.mshrs.release(inflight.line)
         cacheable = not inflight.no_cache
         if cacheable:
-            line_obj = self.array.lookup(inflight.line)
-            if line_obj is None:
-                victim = self.array.victim_for(inflight.line)
-                if victim is not None:
-                    self.array.evict(victim.line)  # clean: write-through
-                line_obj = self.array.install(inflight.line)
+            line_obj = self._resident(inflight.line)
             line_obj.state = GpuState.V
             tracer = self.engine.tracer
             if tracer is not None:
@@ -219,11 +176,6 @@ class GPUCoherenceL1(L1Controller):
             if partial is not None:
                 line_obj.write_data(partial.mask, partial.values)
         for access in entry.all_requests():
-            values = {}
-            partial = self.store_buffer.entry(inflight.line)
-            for index in iter_mask(access.mask):
-                if partial is not None and (partial.mask >> index) & 1:
-                    values[index] = partial.values[index]
-                else:
-                    values[index] = inflight.data.get(index, 0)
-            access.callback(values)
+            access.callback(self._with_buffered(
+                access, {index: inflight.data.get(index, 0)
+                         for index in iter_mask(access.mask)}))

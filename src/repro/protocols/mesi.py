@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..coherence.addr import FULL_LINE_MASK, iter_mask
 from ..coherence.messages import Message, MsgKind
-from ..mem.cache import CacheArray, CacheLine
+from ..mem.cache import CacheLine
 from ..sim.engine import SimulationError
 from .base import Access, Inflight, L1Controller
 
@@ -57,18 +57,14 @@ class MESIL1(L1Controller):
         "store_granularity": "line",
     }
     PROTOCOL_FAMILY = "MESI"
+    INVALID = MesiState.I
 
-    def __init__(self, *args, size_bytes: int = 32 * 1024, assoc: int = 8,
-                 dialect: str = "spandex", coalesce_delay: int = 4,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, dialect: str = "spandex",
+                 coalesce_delay: int = 4, **kwargs):
+        super().__init__(*args, coalesce_delay=coalesce_delay, **kwargs)
         if dialect not in ("spandex", "mesi"):
             raise ValueError(f"bad dialect {dialect!r}")
         self.dialect = dialect
-        self.array: CacheArray[MesiState] = CacheArray(
-            size_bytes, assoc, MesiState.I)
-        self.coalesce_delay = coalesce_delay
-        self._issue_scheduled = False
         self._pending_wb: Dict[int, Dict[int, int]] = {}
         self._post_grant: Dict[int, List[Callable[[], None]]] = {}
         #: MsgKind -> bound handler, built once (``receive`` is hot)
@@ -82,13 +78,6 @@ class MESIL1(L1Controller):
     # ------------------------------------------------------------------
     # device-facing API
     # ------------------------------------------------------------------
-    def try_access(self, access: Access) -> bool:
-        if access.kind == "load":
-            return self._do_load(access)
-        if access.kind == "store":
-            return self._do_store(access)
-        return self._do_rmw(access)
-
     def _state(self, line: int) -> MesiState:
         line_obj = self.array.lookup(line, touch=False)
         return MesiState.I if line_obj is None else line_obj.state
@@ -133,17 +122,7 @@ class MESIL1(L1Controller):
             line_obj.write_data(access.mask, access.values)
             self.schedule(self.hit_latency, access.callback, ({},))
             return True
-        sb_entry = self.store_buffer.entry(access.line)
-        if sb_entry is not None and sb_entry.issued:
-            self.count("sb_conflict_stalls")
-            return False
-        if not self.store_buffer.can_accept(access.mask, access.line):
-            self.count("sb_full_stalls")
-            return False
-        self.store_buffer.push(access.line, access.mask, access.values)
-        self._schedule_issue()
-        self.schedule(self.hit_latency, access.callback, ({},))
-        return True
+        return self._buffer_store(access)
 
     def _do_rmw(self, access: Access) -> bool:
         line_obj = self.array.lookup(access.line)
@@ -179,12 +158,6 @@ class MESIL1(L1Controller):
     # ------------------------------------------------------------------
     # store buffer: read-for-ownership path
     # ------------------------------------------------------------------
-    def _schedule_issue(self) -> None:
-        if self._issue_scheduled:
-            return
-        self._issue_scheduled = True
-        self.schedule(self.coalesce_delay, self._issue_writes)
-
     def _issue_writes(self) -> None:
         self._issue_scheduled = False
         entry = self.store_buffer.next_unissued()
@@ -213,22 +186,9 @@ class MESIL1(L1Controller):
             self._write_issued()
             entry = self.store_buffer.next_unissued()
 
-    def _drain_store_buffer(self) -> None:
-        if not self._issue_scheduled:
-            self._issue_writes()
-
     # ------------------------------------------------------------------
     # replacement
     # ------------------------------------------------------------------
-    def _resident(self, line: int) -> CacheLine:
-        line_obj = self.array.lookup(line)
-        if line_obj is not None:
-            return line_obj
-        victim = self.array.victim_for(line)
-        if victim is not None:
-            self._evict(victim)
-        return self.array.install(line)
-
     def _evict(self, victim: CacheLine) -> None:
         if victim.state in (MesiState.M, MesiState.E):
             # Write back the full line (line-granularity ownership).  E
@@ -272,8 +232,7 @@ class MESIL1(L1Controller):
         if inflight.purpose == "wb":
             self._pending_wb.pop(inflight.meta["wb_line"], None)
             self._write_completed()
-            if not self._issue_scheduled:
-                self._issue_writes()
+            self._drain_store_buffer()
             return
         self._finish_miss(inflight)
 
@@ -317,8 +276,7 @@ class MESIL1(L1Controller):
                 tracer.record("l1.state", self.name, line=line,
                               info="S->I inv-after-grant")
         self._run_post_grant(line)
-        if not self._issue_scheduled:
-            self._issue_writes()
+        self._drain_store_buffer()
 
     def _complete_access(self, line_obj: CacheLine, access: Access) -> None:
         if access.kind == "load":
