@@ -167,6 +167,15 @@ class L1Controller(Component):
         self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
+    def _load_from_buffer(self, access: Access) -> bool:
+        """Serve a load the store buffer fully covers (a hit)."""
+        forwarded = self.store_buffer.forward(access.line, access.mask)
+        if forwarded is None:
+            return False
+        self.count("hits")
+        self.schedule(self.hit_latency, access.callback, (forwarded,))
+        return True
+
     def _with_buffered(self, access: Access,
                        values: Dict[int, int]) -> Dict[int, int]:
         """Overlay this cache's younger buffered stores on ``values``
@@ -257,7 +266,7 @@ class L1Controller(Component):
         """Issue protocol requests for unissued store-buffer entries."""
         raise NotImplementedError
 
-    # -- line residency --------------------------------------------------------
+    # -- line residency ------------------------------------------------------
     def _resident(self, line: int) -> CacheLine:
         """``line``'s cache entry, installed (after replacing a victim)
         when absent."""

@@ -92,10 +92,7 @@ class DeNovoL1(L1Controller):
             for index in iter_mask(access.mask):
                 if line_obj.word_states[index] == DnState.V:
                     line_obj.word_states[index] = DnState.I
-        forwarded = self.store_buffer.forward(access.line, access.mask)
-        if forwarded is not None:
-            self.count("hits")
-            self.schedule(self.hit_latency, access.callback, (forwarded,))
+        if self._load_from_buffer(access):
             return True
         line_obj = self.array.lookup(access.line)
         missing = access.mask

@@ -49,10 +49,7 @@ class GPUCoherenceL1(L1Controller):
             resident = self.array.lookup(access.line, touch=False)
             if resident is not None and not resident.pinned:
                 self.array.evict(access.line)
-        forwarded = self.store_buffer.forward(access.line, access.mask)
-        if forwarded is not None:
-            self.count("hits")
-            self.schedule(self.hit_latency, access.callback, (forwarded,))
+        if self._load_from_buffer(access):
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state == GpuState.V:

@@ -83,10 +83,7 @@ class MESIL1(L1Controller):
         return MesiState.I if line_obj is None else line_obj.state
 
     def _do_load(self, access: Access) -> bool:
-        forwarded = self.store_buffer.forward(access.line, access.mask)
-        if forwarded is not None:
-            self.count("hits")
-            self.schedule(self.hit_latency, access.callback, (forwarded,))
+        if self._load_from_buffer(access):
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state != MesiState.I:
