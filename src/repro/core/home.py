@@ -15,6 +15,9 @@ The class is reused twice:
   intermediate GPU L2, which is a Spandex-style home for the GPU L1s
   but a MESI client toward the directory L3.
 
+The banked entry, deferral, fill and transaction-id plumbing it shares
+with the MESI directory lives in
+:class:`~repro.core.home_base.HomeController`.
 Subclasses supply the backing store through ``_backing_fetch``,
 ``_backing_grant_write``, ``_backing_writeback`` and may veto/extend
 eviction.
@@ -23,16 +26,14 @@ eviction.
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from ..coherence.addr import (FULL_LINE_MASK, WORDS_PER_LINE,
                                iter_mask)
 from ..coherence.messages import Message, MsgKind
-from ..mem.cache import CacheArray, CacheLine
-from ..network.noc import Network
-from ..sim.engine import Component, Engine, SimulationError
-from ..sim.stats import StatsRegistry
+from ..mem.cache import CacheLine
+from ..sim.engine import SimulationError
+from .home_base import HomeController
 
 
 class HomeState(enum.Enum):
@@ -65,20 +66,17 @@ TABLE_III = {
 class HomeTxn:
     """A blocking transient: words blocked while acks / data collect.
 
-    Transaction ids are per-home-instance (``SpandexHome._new_txn``), so
-    traces and diagnostics do not depend on how many simulations the
-    process ran before this one.  The class-level counter remains only
-    as a fallback for directly constructed transactions (tests).
+    Ids come from the home (``HomeController._new_txn``), so traces and
+    diagnostics do not depend on how many simulations the process ran
+    before this one.
     """
 
-    _ids = itertools.count(1)
     __slots__ = ("txn_id", "line", "mask", "acks_needed", "data_mask",
                  "data", "on_complete", "kind")
 
     def __init__(self, line: int, mask: int, kind: str,
-                 on_complete: Callable[["HomeTxn"], None],
-                 txn_id: Optional[int] = None):
-        self.txn_id = next(HomeTxn._ids) if txn_id is None else txn_id
+                 on_complete: Callable[["HomeTxn"], None], txn_id: int):
+        self.txn_id = txn_id
         self.line = line
         self.mask = mask
         self.kind = kind
@@ -96,47 +94,24 @@ class HomeTxn:
 _PROBE_RESPONSES = (MsgKind.ACK, MsgKind.RSP_RVK_O)
 
 
-class SpandexHome(Component):
-    """Shared Spandex home-node machinery (see module docstring)."""
+class SpandexHome(HomeController):
+    """Shared Spandex home-node machinery (see module docstring).
 
+    Constructor arguments are :class:`HomeController`'s.
+    """
+
+    INVALID = HomeState.I
+    TXN = HomeTxn
     #: protocol families whose devices can recover from a forced Nack
     #: at this home (a Nack path exists: TU retry/escalation in flat
     #: configurations, the DeNovo native retry in hierarchical ones).
     #: The fault injector only amplifies Nacks toward these families.
     FORCED_NACK_FAMILIES: tuple = ()
 
-    def __init__(self, engine: Engine, name: str, network: Network,
-                 stats: StatsRegistry, size_bytes: int, assoc: int = 16,
-                 access_latency: int = 10, banks: int = 16,
-                 bank_busy_cycles: int = 2):
-        super().__init__(engine, name)
-        self.network = network
-        self.stats = stats
-        #: per-shard counters (``home.<name>.*``); claiming the scope
-        #: here makes duplicate home names fail loudly at build time
-        self.hstats = stats.scoped(f"home.{name}")
-        self.array: CacheArray[HomeState] = CacheArray(
-            size_bytes, assoc, HomeState.I)
-        self.access_latency = access_latency
-        self.banks = banks
-        self.bank_busy_cycles = bank_busy_cycles
-        self._bank_free = [0] * banks
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         #: device/TU name -> protocol family ('MESI' | 'DeNovo' | 'GPU')
         self.device_protocols: Dict[str, str] = {}
-        #: per-instance transaction ids: a fresh simulation always sees
-        #: the same id sequence regardless of process history (sweep
-        #: workers reuse interpreters)
-        self._txn_ids = itertools.count(1)
-        #: multi-home sharding (set by the system builder when
-        #: ``llc_shards > 1``): the shared line->home map makes
-        #: misrouted requests fail loudly, and ``bank_stride`` keys
-        #: bank arbitration on the within-shard line index so all
-        #: banks stay populated under line interleaving
-        self.home_map = None
-        self.bank_stride = 1
-        self._txns: Dict[int, HomeTxn] = {}
-        self._deferred: Dict[int, List[Message]] = {}
-        self._fetching: Set[int] = set()
         #: ReqS handling policy (paper §III-B): 'auto' follows the
         #: evaluation choice (option (1) for S-state or MESI-owned
         #: data, option (3) otherwise); 'option1' always implements
@@ -151,15 +126,10 @@ class SpandexHome(Component):
         #: patched onto the instance/class after construction (fault
         #: tests, protocol mutants) are all honoured
         self._req_dispatch: Optional[Dict[MsgKind, Callable]] = None
-        network.register(self)
 
     # ------------------------------------------------------------------
     # backing-store hooks (overridden by LLC / GPU L2)
     # ------------------------------------------------------------------
-    def _backing_fetch(self, line: int,
-                       callback: Callable[[Dict[int, int]], None]) -> None:
-        raise NotImplementedError
-
     def _backing_grant_write(self, line: int,
                              callback: Callable[[], None]) -> None:
         """Ensure the backing permits local writes to ``line``."""
@@ -170,33 +140,8 @@ class SpandexHome(Component):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # network entry: bank arbitration then protocol processing
+    # protocol entry (after HomeController.receive's bank arbitration)
     # ------------------------------------------------------------------
-    def _new_txn(self, line: int, mask: int, kind: str,
-                 on_complete: Callable[[HomeTxn], None]) -> HomeTxn:
-        return HomeTxn(line, mask, kind, on_complete,
-                       txn_id=next(self._txn_ids))
-
-    def receive(self, msg: Message) -> None:
-        if self.home_map is not None and \
-                self.home_map.home_for(msg.line) != self.name:
-            raise SimulationError(
-                f"{self.name}: misrouted line {msg.line:#x} "
-                f"(home is {self.home_map.home_for(msg.line)!r}): {msg}")
-        index = msg.line >> 6
-        if self.bank_stride != 1:
-            index //= self.bank_stride
-        bank = index % self.banks
-        start = max(self.now, self._bank_free[bank])
-        self._bank_free[bank] = start + self.bank_busy_cycles
-        delay = (start - self.now) + self.access_latency
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.busy", self.name, line=msg.line,
-                          req_id=msg.req_id, dur=delay,
-                          info=msg.kind.value)
-        self.schedule(delay, self._dispatch, (msg,))
-
     def _dispatch(self, msg: Message) -> None:
         if msg.kind in _PROBE_RESPONSES:
             self._handle_probe_response(msg)
@@ -227,27 +172,6 @@ class SpandexHome(Component):
         line_obj.unpin()
         self._replay_deferred(line_obj.line)
 
-    def _defer(self, msg: Message) -> None:
-        self.hstats.incr("deferred")
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.defer", self.name, line=msg.line,
-                          req_id=msg.req_id, info=msg.kind.value)
-        self._deferred.setdefault(msg.line, []).append(msg)
-
-    def _replay_deferred(self, line: int) -> None:
-        queue = self._deferred.pop(line, None)
-        if not queue:
-            return
-        tracer = self.engine.tracer
-        for msg in queue:
-            # Re-enter through _process_request so still-blocked ones
-            # re-defer in their original order.
-            if tracer is not None:
-                tracer.record("home.replay", self.name, line=msg.line,
-                              req_id=msg.req_id, info=msg.kind.value)
-            self._process_request(msg)
-
     # ------------------------------------------------------------------
     # line residency
     # ------------------------------------------------------------------
@@ -274,32 +198,11 @@ class SpandexHome(Component):
                 mask |= 1 << index
         return mask
 
-    def _sharers(self, line_obj: CacheLine) -> Set[str]:
-        return line_obj.meta.setdefault("sharers", set())
-
     def _dirty_mask(self, line_obj: CacheLine) -> int:
         return int(line_obj.meta.get("dirty_mask", 0))
 
     def _mark_dirty(self, line_obj: CacheLine, mask: int) -> None:
         line_obj.meta["dirty_mask"] = self._dirty_mask(line_obj) | mask
-
-    def _ensure_resident(self, msg: Message) -> Optional[CacheLine]:
-        """Return the resident line, or start a fill and defer ``msg``."""
-        line_obj = self.array.lookup(msg.line)
-        if line_obj is not None and line_obj.state != HomeState.I:
-            return line_obj
-        self._defer(msg)
-        if msg.line in self._fetching:
-            return None
-        self._fetching.add(msg.line)
-        self.hstats.incr("fills")
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.fill", self.name, line=msg.line,
-                          req_id=msg.req_id, info=msg.kind.value)
-        self._make_room(msg.line, lambda: self._backing_fetch(
-            msg.line, lambda data: self._fill_complete(msg.line, data)))
-        return None
 
     def _fill_complete(self, line: int, data: Dict[int, int]) -> None:
         line_obj = self.array.lookup(line)
@@ -321,14 +224,6 @@ class SpandexHome(Component):
                 line_obj.data[index] = data.get(index, 0)
         self._fetching.discard(line)
         self._replay_deferred(line)
-
-    def _make_room(self, line: int, then: Callable[[], None]) -> None:
-        """Evict as needed so ``line`` can be installed, then continue."""
-        victim = self.array.victim_for(line)
-        if victim is None:
-            then()
-            return
-        self._evict(victim, lambda: self._make_room(line, then))
 
     def _evict(self, victim: CacheLine, then: Callable[[], None]) -> None:
         """Evict ``victim`` (never holds owned words: those are pinned)."""

@@ -10,15 +10,15 @@ sharer invalidation on writes, and full-line data transfers.
 from __future__ import annotations
 
 import enum
-import itertools
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional
 
 from ..coherence.addr import FULL_LINE_MASK
 from ..coherence.messages import Message, MsgKind
-from ..mem.cache import CacheArray, CacheLine
+from ..core.home_base import HomeController
+from ..mem.cache import CacheLine
 from ..mem.dram import MainMemory
 from ..network.noc import Network
-from ..sim.engine import Component, Engine, SimulationError
+from ..sim.engine import Engine, SimulationError
 from ..sim.stats import StatsRegistry
 
 
@@ -34,24 +34,15 @@ class DirState(enum.Enum):
 
 
 class DirTxn:
-    """A blocking directory transient.
-
-    Transaction ids are per-directory-instance (``_new_txn``), so a
-    fresh simulation always sees the same id sequence regardless of
-    how many runs the process completed before it.  The class-level
-    counter remains only as a fallback for directly constructed
-    transactions (tests).
-    """
-
-    _ids = itertools.count(1)
+    """A blocking directory transient (ids from
+    ``HomeController._new_txn``)."""
 
     __slots__ = ("txn_id", "line", "acks_needed", "want_data",
                  "on_complete")
 
     def __init__(self, line: int,
-                 on_complete: Callable[["DirTxn"], None],
-                 txn_id: Optional[int] = None):
-        self.txn_id = next(DirTxn._ids) if txn_id is None else txn_id
+                 on_complete: Callable[["DirTxn"], None], txn_id: int):
+        self.txn_id = txn_id
         self.line = line
         self.acks_needed = 0
         self.want_data = False
@@ -62,49 +53,26 @@ class DirTxn:
         return self.acks_needed == 0 and not self.want_data
 
 
-class MESIDirectoryLLC(Component):
+class MESIDirectoryLLC(HomeController):
     """Blocking MESI directory with inclusive data array."""
+
+    INVALID = DirState.I
+    TXN = DirTxn
 
     def __init__(self, engine: Engine, network: Network,
                  stats: StatsRegistry, dram: MainMemory,
                  size_bytes: int = 8 * 1024 * 1024, assoc: int = 16,
                  access_latency: int = 12, banks: int = 16,
                  bank_busy_cycles: int = 2, name: str = "l3"):
-        super().__init__(engine, name)
-        self.network = network
-        self.stats = stats
-        # per-home counters (home.l3.*)
-        self.hstats = stats.scoped(f"home.{name}")
+        super().__init__(engine, name, network, stats, size_bytes, assoc,
+                         access_latency, banks, bank_busy_cycles)
         self.dram = dram
-        self.array: CacheArray[DirState] = CacheArray(
-            size_bytes, assoc, DirState.I)
-        self.access_latency = access_latency
-        self.banks = banks
-        self.bank_busy_cycles = bank_busy_cycles
-        self._bank_free = [0] * banks
-        self._txn_ids = itertools.count(1)
-        self._txns: Dict[int, DirTxn] = {}
-        self._deferred: Dict[int, List[Message]] = {}
-        self._fetching: Set[int] = set()
-        network.register(self)
+
+    def _backing_fetch(self, line: int,
+                       callback: Callable[[Dict[int, int]], None]) -> None:
+        self.dram.fetch(line, callback)
 
     # ------------------------------------------------------------------
-    def _new_txn(self, line: int,
-                 on_complete: Callable[[DirTxn], None]) -> DirTxn:
-        return DirTxn(line, on_complete, txn_id=next(self._txn_ids))
-
-    def receive(self, msg: Message) -> None:
-        bank = (msg.line >> 6) % self.banks
-        start = max(self.now, self._bank_free[bank])
-        self._bank_free[bank] = start + self.bank_busy_cycles
-        delay = (start - self.now) + self.access_latency
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.busy", self.name, line=msg.line,
-                          req_id=msg.req_id, dur=delay,
-                          info=msg.kind.value)
-        self.schedule(delay, self._dispatch, (msg,))
-
     def _dispatch(self, msg: Message) -> None:
         if msg.kind == MsgKind.MESI_INV_ACK or (
                 msg.kind == MsgKind.DATA_S and msg.meta.get("to_dir")):
@@ -112,7 +80,7 @@ class MESIDirectoryLLC(Component):
             return
         if msg.kind in (MsgKind.GET_S, MsgKind.GET_M, MsgKind.PUT_M):
             self.hstats.incr_group("requests", msg.kind.value)
-            self._process(msg)
+            self._process_request(msg)
             return
         raise SimulationError(f"{self.name}: unexpected {msg}")
 
@@ -130,25 +98,6 @@ class MESIDirectoryLLC(Component):
             line_obj.meta["blocked"] = False
             line_obj.unpin()
 
-    def _defer(self, msg: Message) -> None:
-        self.hstats.incr("deferred")
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.defer", self.name, line=msg.line,
-                          req_id=msg.req_id, info=msg.kind.value)
-        self._deferred.setdefault(msg.line, []).append(msg)
-
-    def _replay(self, line: int) -> None:
-        queue = self._deferred.pop(line, None)
-        if not queue:
-            return
-        tracer = self.engine.tracer
-        for msg in queue:
-            if tracer is not None:
-                tracer.record("home.replay", self.name, line=msg.line,
-                              req_id=msg.req_id, info=msg.kind.value)
-            self._process(msg)
-
     # -- owner pinning ------------------------------------------------------
     def _owner(self, line_obj: CacheLine) -> Optional[str]:
         return line_obj.meta.get("owner")
@@ -161,27 +110,7 @@ class MESIDirectoryLLC(Component):
         elif owner is None and had:
             line_obj.unpin()
 
-    def _sharers(self, line_obj: CacheLine) -> Set[str]:
-        return line_obj.meta.setdefault("sharers", set())
-
     # -- residency -----------------------------------------------------------
-    def _ensure_resident(self, msg: Message) -> Optional[CacheLine]:
-        line_obj = self.array.lookup(msg.line)
-        if line_obj is not None and line_obj.state != DirState.I:
-            return line_obj
-        self._defer(msg)
-        if msg.line in self._fetching:
-            return None
-        self._fetching.add(msg.line)
-        self.hstats.incr("fills")
-        tracer = self.engine.tracer
-        if tracer is not None:
-            tracer.record("home.fill", self.name, line=msg.line,
-                          req_id=msg.req_id)
-        self._make_room(msg.line, lambda: self.dram.fetch(
-            msg.line, lambda data: self._fill_complete(msg.line, data)))
-        return None
-
     def _fill_complete(self, line: int, data: Dict[int, int]) -> None:
         line_obj = self.array.lookup(line)
         if line_obj is None:
@@ -194,14 +123,7 @@ class MESIDirectoryLLC(Component):
             tracer.record("home.state", self.name, line=line,
                           info="I->V fill")
         self._fetching.discard(line)
-        self._replay(line)
-
-    def _make_room(self, line: int, then: Callable[[], None]) -> None:
-        victim = self.array.victim_for(line)
-        if victim is None:
-            then()
-            return
-        self._evict(victim, lambda: self._make_room(line, then))
+        self._replay_deferred(line)
 
     def _evict(self, victim: CacheLine, then: Callable[[], None]) -> None:
         self.hstats.incr("evictions")
@@ -263,10 +185,10 @@ class MESIDirectoryLLC(Component):
                 tracer.record("home.txn.end", self.name, line=txn.line,
                               req_id=txn.txn_id)
             txn.on_complete(txn)
-            self._replay(txn.line)
+            self._replay_deferred(txn.line)
 
     # -- request processing ------------------------------------------------
-    def _process(self, msg: Message) -> None:
+    def _process_request(self, msg: Message) -> None:
         line_obj = self.array.lookup(msg.line)
         if self._blocked(line_obj):
             self._defer(msg)

@@ -158,8 +158,7 @@ def test_inv_to_device_without_copy_is_acked():
                                   src="llc", dst=name, req_id=999999))
     # register a matching transaction so the Acks have a home
     from repro.core.home import HomeTxn
-    txn = HomeTxn(LINE, 0xFFFF, "test-inv", lambda t: None)
-    txn.txn_id = 999999
+    txn = HomeTxn(LINE, 0xFFFF, "test-inv", lambda t: None, txn_id=999999)
     txn.acks_needed = 2
     mini.llc._txns[999999] = txn
     mini.run()

@@ -7,7 +7,7 @@ counter that leaked across same-process simulations).
 import pytest
 
 from repro.coherence.messages import Message, MsgKind
-from repro.core.home import HomeTxn, SpandexHome
+from repro.core.home import SpandexHome
 from repro.core.shard import HomeMap, shard_names, shard_size
 from repro.network.noc import Network
 from repro.sim.engine import Engine, SimulationError
@@ -119,11 +119,3 @@ def test_txn_ids_are_per_home_instance():
     assert txn_a.txn_id == 1
     assert txn_b.txn_id == 1
     assert first._new_txn(0x1_0040, 1, "O", lambda t: None).txn_id == 2
-
-
-@pytest.mark.tier1
-def test_direct_hometxn_construction_still_works():
-    # the class-level fallback remains for directly built transactions
-    txn = HomeTxn(0x1_0000, 1, "O", lambda t: None)
-    assert txn.txn_id >= 1
-    assert HomeTxn(0x1_0000, 1, "O", lambda t: None, txn_id=99).txn_id == 99
