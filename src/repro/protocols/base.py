@@ -263,7 +263,8 @@ class L1Controller(Component):
             self._issue_writes()
 
     def _issue_writes(self) -> None:
-        """Issue protocol requests for unissued store-buffer entries."""
+        """Issue protocol requests for unissued store-buffer entries;
+        clears ``_issue_scheduled`` first."""
         raise NotImplementedError
 
     # -- line residency ------------------------------------------------------
