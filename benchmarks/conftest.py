@@ -22,7 +22,7 @@ import sys
 
 import pytest
 
-# make the repo root importable so benchmarks can reuse tests.harness
+# make the repo root importable so benchmarks can reuse tests.systems
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro.analysis import ExperimentRunner, WorkloadResult

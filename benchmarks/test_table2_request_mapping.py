@@ -9,7 +9,7 @@ paper's Table II.
 from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import MsgKind, atomic_add
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0xA000
 

@@ -8,7 +8,7 @@ next stable state at the LLC and the message forwarded to the owner.
 from repro.coherence.messages import Message, MsgKind, atomic_add
 from repro.core.home import HomeState, TABLE_III
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0xB000
 

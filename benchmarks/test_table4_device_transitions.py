@@ -10,7 +10,7 @@ corresponding forward/probe.
 from repro.coherence.messages import MsgKind, atomic_add
 from repro.protocols.denovo import DnState
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0xD000
 

@@ -9,7 +9,7 @@ ranges — a fidelity check on the substituted timing model.
 
 from repro.coherence.messages import atomic_add
 
-from tests.harness import Completion, MiniSpandex
+from tests.systems import Completion, MiniSpandex
 from repro.core.llc import SpandexLLC
 from repro.core.tu import make_tu
 from repro.mem.dram import MainMemory

@@ -11,44 +11,33 @@ Run:  python examples/protocol_walkthrough.py
 """
 
 from repro.coherence.messages import atomic_add
-from repro.core.llc import SpandexLLC
-from repro.core.tu import make_tu
-from repro.mem.dram import MainMemory
-from repro.network.noc import LatencyModel, Network
 from repro.protocols.base import Access
-from repro.protocols.denovo import DeNovoL1
-from repro.protocols.gpu_coherence import GPUCoherenceL1
-from repro.protocols.mesi import MESIL1
-from repro.sim.engine import Engine
-from repro.sim.stats import StatsRegistry
+from repro.system import System, scaled_config
+from repro.system.config import KB
 
 LINE = 0x1000
 
 
-class FigureSystem:
-    """CPU (MESI) + GPU (GPU coherence) + accelerator (DeNovo)."""
+class FigureSystem(System):
+    """CPU (MESI) + GPU (GPU coherence) + accelerator (DeNovo).
+
+    The builder wires whatever devices :meth:`_devices` lists, one
+    ``(L1 name, protocol, role)`` each, behind translation units.
+    """
 
     def __init__(self):
-        self.engine = Engine()
-        self.stats = StatsRegistry()
-        self.network = Network(self.engine, self.stats,
-                               LatencyModel(default=5))
+        super().__init__(scaled_config(
+            "SMG", 1, 2, l1_size=4 * KB, llc_size=64 * KB,
+            llc_access_latency=3, dram_latency=20, net_default=5,
+            net_cpu_llc=5, net_gpu_llc=5, tu_nack_retry_limit=0))
         self.network.trace_hook = self._print_message
-        self.dram = MainMemory(self.engine, self.stats, latency=20)
-        self.llc = SpandexLLC(self.engine, self.network, self.stats,
-                              self.dram, size_bytes=64 * 1024,
-                              access_latency=3)
-        self.devices = {}
-        for name, cls in (("cpu", MESIL1), ("gpu", GPUCoherenceL1),
-                          ("acc", DeNovoL1)):
-            kwargs = dict(size_bytes=4 * 1024, coalesce_delay=1)
-            if cls is DeNovoL1:
-                kwargs["nack_retry_limit"] = 0
-            l1 = cls(self.engine, name, self.network, self.stats,
-                     home="llc", register_on_network=False, **kwargs)
-            make_tu(self.engine, self.network, self.stats, l1)
-            self.llc.device_protocols[name] = l1.PROTOCOL_FAMILY
-            self.devices[name] = l1
+
+    def _devices(self):
+        return [("cpu", "MESI", "cpu"), ("gpu", "GPU", "gpu"),
+                ("acc", "DeNovo", "gpu")]
+
+    def _l1_kwargs(self):
+        return dict(super()._l1_kwargs(), coalesce_delay=1)
 
     def _print_message(self, msg, delivery):
         data = (f" data={dict(list(msg.data.items())[:3])}"
@@ -58,17 +47,17 @@ class FigureSystem:
               f"{data}")
 
     def store(self, device, mask, values):
-        self.devices[device].try_access(
+        self.l1s[device].try_access(
             Access("store", LINE, mask, values=values,
                    callback=lambda _v: None))
         done = []
-        self.devices[device].fence_release(lambda: done.append(True))
+        self.l1s[device].fence_release(lambda: done.append(True))
         self.engine.run()
         assert done
 
     def rmw(self, device, mask, atomic):
         result = {}
-        self.devices[device].try_access(
+        self.l1s[device].try_access(
             Access("rmw", LINE, mask, atomic=atomic,
                    callback=lambda v: result.update(v)))
         self.engine.run()
@@ -76,7 +65,7 @@ class FigureSystem:
 
     def load(self, device, mask):
         result = {}
-        self.devices[device].try_access(
+        self.l1s[device].try_access(
             Access("load", LINE, mask, callback=lambda v: result.update(v)))
         self.engine.run()
         return result

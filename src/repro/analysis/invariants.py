@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.home import HomeState
-from ..faults.diagnostics import (collect_diagnostic, system_homes,
-                                  system_l1s)
+from ..core.home import HomeState, SpandexHome
+from ..faults.diagnostics import collect_diagnostic
 from ..protocols.denovo import DeNovoL1, DnState
 from ..protocols.gpu_coherence import GPUCoherenceL1, GpuState
 from ..protocols.mesi import MESIL1, MesiState
@@ -119,7 +118,7 @@ class InvariantChecker:
     def _writable_holders(self) -> Dict[Tuple[int, int], List[str]]:
         """(line, word) -> caches holding it writable."""
         holders: Dict[Tuple[int, int], List[str]] = {}
-        for l1 in self._l1s():
+        for l1 in self.system.l1s.values():
             for resident in l1.array.lines():
                 if isinstance(l1, DeNovoL1):
                     for index, state in enumerate(resident.word_states):
@@ -133,17 +132,14 @@ class InvariantChecker:
                                 (resident.line, index), []).append(l1.name)
         return holders
 
-    def _l1s(self):
-        return system_l1s(self.system)
-
     def _homes(self):
         """The Spandex-style homes (the MESI directory is not audited)."""
-        return [home for home in system_homes(self.system)
-                if hasattr(home, "_owned_mask")]
+        return [home for home in self.system.homes
+                if isinstance(home, SpandexHome)]
 
     def _home_of(self, l1, line: int) -> Optional[object]:
         """The home auditing ``line`` for ``l1`` (a shard when sharded)."""
-        target = l1.home_for(line) if hasattr(l1, "home_for") else l1.home
+        target = l1.home_for(line)
         for home in self._homes():
             if home.name == target:
                 return home
@@ -185,20 +181,17 @@ class InvariantChecker:
         for home in self._homes():
             txns = [f"txn {t.txn_id} {t.kind} acks={t.acks_needed} "
                     f"data_mask=0x{t.data_mask:04x}"
-                    for t in getattr(home, "_txns", {}).values()
-                    if t.line == line]
-            deferred = len(getattr(home, "_deferred", {}).get(line, ()))
+                    for t in home._txns.values() if t.line == line]
+            deferred = len(home._deferred.get(line, ()))
             if txns or deferred:
                 parts.append(f"{home.name}: {'; '.join(txns) or 'no txn'}"
                              f", {deferred} deferred message(s)")
-        network = getattr(self.system, "network", None)
-        if network is not None and hasattr(network, "in_flight"):
-            msgs = [repr(msg) for _, msg in network.in_flight()
-                    if msg.line == line]
-            if msgs:
-                parts.append("in flight: " + ", ".join(msgs[:8]))
-            else:
-                parts.append("no messages in flight for the line")
+        msgs = [repr(msg) for _, msg in self.system.network.in_flight()
+                if msg.line == line]
+        if msgs:
+            parts.append("in flight: " + ", ".join(msgs[:8]))
+        else:
+            parts.append("no messages in flight for the line")
         return " | ".join(parts)
 
     def _transport_recovering(self, line: int) -> bool:
@@ -214,7 +207,7 @@ class InvariantChecker:
         the liveness watchdog.  On a plain :class:`Network` (no
         transport) this is always False and escalation is immediate.
         """
-        network = getattr(self.system, "network", None)
+        network = self.system.network
         unacked = getattr(network, "unacked_messages", None)
         if unacked is None:
             return False
@@ -279,7 +272,7 @@ class InvariantChecker:
         either its home line is in S with the cache listed as a sharer,
         or an invalidation/transition for the line is still in flight
         (home blocked or L1 transient)."""
-        for l1 in self._l1s():
+        for l1 in self.system.l1s.values():
             if not isinstance(l1, MESIL1):
                 continue
             for resident in l1.array.lines():
@@ -308,7 +301,7 @@ class InvariantChecker:
                     if resident.owner[index] is not None:
                         continue
                     expected = resident.data[index]
-                    for l1 in self._l1s():
+                    for l1 in self.system.l1s.values():
                         if self._home_of(l1, resident.line) is not home:
                             continue
                         copy = l1.array.lookup(resident.line, touch=False)

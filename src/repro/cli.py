@@ -447,14 +447,10 @@ def _cmd_run(args, overrides: dict) -> int:
         if checker is not None:
             checker.arm()
         try:
-            # not System.run: its execution.cycles counter would join
-            # the monitor's final scrape and every telemetry export
-            cycles = system.simulate(max_events=200_000_000,
-                                     max_cycles=args.max_cycles)
+            cycles = system.run(max_events=200_000_000,
+                                max_cycles=args.max_cycles).cycles
             if checker is not None:
                 checker.audit(final=True)
-            if system.monitor is not None:
-                system.monitor.finalize(system.engine.now)
         except (SimulationError, InvariantViolation) as exc:
             # DeadlockError and budget exhaustion included: report and
             # dump rather than tracebacking out of the CLI

@@ -7,9 +7,8 @@ bug reads identically no matter which detector fired first.
 
 :func:`collect_diagnostic` returns a JSON-safe dict (tests and tooling
 consume it); :func:`format_diagnostic` renders it for humans.  Both
-duck-type the system object (``cpu_l1s`` / ``gpu_l1s`` / ``llc`` /
-``gpu_l2`` / ``network`` / ``engine``) so miniature test harnesses work
-as well as fully built systems.
+walk a :class:`~repro.system.builder.System`'s ``l1s`` and ``homes``
+(the miniature protocol-test systems are ``System`` subclasses too).
 """
 
 from __future__ import annotations
@@ -22,26 +21,6 @@ MAX_LINES_DUMPED = 16
 
 #: trace events quoted in a dump when the run was traced
 TRACE_TAIL_EVENTS = 50
-
-
-def system_l1s(system) -> List:
-    return list(getattr(system, "cpu_l1s", [])) + \
-        list(getattr(system, "gpu_l1s", []))
-
-
-def system_homes(system) -> List:
-    homes = []
-    gpu_l2 = getattr(system, "gpu_l2", None)
-    if gpu_l2 is not None:
-        homes.append(gpu_l2)
-    shards = getattr(system, "llcs", None)
-    if shards:
-        homes.extend(shards)
-    else:
-        llc = getattr(system, "llc", None)
-        if llc is not None:
-            homes.append(llc)
-    return homes
 
 
 def _state_name(state) -> str:
@@ -64,33 +43,30 @@ def _line_view(resident) -> Dict[str, object]:
 
 def _device_view(l1, now: int) -> Dict[str, object]:
     inflight = []
-    for req_id, entry in sorted(getattr(l1, "_inflight", {}).items()):
+    for req_id, entry in sorted(l1._inflight.items()):
         inflight.append({
             "req_id": req_id,
             "line": f"0x{entry.line:x}",
             "purpose": entry.purpose,
             "remaining_mask": entry.remaining,
-            "age": now - getattr(entry, "issued_at", now),
+            "age": now - entry.issued_at,
         })
     mshr_lines = []
-    mshrs = getattr(l1, "mshrs", None)
-    if mshrs is not None:
-        for line in mshrs.lines():
-            entry = mshrs.lookup(line)
-            mshr_lines.append({
-                "line": f"0x{line:x}",
-                "requests": len(entry.all_requests()),
-                "age": now - entry.allocated_at,
-            })
+    for line in l1.mshrs.lines():
+        entry = l1.mshrs.lookup(line)
+        mshr_lines.append({
+            "line": f"0x{line:x}",
+            "requests": len(entry.all_requests()),
+            "age": now - entry.allocated_at,
+        })
     view = {
         "inflight": inflight,
         "mshr": mshr_lines,
-        "store_buffer": len(getattr(l1, "store_buffer", ())),
-        "pending_writes": getattr(l1, "_pending_writes", 0),
+        "store_buffer": len(l1.store_buffer),
+        "pending_writes": l1._pending_writes,
     }
-    tu = getattr(l1, "tu", None)
-    if tu is not None:
-        view["tu"] = _tu_view(tu)
+    if l1.tu is not None:
+        view["tu"] = _tu_view(l1.tu)
     return view
 
 
@@ -112,7 +88,7 @@ def _tu_view(tu) -> Dict[str, object]:
 
 def _home_view(home) -> Dict[str, object]:
     txns = []
-    for txn in getattr(home, "_txns", {}).values():
+    for txn in home._txns.values():
         # SpandexHome txns carry kind/mask/data_mask; the MESI
         # directory's DirTxn only acks_needed/want_data
         txns.append({
@@ -124,8 +100,8 @@ def _home_view(home) -> Dict[str, object]:
             "data_mask": getattr(txn, "data_mask", 0),
         })
     deferred = {f"0x{line:x}": len(queue) for line, queue
-                in getattr(home, "_deferred", {}).items()}
-    fetching = [f"0x{line:x}" for line in getattr(home, "_fetching", ())]
+                in home._deferred.items()}
+    fetching = [f"0x{line:x}" for line in home._fetching]
     return {"txns": txns, "deferred": deferred, "fetching": fetching}
 
 
@@ -137,14 +113,12 @@ def _implicated_lines(system, stalled) -> List[int]:
             line = int(line, 16)
         if line is not None and line not in lines:
             lines.append(line)
-    for l1 in system_l1s(system):
-        mshrs = getattr(l1, "mshrs", None)
-        if mshrs is not None:
-            for line in mshrs.lines():
-                if line not in lines:
-                    lines.append(line)
-    for home in system_homes(system):
-        for txn in getattr(home, "_txns", {}).values():
+    for l1 in system.l1s.values():
+        for line in l1.mshrs.lines():
+            if line not in lines:
+                lines.append(line)
+    for home in system.homes:
+        for txn in home._txns.values():
             if txn.line not in lines:
                 lines.append(txn.line)
     return lines[:MAX_LINES_DUMPED]
@@ -154,34 +128,30 @@ def collect_diagnostic(system, reason: str,
                        stalled: Optional[List[Dict]] = None
                        ) -> Dict[str, object]:
     """Snapshot every layer's state into a JSON-safe dict."""
-    engine = getattr(system, "engine", None)
-    now = engine.now if engine is not None else 0
+    engine = system.engine
+    now = engine.now
     diag: Dict[str, object] = {
         "reason": reason,
         "cycle": now,
         "stalled": list(stalled or []),
         "devices": {l1.name: _device_view(l1, now)
-                    for l1 in system_l1s(system)},
-        "homes": {home.name: _home_view(home)
-                  for home in system_homes(system)},
+                    for l1 in system.l1s.values()},
+        "homes": {home.name: _home_view(home) for home in system.homes},
     }
-    context = getattr(system, "verify_context", None)
+    context = system.verify_context
     if context:
         # set by repro.verify: litmus scenario name, configuration and
         # schedule seed/choices, so a dump is attributable and replayable
         diag["verify"] = dict(context)
-    network = getattr(system, "network", None)
-    if network is not None and hasattr(network, "in_flight"):
-        diag["network"] = [
-            {"delivery": time, "msg": repr(msg)}
-            for time, msg in network.in_flight()]
-    if network is not None and hasattr(network, "links_snapshot"):
-        # per-link fabric state: deadlock diagnosis usually implicates
-        # the fabric, which older dumps said nothing about
-        diag["fabric"] = network.links_snapshot()
-    if network is not None and hasattr(network, "transport_snapshot"):
+    network = system.network
+    diag["network"] = [{"delivery": time, "msg": repr(msg)}
+                       for time, msg in network.in_flight()]
+    # per-link fabric state: deadlock diagnosis usually implicates the
+    # fabric, which older dumps said nothing about
+    diag["fabric"] = network.links_snapshot()
+    if hasattr(network, "transport_snapshot"):
         diag["transport"] = network.transport_snapshot()
-    monitor = getattr(system, "monitor", None)
+    monitor = system.monitor
     if monitor is not None:
         # last health scrape + whole-run peaks + critical-path rollups
         # — where the contention was when the run died
@@ -190,16 +160,13 @@ def collect_diagnostic(system, reason: str,
     lines: Dict[str, Dict[str, object]] = {}
     for line in implicated:
         cross: Dict[str, object] = {}
-        for holder in system_l1s(system) + system_homes(system):
-            array = getattr(holder, "array", None)
-            if array is None:
-                continue
-            resident = array.lookup(line, touch=False)
+        for holder in [*system.l1s.values(), *system.homes]:
+            resident = holder.array.lookup(line, touch=False)
             if resident is not None:
                 cross[holder.name] = _line_view(resident)
         lines[f"0x{line:x}"] = cross
     diag["lines"] = lines
-    tracer = getattr(engine, "tracer", None)
+    tracer = engine.tracer
     if tracer is not None:
         # The last trace events touching the implicated lines (or the
         # plain ring tail when nothing is implicated): how we got here.

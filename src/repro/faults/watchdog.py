@@ -22,8 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim.engine import SimulationError
-from .diagnostics import (collect_diagnostic, format_diagnostic,
-                          system_homes, system_l1s)
+from .diagnostics import collect_diagnostic, format_diagnostic
 
 
 class DeadlockError(SimulationError):
@@ -37,19 +36,17 @@ class DeadlockError(SimulationError):
 
 def system_busy(system) -> bool:
     """Does any layer still have unfinished protocol work?"""
-    for core in getattr(system, "cpus", []):
+    for core in system.cpus:
         if core.trace and not core.done:
             return True
-    for cu in getattr(system, "gpus", []):
+    for cu in system.gpus:
         if cu.warps and not cu.done:
             return True
-    for l1 in system_l1s(system):
-        if getattr(l1, "_inflight", None) or l1.outstanding():
+    for l1 in system.l1s.values():
+        if l1._inflight or l1.outstanding():
             return True
-    for home in system_homes(system):
-        if getattr(home, "_txns", None) or \
-                getattr(home, "_deferred", None) or \
-                getattr(home, "_fetching", None):
+    for home in system.homes:
+        if home._txns or home._deferred or home._fetching:
             return True
     return False
 
@@ -86,19 +83,16 @@ class LivenessWatchdog:
         """Every request/MSHR entry older than the stall bound."""
         now = self.system.engine.now
         stalled: List[Dict[str, object]] = []
-        for l1 in system_l1s(self.system):
-            for req_id, entry in getattr(l1, "_inflight", {}).items():
-                age = now - getattr(entry, "issued_at", now)
+        for l1 in self.system.l1s.values():
+            for req_id, entry in l1._inflight.items():
+                age = now - entry.issued_at
                 if age > self.stall_cycles:
                     stalled.append({
                         "device": l1.name, "kind": "request",
                         "req_id": req_id, "line": f"0x{entry.line:x}",
                         "purpose": entry.purpose, "age": age,
                     })
-            mshrs = getattr(l1, "mshrs", None)
-            if mshrs is None:
-                continue
-            for entry in mshrs.stalled(now, self.stall_cycles):
+            for entry in l1.mshrs.stalled(now, self.stall_cycles):
                 stalled.append({
                     "device": l1.name, "kind": "mshr",
                     "line": f"0x{entry.line:x}",

@@ -320,7 +320,13 @@ class ReliableNetwork(Network):
 
 
 class _BareSystem:
-    """Minimal diagnostic source when no system attached itself."""
+    """Minimal diagnostic source when no system attached itself: the
+    fabric alone, with no caches, homes, monitor or litmus context."""
+
+    l1s: Dict[str, object] = {}
+    homes: List[object] = []
+    monitor = None
+    verify_context = None
 
     def __init__(self, network: ReliableNetwork):
         self.engine = network.engine

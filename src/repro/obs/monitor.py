@@ -151,12 +151,8 @@ class HealthMonitor:
         self._g_nonidle = registry.gauge(
             "engine.pending_nonidle",
             help="non-idle (real work) events pending", unit="events")
-        self._homes = [home for home in
-                       list(getattr(system, "llcs", []))
-                       + [getattr(system, "gpu_l2", None)]
-                       if home is not None]
         self._home_gauges = {}
-        for home in self._homes:
+        for home in system.homes:
             self._home_gauges[home.name] = (
                 registry.gauge("home.queue_depth",
                                help="deferred + in-transaction requests "
@@ -167,12 +163,8 @@ class HealthMonitor:
                                help="cycles until the busiest bank "
                                     "frees", unit="cycles",
                                labels={"home": home.name}))
-        self._l1s = [l1 for l1 in
-                     list(getattr(system, "cpu_l1s", []))
-                     + list(getattr(system, "gpu_l1s", []))
-                     if getattr(l1, "mshrs", None) is not None]
         self._mshr_gauges = {}
-        for l1 in self._l1s:
+        for l1 in system.l1s.values():
             self._mshr_gauges[l1.name] = (
                 registry.gauge("mshr.occupancy",
                                help="allocated MSHR entries",
@@ -227,7 +219,7 @@ class HealthMonitor:
         self._g_nonidle.set(nonidle)
 
         homes: Dict[str, Dict[str, float]] = {}
-        for home in self._homes:
+        for home in system.homes:
             deferred = sum(len(q) for q in home._deferred.values())
             txns = len(home._txns)
             backlog = max(home._bank_free) - ts if home._bank_free else 0
@@ -240,7 +232,7 @@ class HealthMonitor:
                                 "bank_backlog": backlog}
 
         mshr: Dict[str, Dict[str, float]] = {}
-        for l1 in self._l1s:
+        for l1 in system.l1s.values():
             occupancy = len(l1.mshrs)
             occ_gauge, hw_gauge = self._mshr_gauges[l1.name]
             occ_gauge.set(occupancy)
@@ -346,7 +338,7 @@ class HealthMonitor:
             # the counter snapshot would bloat every diagnostic dump
             summary["last"] = {key: value for key, value in last.items()
                                if key != "counters"}
-        spans = getattr(self.system, "spans", None)
+        spans = self.system.spans
         if spans is not None and spans.completed:
             summary["critical_path"] = {
                 "stage_totals": dict(spans.stage_totals),
@@ -412,7 +404,7 @@ def format_health(monitor: HealthMonitor, top_k: int = 0) -> str:
             f"rto_max={transport['rto_max']} "
             f"oldest_age={transport['oldest_unacked_age']} "
             f"buffered={transport['reorder_buffered']}")
-    spans = getattr(monitor.system, "spans", None)
+    spans = monitor.system.spans
     if spans is not None and spans.completed:
         top = spans.top_shards(k)
         if top:

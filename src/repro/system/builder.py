@@ -15,7 +15,7 @@ Hierarchical configurations::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.llc import SpandexLLC
 from ..core.policy import OwnerPredictor, make_policy
@@ -30,6 +30,7 @@ from ..network.reliable import ReliableNetwork
 from ..network.topology import Attachment, TopoEndpoint, build_topology
 from ..obs import (HealthMonitor, MetricsRegistry, SpanCollector,
                    TraceFilter, TraceRecorder)
+from ..protocols.base import L1Controller
 from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.gpu_l2 import GPUL2
@@ -44,12 +45,13 @@ from .readback import CoherentReader
 class System:
     """A fully wired machine ready to execute a workload.
 
-    Subclass hooks: :meth:`_make_network`, :meth:`_l1_kwargs` and the
-    L1 name patterns (see :class:`repro.verify.systems.VerifySystem`).
-    """
+    Subclass hooks: :meth:`_devices`, :meth:`_make_network` and
+    :meth:`_l1_kwargs` (see :class:`repro.verify.systems.VerifySystem`).
 
-    CPU_L1_NAME = "cpu{}.l1"
-    GPU_L1_NAME = "gpu{}.l1"
+    Every consumer that walks the machine (diagnostics, invariants,
+    watchdog, health monitor, coherent reads, FSM coverage) reads
+    :attr:`l1s` and :attr:`homes`.
+    """
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -62,8 +64,8 @@ class System:
                                banks=config.llc_banks)
         self.cpus: List[CPUCore] = []
         self.gpus: List[GPUCU] = []
-        self.cpu_l1s: List = []
-        self.gpu_l1s: List = []
+        #: every device L1 by name, in build order
+        self.l1s: Dict[str, L1Controller] = {}
         self.llc = None           # SpandexLLC or MESIDirectoryLLC
         #: every Spandex home shard (== [self.llc] for 1-shard and
         #: hierarchical builds); consumers that audit home state
@@ -72,6 +74,9 @@ class System:
         self.home_map: Optional[HomeMap] = None
         self.topology = None      # installed network.topology.Topology
         self.gpu_l2: Optional[GPUL2] = None
+        #: set by the litmus explorer ({"scenario":…, "config":…, …})
+        #: so diagnostics identify the failing schedule
+        self.verify_context: Optional[Dict[str, object]] = None
         self._reader: Optional[CoherentReader] = None
         #: endpoint / star-edge records the topology builder consumes
         self._topo_endpoints: List[TopoEndpoint] = []
@@ -101,6 +106,10 @@ class System:
             self.spans = SpanCollector(top_k=config.trace.health_top_k)
             self.tracer.sinks.append(self.spans)
         self._build()
+        #: every home: the GPU L2 first, then each LLC shard (or the
+        #: L3), the order CoherentReader probes home copies in
+        self.homes: List = ([self.gpu_l2] if self.gpu_l2 is not None
+                            else []) + self.llcs
         self.topology = build_topology(config, self._topo_endpoints,
                                        self._topo_attachments)
         self.topology.install(self.latency_model)
@@ -110,10 +119,8 @@ class System:
             self.fault_injector.sockets = \
                 dict(getattr(self.topology, "sockets", {}) or {})
         if self.tracer is not None:
-            for shard in self.llcs:
-                self.tracer.homes.add(shard.name)
-            if self.gpu_l2 is not None:
-                self.tracer.homes.add(self.gpu_l2.name)
+            for home in self.homes:
+                self.tracer.homes.add(home.name)
         # The health monitor hooks in after the topology is built (it
         # enumerates live homes / L1s / links); the span collector runs
         # its interval check.  Passive — runs stay bit-identical.
@@ -184,6 +191,56 @@ class System:
         if config.owner_pred:
             tu.predictor = OwnerPredictor()
 
+    def _devices(self) -> List[Tuple[str, str, str]]:
+        """``(L1 name, protocol, role)`` per device, in build order.
+
+        ``protocol`` ('MESI' | 'GPU' | 'DeNovo') picks the L1
+        controller; ``role`` ('cpu' | 'gpu') picks the core model that
+        drives it, its network latency class and, for a DeNovo L1, its
+        atomic policy.
+        """
+        config = self.config
+        return ([(f"cpu{i}.l1", config.cpu_protocol, "cpu")
+                 for i in range(config.num_cpus)]
+                + [(f"gpu{i}.l1", config.gpu_protocol, "gpu")
+                   for i in range(config.num_gpus)])
+
+    def _make_l1(self, name: str, protocol: str, role: str,
+                 home: str) -> L1Controller:
+        """One device's L1 controller, sending its requests to ``home``."""
+        config = self.config
+        flat = not config.hierarchical
+        kwargs = dict(self._base_kwargs(home), **self._l1_kwargs())
+        if flat:
+            kwargs["register_on_network"] = False   # its TU registers
+        if protocol == "MESI":
+            return MESIL1(self.engine, name,
+                          dialect="spandex" if flat else "mesi", **kwargs)
+        if protocol == "DeNovo":
+            # behind a TU the TU escalates Nacks; behind the GPU L2
+            # the L1 retries them itself
+            return DeNovoL1(self.engine, name,
+                            atomic_policy=(config.cpu_atomic_policy
+                                           if role == "cpu" else "own"),
+                            nack_retry_limit=0 if flat else 3, **kwargs)
+        if protocol == "GPU":
+            return GPUCoherenceL1(self.engine, name, **kwargs)
+        raise ValueError(f"unknown L1 protocol {protocol!r} for {name}")
+
+    def _add_device(self, name: str, role: str, l1: L1Controller) -> None:
+        """Record a wired L1 and the core model of its role."""
+        config = self.config
+        self.l1s[name] = l1
+        self._topo_endpoints.append(TopoEndpoint(name, role))
+        if role == "cpu":
+            self.cpus.append(CPUCore(
+                self.engine, f"cpu{len(self.cpus)}", l1, self.stats,
+                issue_period=config.cpu_issue_period))
+        else:
+            self.gpus.append(GPUCU(
+                self.engine, f"gpu{len(self.gpus)}", l1, self.stats,
+                issue_period=config.gpu_issue_period))
+
     def _build_spandex(self) -> None:
         config = self.config
         names = shard_names(config.llc_shards)
@@ -207,59 +264,20 @@ class System:
             self.llcs.append(shard)
             self._topo_endpoints.append(TopoEndpoint(shard_name, "home"))
         self.llc = self.llcs[0]
-        for index in range(config.num_cpus):
-            name = self.CPU_L1_NAME.format(index)
-            if config.cpu_protocol == "MESI":
-                l1 = MESIL1(self.engine, name, dialect="spandex",
-                            register_on_network=False,
-                            **self._base_kwargs(names[0]),
-                            **self._l1_kwargs())
-            else:
-                l1 = DeNovoL1(self.engine, name,
-                              atomic_policy=config.cpu_atomic_policy,
-                              nack_retry_limit=0,
-                              register_on_network=False,
-                              **self._base_kwargs(names[0]),
-                              **self._l1_kwargs())
+        for name, protocol, role in self._devices():
+            l1 = self._make_l1(name, protocol, role, names[0])
             l1.home_map = self.home_map
             tu = make_tu(self.engine, self.network, self.stats, l1,
                          config.tu_latency, **self._tu_kwargs())
+            tu.device_class = role
             self._attach_policy(tu)
-            self._topo_endpoints.append(TopoEndpoint(name, "cpu"))
+            latency = config.net_cpu_llc if role == "cpu" \
+                else config.net_gpu_llc
             for shard in self.llcs:
                 shard.device_protocols[name] = l1.PROTOCOL_FAMILY
                 self._topo_attachments.append(
-                    Attachment(name, shard.name, config.net_cpu_llc))
-            self.cpu_l1s.append(l1)
-            core = CPUCore(self.engine, f"cpu{index}", l1, self.stats,
-                           issue_period=config.cpu_issue_period)
-            self.cpus.append(core)
-        for index in range(config.num_gpus):
-            name = self.GPU_L1_NAME.format(index)
-            if config.gpu_protocol == "GPU":
-                l1 = GPUCoherenceL1(self.engine, name,
-                                    register_on_network=False,
-                                    **self._base_kwargs(names[0]),
-                                    **self._l1_kwargs())
-            else:
-                l1 = DeNovoL1(self.engine, name, atomic_policy="own",
-                              nack_retry_limit=0,
-                              register_on_network=False,
-                              **self._base_kwargs(names[0]),
-                              **self._l1_kwargs())
-            l1.home_map = self.home_map
-            tu = make_tu(self.engine, self.network, self.stats, l1,
-                         config.tu_latency, **self._tu_kwargs())
-            self._attach_policy(tu)
-            self._topo_endpoints.append(TopoEndpoint(name, "gpu"))
-            for shard in self.llcs:
-                shard.device_protocols[name] = l1.PROTOCOL_FAMILY
-                self._topo_attachments.append(
-                    Attachment(name, shard.name, config.net_gpu_llc))
-            self.gpu_l1s.append(l1)
-            cu = GPUCU(self.engine, f"gpu{index}", l1, self.stats,
-                       issue_period=config.gpu_issue_period)
-            self.gpus.append(cu)
+                    Attachment(name, shard.name, latency))
+            self._add_device(name, role, l1)
 
     def _build_hierarchical(self) -> None:
         config = self.config
@@ -279,36 +297,17 @@ class System:
         self._topo_endpoints.append(TopoEndpoint("gpu_l2", "gpu_l2"))
         self._topo_attachments.append(
             Attachment("gpu_l2", "l3", config.net_l2_l3))
-        for index in range(config.num_cpus):
-            name = self.CPU_L1_NAME.format(index)
-            l1 = MESIL1(self.engine, name, dialect="mesi",
-                        **self._base_kwargs("l3"), **self._l1_kwargs())
-            self._topo_endpoints.append(TopoEndpoint(name, "cpu"))
-            self._topo_attachments.append(
-                Attachment(name, "l3", config.net_cpu_llc))
-            self.cpu_l1s.append(l1)
-            core = CPUCore(self.engine, f"cpu{index}", l1, self.stats,
-                           issue_period=config.cpu_issue_period)
-            self.cpus.append(core)
-        for index in range(config.num_gpus):
-            name = self.GPU_L1_NAME.format(index)
-            if config.gpu_protocol == "GPU":
-                l1 = GPUCoherenceL1(self.engine, name,
-                                    **self._base_kwargs("gpu_l2"),
-                                    **self._l1_kwargs())
+        for name, protocol, role in self._devices():
+            # MESI L1s talk to the directory; the others to the GPU L2
+            if protocol == "MESI":
+                home, latency = "l3", config.net_cpu_llc
             else:
-                l1 = DeNovoL1(self.engine, name, atomic_policy="own",
-                              nack_retry_limit=3,
-                              **self._base_kwargs("gpu_l2"),
-                              **self._l1_kwargs())
-            self.gpu_l2.device_protocols[name] = l1.PROTOCOL_FAMILY
-            self._topo_endpoints.append(TopoEndpoint(name, "gpu"))
-            self._topo_attachments.append(
-                Attachment(name, "gpu_l2", config.net_gpu_l2))
-            self.gpu_l1s.append(l1)
-            cu = GPUCU(self.engine, f"gpu{index}", l1, self.stats,
-                       issue_period=config.gpu_issue_period)
-            self.gpus.append(cu)
+                home, latency = "gpu_l2", config.net_gpu_l2
+            l1 = self._make_l1(name, protocol, role, home)
+            if home == "gpu_l2":
+                self.gpu_l2.device_protocols[name] = l1.PROTOCOL_FAMILY
+            self._topo_attachments.append(Attachment(name, home, latency))
+            self._add_device(name, role, l1)
 
     # ------------------------------------------------------------------
     def load_workload(self, workload) -> None:

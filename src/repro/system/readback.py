@@ -31,23 +31,22 @@ class CoherentReader:
     L1 that owns it, then a valid home copy with no registered owner,
     then DRAM.
 
-    ``system`` supplies ``cpu_l1s``, ``gpu_l1s``, ``gpu_l2`` (or None),
-    ``llcs`` and ``dram``; the probe order is built once, so build the
-    reader after the system is wired.  GPU-coherence L1s never own data
-    and are not probed.
+    ``system`` supplies ``l1s``, ``homes`` (probed in that order: the
+    GPU L2 before the L3) and ``dram``; the probe order is built once,
+    so build the reader after the system is wired.  GPU-coherence L1s
+    never own data and are not probed.
     """
 
     def __init__(self, system):
         #: (L1 array, "does this resident line own word i?")
         self._owners: List[Tuple[CacheArray,
                                  Callable[[CacheLine, int], bool]]] = []
-        for l1 in list(system.cpu_l1s) + list(system.gpu_l1s):
+        for l1 in system.l1s.values():
             if isinstance(l1, DeNovoL1):
                 self._owners.append((l1.array, _denovo_owns))
             elif isinstance(l1, MESIL1):
                 self._owners.append((l1.array, _mesi_owns))
-        homes = [system.gpu_l2] + list(system.llcs)
-        self._homes = [home.array for home in homes if home is not None]
+        self._homes = [home.array for home in system.homes]
         self._dram = system.dram
 
     def read(self, addr: int) -> int:

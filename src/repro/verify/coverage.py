@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..coherence.addr import FULL_LINE_MASK, iter_mask
 from ..coherence.messages import Message
+from ..core.home import SpandexHome
 from ..protocols.denovo import DeNovoL1
 from ..protocols.gpu_coherence import GPUCoherenceL1
 from ..protocols.mesi import MESIL1
@@ -58,11 +59,9 @@ class CoverageRecorder:
     # -- wiring --------------------------------------------------------
     def attach(self, system) -> None:
         self._resolve = dict(system.l1s)
-        for shard in system.llcs:
-            self._resolve[shard.name] = shard
-        if system.gpu_l2 is not None:
-            self._resolve[system.gpu_l2.name] = system.gpu_l2
-        for l1 in list(system.cpu_l1s) + list(system.gpu_l1s):
+        for home in system.homes:
+            self._resolve[home.name] = home
+        for l1 in system.l1s.values():
             self._wrap_access(l1)
         network = system.network
         if hasattr(network, "delivery_observer"):
@@ -109,18 +108,16 @@ class CoverageRecorder:
         if isinstance(component, MESIDirectoryLLC):
             resident = component.array.lookup(line, touch=False)
             if resident is None:
-                state = "F" if line in getattr(component, "_fetching",
-                                               ()) else "I"
+                state = "F" if line in component._fetching else "I"
                 return MESI_DIR, {state}
             states = {_enum_name(resident.state)}
             if resident.meta.get("blocked"):
                 states = {"B"}
             return MESI_DIR, states
-        if hasattr(component, "_owned_mask"):       # Spandex-style home
+        if isinstance(component, SpandexHome):
             resident = component.array.lookup(line, touch=False)
             if resident is None:
-                state = "F" if line in getattr(component, "_fetching",
-                                               ()) else "I"
+                state = "F" if line in component._fetching else "I"
                 return SPANDEX_HOME, {state}
             blocked = int(resident.meta.get("blocked_mask", 0))
             states = set()

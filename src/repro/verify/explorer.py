@@ -527,7 +527,7 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
         on_system(system)
     force_nacks = spec.get("force_nacks", 0)
     if force_nacks:
-        for home in system.homes():
+        for home in system.homes:
             if getattr(home, "FORCED_NACK_FAMILIES", ()):
                 home.fault_injector = _ForcedNacks(force_nacks)
     initial: Dict[int, int] = spec.get("initial", {})

@@ -12,7 +12,7 @@ from repro.workloads import Workload
 from repro.workloads.synthetic import make_local_sync, make_reuse_s
 from repro.workloads.trace import AddressSpace, Op
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0x9000
 

@@ -58,7 +58,7 @@ def test_detects_double_writer():
     def corrupt(system):
         # force a second cache into Owned state for an owned word
         donor = None
-        for l1 in system.gpu_l1s:
+        for l1 in (cu.l1 for cu in system.gpus):
             for resident in l1.array.lines():
                 if DnState.O in resident.word_states:
                     donor = (l1, resident)
@@ -67,7 +67,7 @@ def test_detects_double_writer():
                 break
         assert donor is not None
         _, resident = donor
-        other = system.cpu_l1s[0]
+        other = system.cpus[0].l1
         fake = other.array.lookup(resident.line) or \
             other.array.install(resident.line)
         index = resident.word_states.index(DnState.O)
@@ -93,7 +93,7 @@ def test_detects_unpinned_owned_line():
 def test_detects_stale_shared_value():
     def corrupt(system):
         # plant a divergent Shared copy at a MESI L1
-        l1 = system.cpu_l1s[0]
+        l1 = system.cpus[0].l1
         if not isinstance(l1.array.invalid_state, MesiState):
             pytest.skip("needs a MESI CPU config")
 
@@ -104,7 +104,7 @@ def test_detects_stale_shared_value():
     system.run(max_events=10_000_000)
     # corrupt: find an S line and flip a word value
     corrupted = False
-    for l1 in system.cpu_l1s:
+    for l1 in (core.l1 for core in system.cpus):
         for resident in l1.array.lines():
             if resident.state == MesiState.S:
                 home_line = system.llc.array.lookup(resident.line,

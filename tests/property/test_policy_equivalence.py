@@ -82,7 +82,7 @@ def test_fixed_policy_is_bit_identical_to_baseline(config_name):
 
 
 def _tus(system):
-    return [l1.tu for l1 in system.cpu_l1s + system.gpu_l1s
+    return [l1.tu for l1 in system.l1s.values()
             if l1.tu is not None]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.coherence.messages import atomic_add
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 BASE = 0x20000
 DEVICE_SETS = [

@@ -115,7 +115,7 @@ def test_gpu_l2_inv_while_upgrade_queued():
     mini.run()
     assert rmw.done
     # total = 11 regardless of interleaving
-    dir_line = mini.l3.array.lookup(target, touch=False)
+    dir_line = mini.llc.array.lookup(target, touch=False)
     owner = dir_line.meta.get("owner")
     if owner == "gpu_l2":
         value = mini.gpu_l2.array.lookup(target, touch=False).data[0]

@@ -13,7 +13,7 @@ from repro.protocols.denovo import DnState
 from repro.protocols.gpu_coherence import GpuState
 from repro.protocols.mesi import MesiState
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0x8000
 

@@ -131,7 +131,7 @@ def test_directory_eviction_with_sharers():
     mini = MiniHier(cpus=2, gpus=0)
     from repro.mem.cache import CacheArray
     from repro.protocols.mesi_llc import DirState
-    mini.l3.array = CacheArray(2 * 1024, 16, DirState.I)
+    mini.llc.array = CacheArray(2 * 1024, 16, DirState.I)
     target = 0x80000
     mini.dram.poke(target, {0: 5})
     mini.access("cpu0", "load", target, 0b1)
@@ -142,7 +142,7 @@ def test_directory_eviction_with_sharers():
     for i in range(1, 40):
         mini.access("cpu0", "load", target + i * 2 * 1024, 0b1)
         mini.run()
-    assert mini.l3.array.lookup(target, touch=False) is None
+    assert mini.llc.array.lookup(target, touch=False) is None
     # sharers were invalidated on the way out
     for name in ("cpu0", "cpu1"):
         resident = mini.l1s[name].array.lookup(target, touch=False)

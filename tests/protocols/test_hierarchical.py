@@ -33,7 +33,7 @@ def test_cpu_gets_exclusive_then_shared():
     assert load2.values[0] == 5
     assert mini.l1s["cpu0"].array.lookup(LINE, touch=False).state == \
         MesiState.S
-    dir_line = mini.l3.array.lookup(LINE, touch=False)
+    dir_line = mini.llc.array.lookup(LINE, touch=False)
     assert dir_line.state == DirState.S
 
 
@@ -72,7 +72,7 @@ def test_gpu_write_through_goes_through_l2():
     l2_line = mini.gpu_l2.array.lookup(LINE, touch=False)
     assert l2_line is not None and l2_line.data[0] == 11
     # the L2 holds the line in M upstream; dir records it as owner
-    dir_line = mini.l3.array.lookup(LINE, touch=False)
+    dir_line = mini.llc.array.lookup(LINE, touch=False)
     assert dir_line.state == DirState.M
     assert dir_line.meta["owner"] == "gpu_l2"
 
@@ -130,7 +130,7 @@ def test_l2_eviction_putm_releases_ownership():
     l2_line = mini.gpu_l2.array.lookup(LINE, touch=False)
     mini.gpu_l2._evict(l2_line, lambda: None)
     mini.run()
-    dir_line = mini.l3.array.lookup(LINE, touch=False)
+    dir_line = mini.llc.array.lookup(LINE, touch=False)
     assert dir_line.state == DirState.V
     assert dir_line.data[0] == 3
 
@@ -143,7 +143,7 @@ def test_directory_blocking_serializes_writers():
     mini.access("gpu0", "rmw", LINE, 0b1, atomic=atomic_add(1))
     mini.run()
     values = []
-    dir_line = mini.l3.array.lookup(LINE, touch=False)
+    dir_line = mini.llc.array.lookup(LINE, touch=False)
     # the final count must be exactly 3 wherever the line lives
     if dir_line.state == DirState.M:
         owner = dir_line.meta["owner"]

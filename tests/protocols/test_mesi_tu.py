@@ -11,7 +11,7 @@ from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import MsgKind, atomic_add
 from repro.protocols.mesi import MesiState
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0xC000
 

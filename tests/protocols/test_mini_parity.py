@@ -13,6 +13,11 @@ with::
     PYTHONPATH=src python -m tests.protocols.test_mini_parity
 
 and explain the change in the commit.
+
+Both miniature systems are ``System`` subclasses, so the walk every
+diagnostic consumer reads (``System.l1s`` / ``System.homes``) is checked
+here against the controllers actually registered on the network, for
+them and for every Table V configuration.
 """
 
 import hashlib
@@ -23,6 +28,10 @@ from typing import Dict
 import pytest
 
 from repro.coherence.messages import atomic_add
+from repro.core.home_base import HomeController
+from repro.core.tu import TranslationUnit
+from repro.protocols.base import L1Controller
+from repro.system import CONFIG_ORDER, System, build_system, scaled_config
 from tests.systems import MiniHier, MiniSpandex, make_sdd, make_smg
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "mini_parity.json"
@@ -136,7 +145,51 @@ def test_mini_systems_match_golden():
             f"explain the change in the commit.")
 
 
+def _registered(system: System):
+    """The homes and device L1s on the network (an L1 behind a TU is
+    reached through it)."""
+    homes, l1s = [], []
+    for endpoint in system.network._endpoints.values():
+        if isinstance(endpoint, HomeController):
+            homes.append(endpoint)
+        elif isinstance(endpoint, TranslationUnit):
+            l1s.append(endpoint.l1)
+        elif isinstance(endpoint, L1Controller):
+            l1s.append(endpoint)
+    return homes, l1s
+
+
+WALKED = {
+    **{f"config-{name}": (lambda name=name:
+                          build_system(scaled_config(name, 2, 2)))
+       for name in CONFIG_ORDER},
+    "config-SDD-2shards": lambda: build_system(
+        scaled_config("SDD", 2, 2, llc_shards=2)),
+    **SYSTEMS,
+}
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_l1s_and_homes_list_every_built_controller(name):
+    system = WALKED[name]()
+    assert isinstance(system, System)
+    homes, l1s = _registered(system)
+    # every home once: the GPU L2 first, then the shards (or the L3)
+    assert sorted(map(id, system.homes)) == sorted(map(id, homes))
+    assert system.homes == ([system.gpu_l2] if system.gpu_l2 else []) \
+        + system.llcs
+    assert len(system.llcs) == (2 if name.endswith("2shards") else 1)
+    # every L1 once, keyed by its name, in device-list order
+    assert sorted(map(id, system.l1s.values())) == sorted(map(id, l1s))
+    assert all(l1.name == key for key, l1 in system.l1s.items())
+    assert list(system.l1s) == [device for device, _, _
+                                in system._devices()]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(fingerprints(), indent=1, sort_keys=True)
-                      + "\n")
+    # one system per line
+    GOLDEN.write_text("{\n" + ",\n".join(
+        f" {json.dumps(name)}: {json.dumps(summary, sort_keys=True)}"
+        for name, summary in sorted(fingerprints().items())) + "\n}\n")
     print(f"wrote {GOLDEN}")

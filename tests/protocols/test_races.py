@@ -9,7 +9,7 @@ at zero coalesce delay and tight timing to maximize overlap.
 from repro.coherence.messages import atomic_add
 from repro.protocols.denovo import DnState
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0x6000
 

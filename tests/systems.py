@@ -1,6 +1,8 @@
 """Shared fixture module: miniature system builders for all test suites.
 
-Every protocol-level test drives one of two miniature systems:
+Every protocol-level test drives one of two miniature systems, both
+:class:`~repro.verify.systems.VerifySystem` subclasses wired by the
+simulator's own builder from a device list (``System._devices``):
 
 ``MiniSpandex``
     a Spandex LLC plus named device caches behind TUs (the paper's
@@ -11,38 +13,27 @@ Every protocol-level test drives one of two miniature systems:
     directory L3 (the hierarchical baseline, §II-D).
 
 Both expose the same driving surface (``run`` / ``load`` / ``store`` /
-``rmw`` / fences) plus inspection helpers, with :class:`Completion`
-recording callback delivery.  ``make_sdd`` / ``make_smg`` build the two
-most-used Table V device mixes.
+``rmw`` / ``access`` / fences) plus inspection helpers, with
+:class:`Completion` recording callback delivery.  ``make_sdd`` /
+``make_smg`` build the two most-used Table V device mixes.
 
 This is the single home for system-construction helpers — test modules
-import from here (or via the thin ``tests.harness`` re-export) instead
-of from each other.
+import from here instead of from each other.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.messages import AtomicOp
-from repro.core.llc import SpandexLLC
-from repro.core.tu import make_tu
-from repro.mem.dram import MainMemory
-from repro.network.noc import LatencyModel, Network
 from repro.protocols.base import Access
-from repro.protocols.denovo import DeNovoL1
-from repro.protocols.gpu_coherence import GPUCoherenceL1
-from repro.protocols.gpu_l2 import GPUL2
-from repro.protocols.mesi import MESIL1
-from repro.protocols.mesi_llc import MESIDirectoryLLC
-from repro.sim.engine import Engine
-from repro.sim.stats import StatsRegistry
+from repro.system.config import KB
+from repro.verify.systems import VerifySystem
 
-L1_CLASSES = {
-    "MESI": MESIL1,
-    "GPU": GPUCoherenceL1,
-    "DeNovo": DeNovoL1,
-}
+#: ``MiniSpandex`` L1 keyword arguments and the ``SystemConfig`` field
+#: each one sets
+L1_FIELDS = {"mshr_entries": "l1_mshrs",
+             "atomic_policy": "cpu_atomic_policy"}
 
 
 class Completion:
@@ -60,74 +51,89 @@ class Completion:
         self.values = dict(values)
 
 
-class MiniSpandex:
-    """A Spandex LLC plus named device caches behind TUs."""
+class _MiniSystem(VerifySystem):
+    """A litmus-scale system over an explicit device list, plus the
+    driving surface the protocol tests share."""
 
-    def __init__(self, devices: Dict[str, str],
-                 llc_size: int = 256 * 1024, l1_size: int = 8 * 1024,
-                 coalesce_delay: int = 1, **l1_kwargs):
-        self.engine = Engine()
-        self.stats = StatsRegistry()
-        self.network = Network(self.engine, self.stats,
-                               LatencyModel(default=5))
-        self.dram = MainMemory(self.engine, self.stats, latency=20)
-        self.llc = SpandexLLC(self.engine, self.network, self.stats,
-                              self.dram, size_bytes=llc_size,
-                              access_latency=3)
-        self.l1s: Dict[str, object] = {}
-        self.tus: Dict[str, object] = {}
-        for name, family in devices.items():
-            cls = L1_CLASSES[family]
-            kwargs = dict(size_bytes=l1_size,
-                          coalesce_delay=coalesce_delay)
-            if family == "DeNovo":
-                kwargs["nack_retry_limit"] = 0
-            kwargs.update(l1_kwargs)
-            l1 = cls(self.engine, name, self.network, self.stats,
-                     home="llc", register_on_network=False, **kwargs)
-            tu = make_tu(self.engine, self.network, self.stats, l1)
-            self.llc.device_protocols[name] = l1.PROTOCOL_FAMILY
-            self.l1s[name] = l1
-            self.tus[name] = tu
+    def __init__(self, config_name: str,
+                 devices: List[Tuple[str, str, str]],
+                 coalesce_delay: int, **overrides):
+        self._device_list = devices
+        self._coalesce_delay = coalesce_delay
+        roles = [role for _, _, role in devices]
+        super().__init__(config_name, num_cpus=roles.count("cpu"),
+                         num_gpus=roles.count("gpu"), **overrides)
+
+    def _devices(self) -> List[Tuple[str, str, str]]:
+        return self._device_list
+
+    def _l1_kwargs(self) -> Dict[str, object]:
+        return dict(super()._l1_kwargs(),
+                    coalesce_delay=self._coalesce_delay)
 
     # -- driving ---------------------------------------------------------
     def run(self, until: Optional[int] = None,
             max_events: int = 1_000_000) -> int:
         return self.engine.run(until=until, max_events=max_events)
 
-    def load(self, device: str, line: int, mask: int,
-             invalidate_first: bool = False) -> "Completion":
+    def access(self, device: str, kind: str, line: int, mask: int,
+               values: Optional[Dict[int, int]] = None,
+               atomic: Optional[AtomicOp] = None,
+               invalidate_first: bool = False) -> Completion:
         completion = Completion()
-        access = Access("load", line, mask, callback=completion,
-                        invalidate_first=invalidate_first)
-        completion.accepted = self.l1s[device].try_access(access)
+        completion.accepted = self.l1s[device].try_access(Access(
+            kind, line, mask, completion, values=values, atomic=atomic,
+            invalidate_first=invalidate_first))
         return completion
+
+    def load(self, device: str, line: int, mask: int,
+             invalidate_first: bool = False) -> Completion:
+        return self.access(device, "load", line, mask,
+                           invalidate_first=invalidate_first)
 
     def store(self, device: str, line: int, mask: int,
-              values: Dict[int, int]) -> "Completion":
-        completion = Completion()
-        access = Access("store", line, mask, values=values,
-                        callback=completion)
-        completion.accepted = self.l1s[device].try_access(access)
-        return completion
+              values: Dict[int, int]) -> Completion:
+        return self.access(device, "store", line, mask, values=values)
 
     def rmw(self, device: str, line: int, mask: int,
-            atomic: AtomicOp) -> "Completion":
-        completion = Completion()
-        access = Access("rmw", line, mask, atomic=atomic,
-                        callback=completion)
-        completion.accepted = self.l1s[device].try_access(access)
-        return completion
+            atomic: AtomicOp) -> Completion:
+        return self.access(device, "rmw", line, mask, atomic=atomic)
 
-    def release(self, device: str) -> "Completion":
+    def release(self, device: str) -> Completion:
         completion = Completion()
         self.l1s[device].fence_release(lambda: completion({}))
         return completion
 
-    def acquire(self, device: str) -> "Completion":
+    def acquire(self, device: str) -> Completion:
         completion = Completion()
         self.l1s[device].fence_acquire(lambda: completion({}))
         return completion
+
+
+class MiniSpandex(_MiniSystem):
+    """A Spandex LLC plus named device caches behind TUs.
+
+    ``devices`` maps each L1's name to its protocol ('MESI' | 'GPU' |
+    'DeNovo'); GPU-coherence caches take the GPU role, the others the
+    CPU role.  ``l1_kwargs`` are the :data:`L1_FIELDS` names.
+    """
+
+    def __init__(self, devices: Dict[str, str],
+                 llc_size: int = 256 * KB, l1_size: int = 8 * KB,
+                 coalesce_delay: int = 1, **l1_kwargs):
+        unknown = set(l1_kwargs) - set(L1_FIELDS)
+        if unknown:
+            raise TypeError(f"unknown L1 options {sorted(unknown)}")
+        fields = {L1_FIELDS[key]: value
+                  for key, value in l1_kwargs.items()}
+        super().__init__(
+            "SMG", [(name, protocol, "gpu" if protocol == "GPU" else "cpu")
+                    for name, protocol in devices.items()],
+            coalesce_delay, llc_size=llc_size, l1_size=l1_size, **fields)
+
+    @property
+    def tus(self) -> Dict[str, object]:
+        return {name: l1.tu for name, l1 in self.l1s.items()}
 
     # -- inspection ------------------------------------------------------
     def llc_line(self, line: int):
@@ -141,57 +147,16 @@ class MiniSpandex:
         resident = self.llc_line(line)
         return resident.data[index] if resident is not None else None
 
-    def seed(self, line: int, values: Dict[int, int]) -> None:
-        self.dram.poke(line, values)
 
-
-class MiniHier:
+class MiniHier(_MiniSystem):
     """CPU MESI L1s + GPU L1s behind a GPU L2, over a directory L3."""
 
     def __init__(self, cpus=1, gpus=1, gpu_protocol="GPU"):
-        self.engine = Engine()
-        self.stats = StatsRegistry()
-        self.network = Network(self.engine, self.stats,
-                               LatencyModel(default=5))
-        self.dram = MainMemory(self.engine, self.stats, latency=20)
-        self.l3 = MESIDirectoryLLC(self.engine, self.network, self.stats,
-                                   self.dram, size_bytes=256 * 1024,
-                                   access_latency=3)
-        self.gpu_l2 = GPUL2(self.engine, "gpu_l2", self.network,
-                            self.stats, size_bytes=64 * 1024,
-                            access_latency=2, l3_name="l3")
-        self.l1s: Dict[str, object] = {}
-        for i in range(cpus):
-            name = f"cpu{i}"
-            self.l1s[name] = MESIL1(
-                self.engine, name, self.network, self.stats, home="l3",
-                dialect="mesi", size_bytes=8 * 1024, coalesce_delay=1)
-        for i in range(gpus):
-            name = f"gpu{i}"
-            cls = GPUCoherenceL1 if gpu_protocol == "GPU" else DeNovoL1
-            kwargs = dict(size_bytes=8 * 1024, coalesce_delay=1)
-            if gpu_protocol == "DeNovo":
-                kwargs["nack_retry_limit"] = 3
-            l1 = cls(self.engine, name, self.network, self.stats,
-                     home="gpu_l2", **kwargs)
-            self.gpu_l2.device_protocols[name] = l1.PROTOCOL_FAMILY
-            self.l1s[name] = l1
-
-    def run(self, **kwargs):
-        return self.engine.run(max_events=kwargs.pop("max_events", 500_000),
-                               **kwargs)
-
-    def access(self, device, kind, line, mask, values=None, atomic=None):
-        completion = Completion()
-        access = Access(kind, line, mask, callback=completion,
-                        values=values or {}, atomic=atomic)
-        completion.accepted = self.l1s[device].try_access(access)
-        return completion
-
-    def release(self, device):
-        completion = Completion()
-        self.l1s[device].fence_release(lambda: completion({}))
-        return completion
+        super().__init__(
+            "HMG" if gpu_protocol == "GPU" else "HMD",
+            [(f"cpu{i}", "MESI", "cpu") for i in range(cpus)]
+            + [(f"gpu{i}", gpu_protocol, "gpu") for i in range(gpus)],
+            1, l3_size=256 * KB, gpu_l2_size=64 * KB)
 
 
 # -- Table V convenience mixes ------------------------------------------

@@ -5,7 +5,7 @@ from repro.devices.cpu import CPUCore
 from repro.devices.gpu import GPUCU, Warp
 from repro.workloads.trace import Op
 
-from tests.harness import MiniSpandex
+from tests.systems import MiniSpandex
 
 LINE = 0x3000
 

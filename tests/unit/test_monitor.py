@@ -92,7 +92,7 @@ def test_monitor_rows_cover_every_surface():
         home_names.add(system.gpu_l2.name)
     assert set(row["homes"]) == home_names
     assert len(system.llcs) == 2
-    l1_names = {l1.name for l1 in system.cpu_l1s + system.gpu_l1s}
+    l1_names = {l1.name for l1 in system.l1s.values()}
     assert set(row["mshr"]) == l1_names and len(l1_names) == 4
     assert row["engine"]["events"] == system.engine.events_executed
     for entry in row["mshr"].values():
@@ -120,7 +120,7 @@ def test_monitor_engine_events_are_current_mid_run():
 def test_mshr_high_water_tracks_peak_occupancy():
     system = _monitored_system()
     system.run(max_events=30_000_000)
-    for l1 in system.cpu_l1s + system.gpu_l1s:
+    for l1 in system.l1s.values():
         assert l1.mshrs.high_water >= 1
         assert l1.mshrs.high_water <= l1.mshrs.capacity
         assert len(l1.mshrs) == 0      # drained at quiescence
@@ -149,7 +149,7 @@ def test_monitor_gauge_high_water_is_whole_run_peak():
                for gauge in system.registry.instruments()
                if gauge.name == "mshr.high_water")
     direct = max(l1.mshrs.high_water
-                 for l1 in system.cpu_l1s + system.gpu_l1s)
+                 for l1 in system.l1s.values())
     assert peak == direct
 
 
@@ -187,10 +187,8 @@ def test_monitor_ignores_events_before_interval():
         engine = _Engine()
         network = _Network()
         stats = StatsRegistry()
-        llcs = ()
-        gpu_l2 = None
-        cpu_l1s = ()
-        gpu_l1s = ()
+        l1s = {}
+        homes = ()
         spans = None
 
     monitor = HealthMonitor(_System(), registry, interval=100)

@@ -306,8 +306,9 @@ class _QuietSystem:
         _in_flight = {}
         _links = {}
 
-    llcs = cpu_l1s = gpu_l1s = ()
-    gpu_l2 = None
+    l1s = {}
+    homes = ()
+    spans = None
 
     def __init__(self):
         self.stats = StatsRegistry()

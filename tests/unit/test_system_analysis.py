@@ -57,9 +57,9 @@ def test_hierarchical_system_shape():
 
 def test_sdg_cpu_atomics_at_llc():
     system = build_system(scaled_config("SDG", 1, 1))
-    assert system.cpu_l1s[0].atomic_policy == "llc"
+    assert system.cpus[0].l1.atomic_policy == "llc"
     system2 = build_system(scaled_config("SDD", 1, 1))
-    assert system2.cpu_l1s[0].atomic_policy == "own"
+    assert system2.cpus[0].l1.atomic_policy == "own"
 
 
 def test_initial_memory_is_loaded():

@@ -13,21 +13,7 @@ from repro.faults import (DeadlockError, LivenessWatchdog,
 from repro.sim.engine import Engine, SimulationError
 from repro.system import build_system, scaled_config
 from repro.workloads import MICROBENCHMARKS
-from tests.harness import MiniSpandex
-
-
-class SystemView:
-    """Adapts MiniSpandex to the watchdog's duck-typed system shape."""
-
-    def __init__(self, mini):
-        self.engine = mini.engine
-        self.network = mini.network
-        self.cpu_l1s = list(mini.l1s.values())
-        self.gpu_l1s = []
-        self.llc = mini.llc
-        self.gpu_l2 = None
-        self.cpus = []
-        self.gpus = []
+from tests.systems import MiniSpandex
 
 
 def drop_first_response(mini, device):
@@ -51,7 +37,7 @@ def test_dropped_response_deadlock_detected_at_quiescence():
     mini = MiniSpandex({"dev0": "DeNovo"})
     mini.seed(0x1000, {0: 42})
     dropped = drop_first_response(mini, "dev0")
-    watchdog = LivenessWatchdog(SystemView(mini), stall_cycles=10_000)
+    watchdog = LivenessWatchdog(mini, stall_cycles=10_000)
     mini.engine.stall_check = watchdog.quiescence_check
 
     completion = mini.load("dev0", 0x1000, 0x1)
@@ -69,12 +55,12 @@ def test_dropped_response_deadlock_detected_at_quiescence():
 def test_clean_run_passes_quiescence_check():
     mini = MiniSpandex({"dev0": "DeNovo"})
     mini.seed(0x1000, {0: 42})
-    watchdog = LivenessWatchdog(SystemView(mini), stall_cycles=10_000)
+    watchdog = LivenessWatchdog(mini, stall_cycles=10_000)
     mini.engine.stall_check = watchdog.quiescence_check
     completion = mini.load("dev0", 0x1000, 0x1)
     mini.run()
     assert completion.done and completion.values[0] == 42
-    assert not system_busy(SystemView(mini))
+    assert not system_busy(mini)
 
 
 def test_quiescence_check_sees_every_home_shard():
@@ -98,8 +84,7 @@ def test_stalled_request_detected_while_queue_stays_busy():
     mini = MiniSpandex({"dev0": "DeNovo", "dev1": "DeNovo"})
     mini.seed(0x1000, {0: 7})
     drop_first_response(mini, "dev0")
-    view = SystemView(mini)
-    watchdog = LivenessWatchdog(view, stall_cycles=200, period=50)
+    watchdog = LivenessWatchdog(mini, stall_cycles=200, period=50)
     watchdog.arm()
 
     # unrelated traffic keeps the event queue alive past the bound
@@ -122,7 +107,7 @@ def test_stalled_request_detected_while_queue_stays_busy():
 def test_watchdog_tick_does_not_stretch_quiescent_run():
     mini = MiniSpandex({"dev0": "DeNovo"})
     mini.seed(0x1000, {0: 1})
-    watchdog = LivenessWatchdog(SystemView(mini), stall_cycles=100_000)
+    watchdog = LivenessWatchdog(mini, stall_cycles=100_000)
     watchdog.arm()
     mini.load("dev0", 0x1000, 0x1)
     end = mini.run()
