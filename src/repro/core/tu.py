@@ -83,9 +83,8 @@ class TranslationUnit(Component):
         self.predictor = None
         #: 'cpu' | 'gpu' — criticality weighting keys on the device
         #: class (paper: CPU accesses have less latency tolerance), not
-        #: on the cache's protocol family.  The system builder sets it
-        #: from the device's role; a hand-wired TU takes it from the
-        #: name's first letter ('cpu0'/'gpu0', 'c0'/'g0').
+        #: on the cache's protocol family.  Device names start with the
+        #: class letter in both builders ('cpu0'/'gpu0', 'c0'/'g0').
         self.device_class = "gpu" if l1.name.startswith("g") else "cpu"
         self._pred_pending: Dict[int, int] = {}  # req_id -> line
         l1.tu = self

@@ -269,7 +269,6 @@ class System:
             l1.home_map = self.home_map
             tu = make_tu(self.engine, self.network, self.stats, l1,
                          config.tu_latency, **self._tu_kwargs())
-            tu.device_class = role
             self._attach_policy(tu)
             latency = config.net_cpu_llc if role == "cpu" \
                 else config.net_gpu_llc

@@ -177,8 +177,8 @@ def test_l1s_and_homes_list_every_built_controller(name):
     homes, l1s = _registered(system)
     # every home once: the GPU L2 first, then the shards (or the L3)
     assert sorted(map(id, system.homes)) == sorted(map(id, homes))
-    assert system.homes == ([system.gpu_l2] if system.gpu_l2 else []) \
-        + system.llcs
+    gpu_l2 = [system.gpu_l2] if system.gpu_l2 is not None else []
+    assert system.homes == gpu_l2 + system.llcs
     assert len(system.llcs) == (2 if name.endswith("2shards") else 1)
     # every L1 once, keyed by its name, in device-list order
     assert sorted(map(id, system.l1s.values())) == sorted(map(id, l1s))
