@@ -25,7 +25,8 @@ import pytest
 # make the repo root importable so benchmarks can reuse tests.systems
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from repro.analysis import ExperimentRunner, WorkloadResult
+from repro.analysis import WorkloadResult, grid_specs, run_sweep
+from repro.system import CONFIG_ORDER
 
 SCALES = {
     "small": dict(num_cpus=4, num_gpus=4, warps_per_cu=2),
@@ -44,14 +45,14 @@ class ExperimentCache:
 
     def __init__(self):
         self._cache = {}
-        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-        self.runner = ExperimentRunner(**bench_scale(),
-                                       validate_memory=True,
-                                       jobs=jobs)
+        self.jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
-    def get(self, name, generator, **extra) -> WorkloadResult:
+    def get(self, name: str) -> WorkloadResult:
+        """One workload on the six configurations, memory-checked."""
         if name not in self._cache:
-            self._cache[name] = self.runner.run(name, generator, **extra)
+            (self._cache[name],) = run_sweep(
+                grid_specs([name], CONFIG_ORDER, bench_scale()),
+                jobs=self.jobs).workload_results()
         return self._cache[name]
 
     def dump(self, filename: str, results) -> None:

@@ -14,16 +14,12 @@ paper reports for each (paper §V-A):
 """
 
 from repro.analysis import format_figure, format_traffic_stack
-from repro.workloads import make_indirection, make_reuse_o, make_reuse_s
 
-MICRO = [("Indirection", make_indirection),
-         ("ReuseO", make_reuse_o),
-         ("ReuseS", make_reuse_s)]
+MICRO = ["Indirection", "ReuseO", "ReuseS"]
 
 
 def run_micro(experiments):
-    return [experiments.get(name, generator)
-            for name, generator in MICRO]
+    return [experiments.get(name) for name in MICRO]
 
 
 def test_figure2_microbenchmarks(benchmark, experiments):

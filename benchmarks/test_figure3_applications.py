@@ -12,14 +12,12 @@ asserting the per-application claims of paper §V-B:
 """
 
 from repro.analysis import format_figure, format_traffic_stack
-from repro.workloads import APPLICATIONS
 
 APP_ORDER = ["BC", "PR", "HSTI", "TRNS", "RSCT", "TQH"]
 
 
 def run_apps(experiments):
-    return [experiments.get(name, APPLICATIONS[name])
-            for name in APP_ORDER]
+    return [experiments.get(name) for name in APP_ORDER]
 
 
 def test_figure3_applications(benchmark, experiments):

@@ -12,17 +12,14 @@ on both axes, with maxima well above the averages.
 """
 
 from repro.analysis import summarize_headline
-from repro.workloads import APPLICATIONS, MICROBENCHMARKS
 
 APP_ORDER = ["BC", "PR", "HSTI", "TRNS", "RSCT", "TQH"]
 MICRO_ORDER = ["Indirection", "ReuseO", "ReuseS"]
 
 
 def run_everything(experiments):
-    apps = [experiments.get(name, APPLICATIONS[name])
-            for name in APP_ORDER]
-    micro = [experiments.get(name, MICROBENCHMARKS[name])
-             for name in MICRO_ORDER]
+    apps = [experiments.get(name) for name in APP_ORDER]
+    micro = [experiments.get(name) for name in MICRO_ORDER]
     return apps, micro
 
 

@@ -11,15 +11,14 @@ and on Spandex (SDD), then breaks down where the cycles and bytes went.
 Run:  python examples/flat_vs_hierarchical.py
 """
 
-from repro.analysis import ExperimentRunner, format_traffic_stack
-from repro.workloads import make_indirection
+from repro.analysis import format_traffic_stack, grid_specs, run_sweep
 
 
 def main() -> None:
     print(__doc__)
-    runner = ExperimentRunner(num_cpus=2, num_gpus=4, warps_per_cu=2,
-                              configs=("HMG", "HMD", "SMD", "SDD"))
-    result = runner.run("Indirection", make_indirection)
+    (result,) = run_sweep(grid_specs(
+        ["Indirection"], ("HMG", "HMD", "SMD", "SDD"),
+        dict(num_cpus=2, num_gpus=4, warps_per_cu=2))).workload_results()
 
     print(f"{'config':<8}{'cycles':>12}{'bytes':>14}"
           f"{'home defers':>14}{'memory ok':>11}")

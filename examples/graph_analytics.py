@@ -17,17 +17,16 @@ reference, and prints the atomic hit rates that explain the gap.
 Run:  python examples/graph_analytics.py
 """
 
-from repro.analysis import ExperimentRunner
+from repro.analysis import grid_specs, run_sweep
 from repro.system import build_system, scaled_config
 from repro.workloads import make_bc
 
 
 def main() -> None:
     print(__doc__)
-    runner = ExperimentRunner(num_cpus=2, num_gpus=4, warps_per_cu=2,
-                              configs=("SMG", "SMD", "SDG", "SDD"))
-    workload = runner.runner_workload = None
-    result = runner.run("BC", make_bc)
+    (result,) = run_sweep(grid_specs(
+        ["BC"], ("SMG", "SMD", "SDG", "SDD"),
+        dict(num_cpus=2, num_gpus=4, warps_per_cu=2))).workload_results()
 
     print(f"{'config':<8}{'GPU L1':<10}{'cycles':>12}{'bytes':>14}"
           f"{'atomic L1 hits':>16}")
@@ -51,8 +50,7 @@ def main() -> None:
     system = build_system(scaled_config(best, 2, 4))
     system.load_workload(workload)
     system.run()
-    mismatches = sum(1 for addr, value in reference.memory.items()
-                     if system.read_coherent(addr) != value)
+    mismatches = system.count_mismatches(reference.memory)
     print(f"centralities verified on {best}: "
           f"{len(reference.memory):,} words, {mismatches} mismatches")
     assert mismatches == 0

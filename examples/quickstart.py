@@ -46,8 +46,7 @@ def main() -> None:
     for cls, nbytes in sorted(result.traffic_by_class().items()):
         print(f"  {cls:<12} {nbytes:>12,.0f} B")
 
-    mismatches = sum(1 for addr, value in reference.memory.items()
-                     if system.read_coherent(addr) != value)
+    mismatches = system.count_mismatches(reference.memory)
     print(f"\nmemory check: {mismatches} mismatches out of "
           f"{len(reference.memory):,} words")
     assert mismatches == 0

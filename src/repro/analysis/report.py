@@ -1,19 +1,18 @@
-"""Experiment harness and paper-style reporting.
+"""Paper-style reporting.
 
-Runs a workload across the Table V configurations, normalizes execution
-time and network traffic to HMG (as Figures 2 and 3 do), computes the
-Hbest / Sbest aggregates the paper reports, and renders ASCII charts of
-the traffic stacks by request class.
+Holds one workload's results across the Table V configurations (a
+sweep's :meth:`~repro.analysis.sweep.SweepSummary.workload_results`),
+normalizes execution time and network traffic to HMG (as Figures 2
+and 3 do), computes the Hbest / Sbest aggregates the paper reports,
+and renders ASCII charts of the traffic stacks by request class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
-from ..system.config import (CONFIG_ORDER, HIERARCHICAL_CONFIGS,
-                             SPANDEX_CONFIGS)
-from ..workloads.base import Workload
+from ..system.config import HIERARCHICAL_CONFIGS, SPANDEX_CONFIGS
 
 #: traffic classes in the order the paper's figure legends use
 TRAFFIC_CLASSES = ("ReqV", "ReqS", "ReqWT", "ReqO", "ReqWT+data",
@@ -76,60 +75,6 @@ class WorkloadResult:
             "time_reduction": 1.0 - sb.cycles / hb.cycles,
             "traffic_reduction": 1.0 - sb.network_bytes / hb.network_bytes,
         }
-
-
-class ExperimentRunner:
-    """Run one workload generator across configurations.
-
-    Built on :mod:`repro.analysis.sweep`: each configuration is an
-    independent sweep cell, so the grid can fan out across processes
-    (``jobs``) and reuse an on-disk result cache (``cache``).  Every
-    cell regenerates the workload from (name, kwargs) rather than
-    sharing one Workload object, so per-config runs are independent.
-    """
-
-    def __init__(self, num_cpus: int = 4, num_gpus: int = 4,
-                 warps_per_cu: int = 2,
-                 configs: Sequence[str] = CONFIG_ORDER,
-                 validate_memory: bool = True,
-                 max_events: int = 60_000_000,
-                 jobs: int = 1, cache=None,
-                 cell_timeout: Optional[float] = None,
-                 cell_retries: int = 1):
-        self.num_cpus = num_cpus
-        self.num_gpus = num_gpus
-        self.warps_per_cu = warps_per_cu
-        self.configs = list(configs)
-        self.validate_memory = validate_memory
-        self.max_events = max_events
-        self.jobs = jobs
-        self.cache = cache
-        self.cell_timeout = cell_timeout
-        self.cell_retries = cell_retries
-        #: SweepSummary of the most recent :meth:`run` (observability)
-        self.last_sweep = None
-
-    def workload_kwargs(self) -> Dict[str, int]:
-        return dict(num_cpus=self.num_cpus, num_gpus=self.num_gpus,
-                    warps_per_cu=self.warps_per_cu)
-
-    def run(self, name: str,
-            generator: Callable[..., Workload],
-            **extra) -> WorkloadResult:
-        from .sweep import CellSpec, run_sweep
-        kwargs = self.workload_kwargs()
-        kwargs.update(extra)
-        specs = [CellSpec.make(name, config_name, kwargs,
-                               generator=generator)
-                 for config_name in self.configs]
-        summary = run_sweep(specs, jobs=self.jobs, cache=self.cache,
-                            validate_memory=self.validate_memory,
-                            max_events=self.max_events,
-                            cell_timeout=self.cell_timeout,
-                            cell_retries=self.cell_retries)
-        self.last_sweep = summary
-        (result,) = summary.workload_results()
-        return result
 
 
 # ---------------------------------------------------------------------------

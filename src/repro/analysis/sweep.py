@@ -50,9 +50,7 @@ from ..workloads import APPLICATIONS, MICROBENCHMARKS
 from .report import ConfigResult, WorkloadResult
 
 #: every generator reachable by name from a worker process
-WORKLOAD_REGISTRY: Dict[str, Callable] = {}
-WORKLOAD_REGISTRY.update(MICROBENCHMARKS)
-WORKLOAD_REGISTRY.update(APPLICATIONS)
+WORKLOAD_REGISTRY: Dict[str, Callable] = {**MICROBENCHMARKS, **APPLICATIONS}
 
 #: sweep cache location override (also the ``--cache-dir`` CLI flag)
 CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
@@ -185,10 +183,11 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     Top-level so process pools can pickle it by reference.  Returns a
     JSON-safe dict (the cache's on-disk format).
 
-    ``trace_dir`` enables observability for the run and persists a
-    Chrome trace, a health-metrics snapshot (whose ``spans`` entry is
-    the per-request attribution), and Prometheus exposition text next
-    to the cached result (``<workload>-<config>-<key12>.trace.json`` /
+    ``trace_dir`` enables observability for the run and persists what
+    ``repro run`` writes for the same cell: a Chrome trace with the
+    monitor's counter tracks, a health-metrics snapshot (whose
+    ``spans`` entry is the per-request attribution), and Prometheus
+    exposition text (``<workload>-<config>-<key12>.trace.json`` /
     ``.metrics.json`` / ``.prom``).  Tracing and monitoring are
     passive, so the payload — and therefore the cache key — is
     identical with or without them; artifacts are only (re)written
@@ -207,10 +206,6 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
     system.load_workload(workload)
     run = system.run(max_events=max_events)
 
-    memory_ok = None
-    if reference is not None:
-        memory_ok = all(system.read_coherent(addr) == value
-                        for addr, value in reference.memory.items())
     payload: Dict[str, object] = {
         "workload": spec.workload,
         "config": spec.config,
@@ -218,38 +213,25 @@ def simulate_cell(spec: CellSpec, validate_memory: bool = True,
         "network_bytes": run.network_bytes,
         "traffic": run.traffic_by_class(),
         "stats": run.stats.snapshot(),
-        "memory_ok": memory_ok,
+        "memory_ok": (None if reference is None
+                      else system.count_mismatches(reference.memory) == 0),
         "wall_time": time.perf_counter() - started,
     }
-    if trace_dir is not None and system.tracer is not None:
-        from ..obs import write_chrome_trace
+    if trace_dir is not None:
+        from ..obs import (chrome_section, write_chrome_trace,
+                           write_health_json, write_prometheus)
         key12 = cell_key(spec, validate_memory, max_events)[:12]
-        stem = f"{spec.workload}-{spec.config}-{key12}"
         root = Path(trace_dir)
         root.mkdir(parents=True, exist_ok=True)
-        trace_path = root / f"{stem}.trace.json"
-        write_chrome_trace(str(trace_path), [{
-            "name": f"{spec.workload}/{spec.config}",
-            "events": system.tracer.events(),
-        }])
-        payload["trace_artifact"] = str(trace_path)
-        if system.monitor is not None:
-            from ..obs import (prometheus_text, registry_samples,
-                               stats_samples)
-            metrics_path = root / f"{stem}.metrics.json"
-            with open(metrics_path, "w") as handle:
-                json.dump({
-                    "health": system.monitor.health_summary(),
-                    "monitor": system.monitor.snapshot(),
-                    "spans": system.spans.snapshot(),
-                }, handle, indent=1, sort_keys=True)
-            prom_path = root / f"{stem}.prom"
-            with open(prom_path, "w") as handle:
-                handle.write(prometheus_text(
-                    registry_samples(system.registry)
-                    + stats_samples(system.stats)))
-            payload["metrics_artifact"] = str(metrics_path)
-            payload["prom_artifact"] = str(prom_path)
+        stem = str(root / f"{spec.workload}-{spec.config}-{key12}")
+        payload["trace_artifact"] = f"{stem}.trace.json"
+        payload["metrics_artifact"] = f"{stem}.metrics.json"
+        payload["prom_artifact"] = f"{stem}.prom"
+        write_chrome_trace(payload["trace_artifact"], [chrome_section(
+            system, f"{spec.workload}/{spec.config}")])
+        write_health_json(payload["metrics_artifact"], system,
+                          spec.workload)
+        write_prometheus(payload["prom_artifact"], system)
     return payload
 
 

@@ -5,6 +5,8 @@ Commands:
 * ``list`` — available workloads and configurations;
 * ``run`` — run one workload on one (or every) configuration, with
   optional memory validation and runtime invariant auditing;
+* ``save`` / ``replay`` — serialize a workload's traces, and run a
+  saved file exactly as ``run`` runs a generated workload;
 * ``figure2`` / ``figure3`` — regenerate the paper's figures;
 * ``headline`` — the paper's Sbest-vs-Hbest summary numbers;
 * ``sweep`` — run a (workload x configuration) grid across worker
@@ -26,18 +28,19 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .analysis import (InvariantChecker, InvariantViolation, ResultCache,
                        format_figure, format_traffic_stack, grid_specs,
                        run_sweep, summarize_headline)
+from .analysis.sweep import WORKLOAD_REGISTRY
 from .core.policy import POLICY_NAMES
 from .core.shard import INTERLEAVINGS
 from .faults import format_diagnostic
 from .network.topology import TOPOLOGIES
-from .obs import (format_health, format_timeline, load_chrome_trace,
-                  prometheus_text, registry_samples, stats_samples,
-                  validate_chrome_trace, write_chrome_trace)
+from .obs import (chrome_section, format_health, format_timeline,
+                  load_chrome_trace, validate_chrome_trace,
+                  write_chrome_trace, write_health_json, write_prometheus)
 from .sim.engine import SimulationError
 from .system import (CONFIG_ORDER, CONFIGS, FaultConfig, TraceConfig,
                      WatchdogConfig, build_system, parse_link_down,
@@ -48,12 +51,8 @@ from .verify import (CORPUS, CoverageRecorder, DfsExplorer,
                      replay_schedule, scenario_by_name, shrink_failure)
 from .verify.explorer import FAILURE_KINDS
 from .verify.mutants import MUTANTS, kill_matrix
-from .workloads import (APPLICATIONS, MICROBENCHMARKS, load_workload,
-                        save_workload)
-
-ALL_WORKLOADS = {}
-ALL_WORKLOADS.update(MICROBENCHMARKS)
-ALL_WORKLOADS.update(APPLICATIONS)
+from .workloads import (APPLICATIONS, MICROBENCHMARKS, Workload,
+                        load_workload, save_workload)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,83 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and configurations")
 
     run = sub.add_parser("run", help="run one workload")
-    run.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    run.add_argument("--config", default="SDD",
-                     choices=list(CONFIG_ORDER) + ["all"])
+    run.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
     _add_scale_options(run, cpus=2)
-    run.add_argument("--check", action="store_true",
-                     help="validate final memory against the DRF "
-                          "reference executor")
-    run.add_argument("--invariants", action="store_true",
-                     help="audit coherence invariants during the run")
-    run.add_argument("--traffic", action="store_true",
-                     help="print the per-class traffic breakdown")
-    run.add_argument("--faults", type=int, default=None, metavar="SEED",
-                     help="enable deterministic fault injection "
-                          "(delay jitter, burst congestion, forced "
-                          "Nacks) with this seed")
-    _add_fault_options(run)
-    run.add_argument("--watchdog-cycles", type=int, default=None,
-                     metavar="N",
-                     help="flag any request stalled beyond N cycles "
-                          "with a structured diagnostic dump "
-                          f"(default: {WatchdogConfig.stall_cycles})")
-    run.add_argument("--max-cycles", type=int, default=None,
-                     help="hard simulated-cycle budget (raises instead "
-                          "of looping forever)")
-    run.add_argument("--trace", action="store_true",
-                     help="record a protocol trace and print the "
-                          "per-request span attribution and "
-                          "indirection cycles")
-    run.add_argument("--trace-filter", action="append", default=[],
-                     metavar="SPEC",
-                     help="restrict trace retention: addr=0x…, "
-                          "dev=name, class=kind; repeatable, '/' "
-                          "separates clauses (implies --trace)")
-    run.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write a Chrome/Perfetto trace-event JSON "
-                          "file; with --config all, one process per "
-                          "configuration (implies --trace)")
-    run.add_argument("--timeline", type=lambda v: int(v, 0),
-                     default=None, metavar="ADDR",
-                     help="print the per-address event timeline for "
-                          "this address (implies --trace)")
-    run.add_argument("--trace-limit", type=int, default=60,
-                     help="max rows in the --timeline print "
-                          "(default: 60)")
-    run.add_argument("--monitor", action="store_true",
-                     help="scrape live health metrics (queue depths, "
-                          "MSHR occupancy, link backlogs, transport "
-                          "state) and collect per-request critical-"
-                          "path spans; implies --trace (default "
-                          f"scrape interval: {MONITOR_INTERVAL} cycles)")
-    run.add_argument("--monitor-interval", type=int, default=0,
-                     metavar="CYCLES",
-                     help="health-monitor scrape period in cycles; "
-                          "each scrape's counter snapshot becomes the "
-                          "--trace-out counter tracks (implies "
-                          "--monitor)")
-    run.add_argument("--prom-out", default=None, metavar="FILE",
-                     help="write Prometheus text-exposition metrics "
-                          "(registry gauges + raw counters) here; "
-                          "with --config all, one file per "
-                          "configuration suffixed .<config> "
-                          "(implies --monitor)")
-    run.add_argument("--health-json", default=None, metavar="FILE",
-                     help="write the JSON health snapshot (metrics "
-                          "registry, scrape rows, critical-path "
-                          "rollups) here; suffixed like --prom-out "
-                          "(implies --monitor)")
-    run.add_argument("--top", type=int, default=0, metavar="K",
-                     help="rows in top-K health rollups (contended "
-                          "lines / shards / links; default: "
-                          f"{TraceConfig.health_top_k})")
-    run.add_argument("--top-every", type=int, default=0,
-                     metavar="SCRAPES",
-                     help="print the live 'repro top' health view "
-                          "every N scrapes during the run (implies "
-                          "--monitor)")
-    _add_fabric_options(run)
+    _add_run_options(run)
 
     for figure, workloads in (("figure2", MICROBENCHMARKS),
                               ("figure3", APPLICATIONS)):
@@ -195,15 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             "structural checks")
 
     save = sub.add_parser("save", help="serialize a workload's traces")
-    save.add_argument("workload", choices=sorted(ALL_WORKLOADS))
+    save.add_argument("workload", choices=sorted(WORKLOAD_REGISTRY))
     save.add_argument("path")
     _add_scale_options(save, cpus=2)
 
-    replay = sub.add_parser("replay", help="run serialized traces")
+    replay = sub.add_parser(
+        "replay", help="run serialized traces like 'run' (the system is "
+                       "sized from the traces)")
     replay.add_argument("path")
-    replay.add_argument("--config", default="SDD",
-                        choices=list(CONFIG_ORDER))
-    replay.add_argument("--check", action="store_true")
+    _add_run_options(replay)
 
     verify = sub.add_parser(
         "verify",
@@ -248,6 +173,86 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write a Chrome/Perfetto trace of the "
                              "failing (or replayed) schedule")
     return parser
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Everything ``run`` and ``replay`` share: configuration, checks,
+    fault injection, tracing, telemetry and the fabric axes."""
+    parser.add_argument("--config", default="SDD",
+                        choices=list(CONFIG_ORDER) + ["all"])
+    parser.add_argument("--check", action="store_true",
+                        help="validate final memory against the DRF "
+                             "reference executor")
+    parser.add_argument("--invariants", action="store_true",
+                        help="audit coherence invariants during the run")
+    parser.add_argument("--traffic", action="store_true",
+                        help="print the per-class traffic breakdown")
+    parser.add_argument("--faults", type=int, default=None, metavar="SEED",
+                        help="enable deterministic fault injection "
+                             "(delay jitter, burst congestion, forced "
+                             "Nacks) with this seed")
+    _add_fault_options(parser)
+    parser.add_argument("--watchdog-cycles", type=int, default=None,
+                        metavar="N",
+                        help="flag any request stalled beyond N cycles "
+                             "with a structured diagnostic dump "
+                             f"(default: {WatchdogConfig.stall_cycles})")
+    parser.add_argument("--max-cycles", type=int, default=None,
+                        help="hard simulated-cycle budget (raises instead "
+                             "of looping forever)")
+    parser.add_argument("--trace", action="store_true",
+                        help="record a protocol trace and print the "
+                             "per-request span attribution and "
+                             "indirection cycles")
+    parser.add_argument("--trace-filter", action="append", default=[],
+                        metavar="SPEC",
+                        help="restrict trace retention: addr=0x…, "
+                             "dev=name, class=kind; repeatable, '/' "
+                             "separates clauses (implies --trace)")
+    parser.add_argument("--trace-out", default=None, metavar="FILE",
+                        help="write a Chrome/Perfetto trace-event JSON "
+                             "file; with --config all, one process per "
+                             "configuration (implies --trace)")
+    parser.add_argument("--timeline", type=lambda v: int(v, 0),
+                        default=None, metavar="ADDR",
+                        help="print the per-address event timeline for "
+                             "this address (implies --trace)")
+    parser.add_argument("--trace-limit", type=int, default=60,
+                        help="max rows in the --timeline print "
+                             "(default: 60)")
+    parser.add_argument("--monitor", action="store_true",
+                        help="scrape live health metrics (queue depths, "
+                             "MSHR occupancy, link backlogs, transport "
+                             "state) and collect per-request critical-"
+                             "path spans; implies --trace (default "
+                             f"scrape interval: {MONITOR_INTERVAL} cycles)")
+    parser.add_argument("--monitor-interval", type=int, default=0,
+                        metavar="CYCLES",
+                        help="health-monitor scrape period in cycles; "
+                             "each scrape's counter snapshot becomes the "
+                             "--trace-out counter tracks (implies "
+                             "--monitor)")
+    parser.add_argument("--prom-out", default=None, metavar="FILE",
+                        help="write Prometheus text-exposition metrics "
+                             "(registry gauges + raw counters) here; "
+                             "with --config all, one file per "
+                             "configuration suffixed .<config> "
+                             "(implies --monitor)")
+    parser.add_argument("--health-json", default=None, metavar="FILE",
+                        help="write the JSON health snapshot (metrics "
+                             "registry, scrape rows, critical-path "
+                             "rollups) here; suffixed like --prom-out "
+                             "(implies --monitor)")
+    parser.add_argument("--top", type=int, default=0, metavar="K",
+                        help="rows in top-K health rollups (contended "
+                             "lines / shards / links; default: "
+                             f"{TraceConfig.health_top_k})")
+    parser.add_argument("--top-every", type=int, default=0,
+                        metavar="SCRAPES",
+                        help="print the live 'repro top' health view "
+                             "every N scrapes during the run (implies "
+                             "--monitor)")
+    _add_fabric_options(parser)
 
 
 def _add_scale_options(parser: argparse.ArgumentParser,
@@ -375,7 +380,7 @@ def _sweep_cache(args) -> Optional[ResultCache]:
 
 def _cmd_list() -> int:
     print("workloads:")
-    for name, generator in sorted(ALL_WORKLOADS.items()):
+    for name, generator in sorted(WORKLOAD_REGISTRY.items()):
         doc = (generator.__doc__ or "").strip().splitlines()
         print(f"  {name:<14} {doc[0] if doc else ''}")
     print("\nconfigurations (Table V):")
@@ -384,15 +389,14 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(args, overrides: dict) -> int:
-    def fresh_workload():
-        # Each configuration gets its own Workload: generators are
-        # deterministic, and sharing one object would let a run observe
-        # state left behind by the previous configuration's system.
-        return ALL_WORKLOADS[args.workload](
-            num_cpus=args.cpus, num_gpus=args.gpus,
-            warps_per_cu=args.warps)
+def _cmd_run(args, overrides: dict,
+             make_workload: Callable[[], Workload]) -> int:
+    """Run ``make_workload()`` on ``--config`` (or every configuration).
 
+    Each configuration gets its own Workload: generators and trace
+    files are deterministic, and sharing one object would let a run
+    observe state left behind by the previous configuration's system.
+    """
     monitor_interval = max(0, args.monitor_interval)
     if monitor_interval == 0 and (args.monitor or args.prom_out
                                   or args.health_json
@@ -416,9 +420,9 @@ def _cmd_run(args, overrides: dict) -> int:
                             else [args.config])]
     faults = overrides.get("faults")
 
-    workload = fresh_workload()
+    workload = make_workload()
     reference = workload.reference() if args.check else None
-    print(f"{args.workload}: {workload.total_ops():,} operations "
+    print(f"{workload.name}: {workload.total_ops():,} operations "
           f"({args.cpus} CPUs, {args.gpus} CUs x {args.warps} warps)")
     if args.faults is not None:
         print(f"fault injection enabled (seed {args.faults})")
@@ -432,9 +436,8 @@ def _cmd_run(args, overrides: dict) -> int:
     trace_sections = []
     for config in configs:
         config_name = config.name
-        workload = fresh_workload()
         system = build_system(config)
-        system.load_workload(workload)
+        system.load_workload(make_workload())
         checker: Optional[InvariantChecker] = None
         if args.invariants:
             checker = InvariantChecker(system)
@@ -461,8 +464,7 @@ def _cmd_run(args, overrides: dict) -> int:
             return 3
         bad = 0
         if reference is not None:
-            bad = sum(1 for addr, value in reference.memory.items()
-                      if system.read_coherent(addr) != value)
+            bad = system.count_mismatches(reference.memory)
             failures += bad
         line = (f"  {config_name}: {cycles:>10,} cycles  "
                 f"{system.stats.get('network.bytes'):>12,.0f} B")
@@ -515,32 +517,14 @@ def _cmd_run(args, overrides: dict) -> int:
                 suffix = f".{config_name}" if len(configs) > 1 else ""
                 if args.prom_out:
                     path = args.prom_out + suffix
-                    text = prometheus_text(
-                        registry_samples(system.registry)
-                        + stats_samples(system.stats))
-                    with open(path, "w") as handle:
-                        handle.write(text)
+                    write_prometheus(path, system)
                     print(f"      prometheus metrics -> {path}")
                 if args.health_json:
                     path = args.health_json + suffix
-                    payload = {
-                        "workload": args.workload,
-                        "config": config_name,
-                        "health": system.monitor.health_summary(),
-                        "monitor": system.monitor.snapshot(),
-                        "spans": system.spans.snapshot(),
-                    }
-                    with open(path, "w") as handle:
-                        json.dump(payload, handle, indent=1,
-                                  sort_keys=True)
-                        handle.write("\n")
+                    write_health_json(path, system, workload.name)
                     print(f"      health snapshot -> {path}")
             if args.trace_out:
-                section = {"name": config_name,
-                           "events": list(system.tracer.events())}
-                if system.monitor is not None:
-                    section["samples"] = list(system.monitor.samples)
-                trace_sections.append(section)
+                trace_sections.append(chrome_section(system, config_name))
     if args.trace_out and trace_sections:
         count = write_chrome_trace(args.trace_out, trace_sections)
         print(f"wrote {count:,} trace events "
@@ -599,11 +583,11 @@ def _cmd_sweep(args, overrides: dict) -> int:
         removed = cache.clear()
         print(f"cleared {removed} cached cell(s) from {cache.root}")
         return 0
-    names = args.workloads or sorted(ALL_WORKLOADS)
-    unknown = [name for name in names if name not in ALL_WORKLOADS]
+    names = args.workloads or sorted(WORKLOAD_REGISTRY)
+    unknown = [name for name in names if name not in WORKLOAD_REGISTRY]
     if unknown:
         print(f"unknown workload(s): {', '.join(unknown)} "
-              f"(try: {', '.join(sorted(ALL_WORKLOADS))})",
+              f"(try: {', '.join(sorted(WORKLOAD_REGISTRY))})",
               file=sys.stderr)
         return 2
     configs = (list(CONFIG_ORDER) if args.configs == "all"
@@ -851,11 +835,17 @@ def _cmd_verify(args) -> int:
 
 
 #: commands whose fabric / fault flags become SystemConfig overrides
-_SYSTEM_COMMANDS = ("run", "figure2", "figure3", "headline", "sweep")
+_SYSTEM_COMMANDS = ("run", "replay", "figure2", "figure3", "headline",
+                    "sweep")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "replay":
+        # the system is sized from the saved traces
+        saved = load_workload(args.path)
+        args.cpus, args.gpus = len(saved.cpu_traces), len(saved.gpu_traces)
+        args.warps = max(map(len, saved.gpu_traces), default=0)
     if args.command in _SYSTEM_COMMANDS:
         try:
             overrides = _config_overrides(args)
@@ -866,8 +856,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_list()
     if args.command == "trace":
         return _cmd_trace(args)
+    if args.command in ("run", "save"):
+        generate = functools.partial(
+            WORKLOAD_REGISTRY[args.workload], num_cpus=args.cpus,
+            num_gpus=args.gpus, warps_per_cu=args.warps)
     if args.command == "run":
-        return _cmd_run(args, overrides)
+        return _cmd_run(args, overrides, generate)
+    if args.command == "replay":
+        return _cmd_run(args, overrides,
+                        functools.partial(load_workload, args.path))
     if args.command == "figure2":
         return _cmd_figure(args, overrides, MICROBENCHMARKS,
                            "Figure 2: microbenchmarks")
@@ -881,33 +878,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "save":
-        workload = ALL_WORKLOADS[args.workload](
-            num_cpus=args.cpus, num_gpus=args.gpus,
-            warps_per_cu=args.warps)
+        workload = generate()
         save_workload(workload, args.path)
         print(f"saved {workload.name}: {workload.total_ops():,} ops, "
               f"{len(workload.cpu_traces)} CPU traces, "
               f"{len(workload.gpu_traces)} CUs -> {args.path}")
         return 0
-    if args.command == "replay":
-        workload = load_workload(args.path)
-        num_cpus = len(workload.cpu_traces)
-        num_gpus = len(workload.gpu_traces)
-        reference = workload.reference() if args.check else None
-        system = build_system(scaled_config(args.config, num_cpus,
-                                            num_gpus))
-        system.load_workload(workload)
-        result = system.run(max_events=200_000_000)
-        line = (f"{workload.name} on {args.config}: "
-                f"{result.cycles:,} cycles, "
-                f"{result.network_bytes:,.0f} B")
-        bad = 0
-        if reference is not None:
-            bad = sum(1 for addr, value in reference.memory.items()
-                      if system.read_coherent(addr) != value)
-            line += f"  memory: {'OK' if bad == 0 else f'{bad} BAD'}"
-        print(line)
-        return 1 if bad else 0
     return 2
 
 

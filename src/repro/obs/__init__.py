@@ -22,11 +22,15 @@ counts, event counts, or final memory:
 * :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
   Chrome/Perfetto trace-event JSON (with counter tracks rendered from
   the monitor's scrape rows), a human-readable per-address timeline,
-  and Prometheus text exposition with a validating parser.
+  and Prometheus text exposition with a validating parser; the three
+  exports of one monitored ``System`` (Chrome section, Prometheus
+  text, health JSON) are built in one place for ``repro run`` and the
+  sweep.
 """
 
-from .export import (format_timeline, load_chrome_trace,
-                     validate_chrome_trace, write_chrome_trace)
+from .export import (chrome_section, format_timeline, load_chrome_trace,
+                     validate_chrome_trace, write_chrome_trace,
+                     write_health_json, write_prometheus)
 from .monitor import Gauge, HealthMonitor, MetricsRegistry, format_health
 from .prometheus import (parse_prometheus_text, prometheus_text,
                          registry_samples, sanitize_metric_name,
@@ -43,5 +47,6 @@ __all__ = [
     "prometheus_text", "parse_prometheus_text", "registry_samples",
     "stats_samples", "sanitize_metric_name",
     "write_chrome_trace", "load_chrome_trace", "validate_chrome_trace",
-    "format_timeline",
+    "format_timeline", "chrome_section", "write_prometheus",
+    "write_health_json",
 ]

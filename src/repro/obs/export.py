@@ -17,6 +17,10 @@ runs CPython's pure-Python encoder, as slow as the traced simulation.
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
 and have monotonically non-decreasing timestamps per track.
+
+``chrome_section``, ``write_prometheus`` and ``write_health_json`` are
+the three telemetry exports of one monitored ``System``; ``repro run``
+and each traced sweep cell write exactly these.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _str
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from .prometheus import prometheus_text, registry_samples, stats_samples
 from .trace import TraceEvent
 
 
@@ -111,6 +116,35 @@ def write_chrome_trace(path: str, sections: Sequence[dict]) -> int:
             count += len(batch)
         handle.write('], "displayTimeUnit": "ms"}')
     return count
+
+
+def chrome_section(system, name: str) -> dict:
+    """A traced ``System``'s :func:`write_chrome_trace` section: its
+    recorded events plus, when monitored, the scrape rows that become
+    counter tracks."""
+    monitor = system.monitor
+    return {"name": name, "events": system.tracer.events(),
+            "samples": monitor.samples if monitor is not None else ()}
+
+
+def write_prometheus(path: str, system) -> None:
+    """A monitored ``System``'s registry gauges and raw counters as
+    Prometheus text exposition."""
+    with open(path, "w") as handle:
+        handle.write(prometheus_text(registry_samples(system.registry)
+                                     + stats_samples(system.stats)))
+
+
+def write_health_json(path: str, system, workload: str) -> None:
+    """A monitored ``System``'s health summary, scrape rows and
+    critical-path rollups as one JSON document."""
+    payload = {"workload": workload, "config": system.config.name,
+               "health": system.monitor.health_summary(),
+               "monitor": system.monitor.snapshot(),
+               "spans": system.spans.snapshot()}
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
 
 
 def load_chrome_trace(path: str) -> dict:

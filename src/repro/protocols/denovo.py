@@ -117,6 +117,7 @@ class DeNovoL1(L1Controller):
         msg = self.request(MsgKind.REQ_V, access.line, missing)
         self._track(msg, "load")
         entry.meta["req_id"] = msg.req_id
+        entry.meta["requested"] = missing
         return True
 
     def _do_store(self, access: Access) -> bool:
@@ -326,8 +327,21 @@ class DeNovoL1(L1Controller):
                 line_obj.set_words(inflight.granted_o & cache_mask,
                                    DnState.O)
                 self._mark_dirty(line_obj, inflight.granted_o & cache_mask)
-        for access in entry.all_requests():
-            values = {index: inflight.data.get(index, 0)
+        # On a partial hit the ReqV asked only for the words missing
+        # here: the words this L1 holds answer from its own copy.
+        accesses = entry.all_requests()
+        unrequested = 0
+        for access in accesses:
+            unrequested |= access.mask
+        unrequested &= ~entry.meta["requested"]
+        source = inflight.data
+        if unrequested:
+            line_obj = self.array.lookup(inflight.line, touch=False)
+            if line_obj is not None:
+                held = unrequested & ~line_obj.words_in(DnState.I)
+                source = {**source, **line_obj.read_data(held)}
+        for access in accesses:
+            values = {index: source.get(index, 0)
                       for index in iter_mask(access.mask)}
             access.callback(values)
         self._release_delayed(inflight.line)

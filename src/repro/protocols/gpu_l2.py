@@ -177,12 +177,18 @@ class GPUL2(SpandexHome):
         if tracer is not None:
             tracer.record("l2.up_state", self.name, line=line,
                           info="S->I inv-after-grant")
+        self._drop_line(line_obj)
+
+    def _drop_line(self, line_obj: CacheLine) -> None:
+        """Give up the line upward: a pinned line (requests are pending
+        on it) keeps its frame but drops its contents to I, clean and
+        upstream state I; an unpinned line is evicted."""
         if line_obj.pinned:
             line_obj.state = HomeState.I
             line_obj.meta["dirty_mask"] = 0
             self._set_up_state(line_obj, "I")
         else:
-            self.array.evict(line)
+            self.array.evict(line_obj.line)
 
     def _fill_complete(self, line: int, data) -> None:
         line_obj = self.array.lookup(line)
@@ -245,13 +251,7 @@ class GPUL2(SpandexHome):
             self.network.send(Message(
                 MsgKind.MESI_INV_ACK, msg.line, FULL_LINE_MASK,
                 src=self.name, dst=msg.src, req_id=msg.meta["txn_id"]))
-            if not line_obj.pinned:
-                self.array.evict(msg.line)
-            else:
-                # requests are pending on the line; drop contents only
-                line_obj.state = HomeState.I
-                line_obj.meta["dirty_mask"] = 0
-                self._set_up_state(line_obj, "I")
+            self._drop_line(line_obj)
         self._recall_then(line_obj, "up-getm", respond)
 
     def _up_inv(self, msg: Message) -> None:
@@ -261,12 +261,7 @@ class GPUL2(SpandexHome):
             # an SM-style race: our GetM is queued at the directory
             pending["invalidated"] = True
         if line_obj is not None:
-            if line_obj.pinned:
-                line_obj.state = HomeState.I
-                line_obj.meta["dirty_mask"] = 0
-                self._set_up_state(line_obj, "I")
-            else:
-                self.array.evict(msg.line)
+            self._drop_line(line_obj)
         self.network.send(Message(
             MsgKind.MESI_INV_ACK, msg.line, FULL_LINE_MASK, src=self.name,
             dst=msg.src, req_id=msg.req_id))

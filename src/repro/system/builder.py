@@ -15,7 +15,7 @@ Hierarchical configurations::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.llc import SpandexLLC
 from ..core.policy import OwnerPredictor, make_policy
@@ -340,6 +340,13 @@ class System:
         if self._reader is None:
             self._reader = CoherentReader(self)
         return self._reader.read(addr)
+
+    def count_mismatches(self, image: Mapping[int, int]) -> int:
+        """How many words of ``image`` (address -> value, e.g. the DRF
+        reference executor's final memory) :meth:`read_coherent` reads
+        differently."""
+        return sum(1 for addr, value in image.items()
+                   if self.read_coherent(addr) != value)
 
     def run(self, max_events: Optional[int] = 50_000_000,
             max_cycles: Optional[int] = None):

@@ -125,15 +125,21 @@ class ControlledNetwork(Network):
         target = self._endpoints[msg.dst]
         now = self.engine.now
         tracer = self.engine.tracer
-        if tracer is None:
-            deliver = lambda m=msg, t=target: t.receive(m)  # noqa: E731
-        else:
-            tracer.message_sent(msg, now, now + 1)
+        for ready in self._released(msg):
+            if tracer is None:
+                def deliver(m=ready, t=target):
+                    t.receive(m)
+            else:
+                tracer.message_sent(ready, now, now + 1)
 
-            def deliver(m=msg, t=target, tr=tracer):
-                tr.message_delivered(m)
-                t.receive(m)
-        self.engine.schedule_at(now + 1, deliver)
+                def deliver(m=ready, t=target, tr=tracer):
+                    tr.message_delivered(m)
+                    t.receive(m)
+            self.engine.schedule_at(now + 1, deliver)
+
+    def _released(self, msg: Message) -> List[Message]:
+        """What delivering link head ``msg`` hands its endpoint."""
+        return [msg]
 
     def pending(self) -> int:
         return self.enqueued - self.delivered
@@ -208,40 +214,22 @@ class UnreliableControlledNetwork(ControlledNetwork):
         self.dup_budget -= 1
         self.transport_dups += 1
 
-    def deliver(self, msg: Message) -> None:
-        queue = self._queues[(msg.src, msg.dst)]
-        assert queue[0][1] is msg, "only link heads are deliverable"
-        queue.popleft()
-        self.delivered += 1
-        if self.delivery_observer is not None:
-            self.delivery_observer(msg)
+    def _released(self, msg: Message) -> List[Message]:
+        """The receive channel's in-order run that ``msg`` completes
+        (empty for a duplicate or an arrival ahead of a gap)."""
         seq = msg.meta.get("vseq")
         if seq is None:
-            ready = [msg]
-        else:
-            channel = self._recv_channels.get((msg.src, msg.dst))
-            if channel is None:
-                channel = self._recv_channels[(msg.src, msg.dst)] = \
-                    _RecvChannel()
-            ready, verdict = channel.admit(seq, msg)
-            if verdict == "dup":
-                self.stats.incr("transport.dup_dropped")
-            elif verdict == "buffer":
-                self.stats.incr("transport.reorder_buffered")
-        target = self._endpoints[msg.dst]
-        now = self.engine.now
-        tracer = self.engine.tracer
-        for deliverable in ready:
-            if tracer is None:
-                def deliver_fn(m=deliverable, t=target):
-                    t.receive(m)
-            else:
-                tracer.message_sent(deliverable, now, now + 1)
-
-                def deliver_fn(m=deliverable, t=target, tr=tracer):
-                    tr.message_delivered(m)
-                    t.receive(m)
-            self.engine.schedule_at(now + 1, deliver_fn)
+            return [msg]
+        channel = self._recv_channels.get((msg.src, msg.dst))
+        if channel is None:
+            channel = self._recv_channels[(msg.src, msg.dst)] = \
+                _RecvChannel()
+        ready, verdict = channel.admit(seq, msg)
+        if verdict == "dup":
+            self.stats.incr("transport.dup_dropped")
+        elif verdict == "buffer":
+            self.stats.incr("transport.reorder_buffered")
+        return ready
 
 
 def _conflict(a: Message, b: Message) -> bool:

@@ -40,7 +40,7 @@ class Workload:
                  meta: Optional[WorkloadMeta] = None):
         self.name = name
         self.cpu_traces = [list(t) for t in cpu_traces]
-        self.gpu_traces = [[list(w) for w in cu] for cu in gpu_traces]
+        self.gpu_traces = [list(map(list, cu)) for cu in gpu_traces]
         self.initial_memory = dict(initial_memory or {})
         self.meta = meta or WorkloadMeta()
 

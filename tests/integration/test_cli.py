@@ -1,12 +1,14 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import dataclasses
+import itertools
 import json
 import re
 
 import pytest
 
 from repro.cli import main
+from repro.coherence.messages import Message
 from repro.obs import load_chrome_trace, validate_chrome_trace
 from repro.system import (CONFIG_ORDER, FaultConfig, LinkWindow,
                           TraceConfig, scaled_config)
@@ -175,6 +177,54 @@ def test_replay_reproduces_live_run_cycles(tmp_path, capsys):
     replayed = int(
         re.search(r"([\d,]+) cycles", out).group(1).replace(",", ""))
     assert replayed == live
+
+
+def test_replay_prints_what_run_prints(tmp_path, capsys):
+    # replay goes through run's per-configuration loop on a system
+    # sized from the saved traces, so checked output matches byte for
+    # byte; the scale flags belong to the generator, not to replay
+    path = str(tmp_path / "reuse.json")
+    assert main(["save", "ReuseS", path] + SMALL) == 0
+    capsys.readouterr()
+    flags = ["--config", "all", "--check", "--invariants"]
+    assert main(["run", "ReuseS"] + flags + SMALL) == 0
+    live = capsys.readouterr().out
+    assert main(["replay", path] + flags) == 0
+    replayed = capsys.readouterr().out
+    assert replayed == live
+    assert replayed.count("memory: OK  invariants: OK") == 6
+    with pytest.raises(SystemExit):
+        main(["replay", path, "--cpus", "2"])
+
+
+def test_sweep_trace_artifacts_match_run_exports(tmp_path, monkeypatch):
+    # one telemetry export: a traced sweep cell writes the Prometheus
+    # text and health JSON `run --monitor` writes for the same cell,
+    # and the same Chrome trace apart from the process name.  Request
+    # ids are process-global (the spans carry them), so each command
+    # starts from a fresh counter as it would in its own process.
+    out = tmp_path / "run"
+    out.mkdir()
+    monkeypatch.setattr(Message, "_req_ids", itertools.count(1))
+    assert main(["run", "ReuseS", "--config", "SDD", "--check",
+                 "--monitor", "--prom-out", str(out / "cell.prom"),
+                 "--health-json", str(out / "cell.metrics.json"),
+                 "--trace-out", str(out / "cell.trace.json")]
+                + SMALL) == 0
+    monkeypatch.setattr(Message, "_req_ids", itertools.count(1))
+    assert main(["sweep", "ReuseS", "--configs", "SDD", "--no-cache",
+                 "--trace-artifacts", str(tmp_path / "sweep")]
+                + SMALL) == 0
+    for suffix in ("prom", "metrics.json"):
+        (swept,) = (tmp_path / "sweep").glob(f"*.{suffix}")
+        assert swept.read_text() == (out / f"cell.{suffix}").read_text()
+    (swept,) = (tmp_path / "sweep").glob("*.trace.json")
+    events = [load_chrome_trace(str(path))["traceEvents"]
+              for path in (swept, out / "cell.trace.json")]
+    assert events[0][0]["args"]["name"] == "ReuseS/SDD"
+    assert events[1][0]["args"]["name"] == "SDD"
+    assert events[0][1:] == events[1][1:]
+    assert any(event["ph"] == "C" for event in events[0])
 
 
 @pytest.mark.parametrize("shards", ["1", "2"])

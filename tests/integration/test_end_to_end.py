@@ -5,7 +5,7 @@ executor.  This is the simulator's strongest correctness oracle.
 
 import pytest
 
-from repro.analysis import ExperimentRunner
+from repro.analysis import CellSpec, run_sweep
 from repro.system import CONFIG_ORDER, build_system, scaled_config
 from repro.workloads import (APPLICATIONS, MICROBENCHMARKS, make_bc,
                              make_reuse_o)
@@ -59,10 +59,11 @@ def test_traffic_accounted_for_every_run():
 
 
 def test_experiment_runner_reports_memory_ok():
-    runner = ExperimentRunner(num_cpus=2, num_gpus=2, warps_per_cu=1,
-                              configs=("HMG", "SDD"))
-    result = runner.run("ReuseO", make_reuse_o, tile_lines=4,
-                        iterations=2)
+    kwargs = dict(num_cpus=2, num_gpus=2, warps_per_cu=1, tile_lines=4,
+                  iterations=2)
+    (result,) = run_sweep([CellSpec.make("ReuseO", config, kwargs)
+                           for config in ("HMG", "SDD")]
+                          ).workload_results()
     for config_result in result.results.values():
         assert config_result.memory_ok is True
     assert result.hbest() == "HMG"

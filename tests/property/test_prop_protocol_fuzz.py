@@ -10,7 +10,8 @@ conflict.  After quiescence:
 * the final coherent value of every word equals the number of RMW
   increments (for counters) / the last completed store (checked via
   per-word monotonic tokens);
-* all protocol invariants hold (single writer, inclusivity, ...).
+* all protocol invariants hold (single writer, owner/holder
+  agreement, pinning of owned lines; ``check_final_state``).
 
 Unlike the trace-level property test, this one is free to generate
 racy programs: it only asserts properties that coherence (not DRF)
@@ -20,6 +21,7 @@ must provide — per-word write serialization and atomic RMWs.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.invariants import check_final_state
 from repro.coherence.messages import atomic_add
 
 from tests.systems import MiniSpandex
@@ -101,48 +103,9 @@ def test_protocol_fuzz_atomicity_and_invariants(script):
     # final value = number of committed increments
     for selector, count in increments.items():
         line, index = word_addr(selector)
-        owner = mini.llc_owner(line, index)
-        if owner is not None:
-            resident = mini.l1s[owner].array.lookup(line, touch=False)
-            value = resident.data[index]
-        else:
-            value = mini.llc_word(line, index)
-            if value is None:
-                value = mini.dram.peek(line)[index]
+        value = mini.read_coherent(line + 4 * index)
         assert value == count, (selector, value, count)
 
     # global protocol invariants at quiescence
     assert mini.engine.pending() == 0
-    _audit(mini)
-
-
-def _audit(mini):
-    """Inline invariant audit for the harness-built mini system."""
-    from repro.protocols.denovo import DeNovoL1, DnState
-    from repro.protocols.mesi import MESIL1, MesiState
-    holders = {}
-    for name, l1 in mini.l1s.items():
-        for resident in l1.array.lines():
-            if isinstance(l1, DeNovoL1):
-                for index, state in enumerate(resident.word_states):
-                    if state == DnState.O:
-                        holders.setdefault(
-                            (resident.line, index), []).append(name)
-            elif isinstance(l1, MESIL1):
-                if resident.state in (MesiState.M, MesiState.E):
-                    for index in range(16):
-                        holders.setdefault(
-                            (resident.line, index), []).append(name)
-    for key, caches in holders.items():
-        assert len(caches) == 1, (key, caches)
-    for resident in mini.llc.array.lines():
-        owned = [o for o in resident.owner if o is not None]
-        if owned:
-            assert resident.pinned, hex(resident.line)
-        for index, owner in enumerate(resident.owner):
-            if owner is None:
-                continue
-            caches = holders.get((resident.line, index), [])
-            # at quiescence, owner records must agree with holders
-            assert caches == [owner], (hex(resident.line), index,
-                                       owner, caches)
+    check_final_state(mini)

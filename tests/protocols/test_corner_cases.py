@@ -7,7 +7,7 @@ from repro.core.home import HomeState
 from repro.protocols.denovo import DnState
 from repro.protocols.mesi import MesiState
 
-from tests.systems import MiniHier, MiniSpandex
+from tests.systems import MiniHier, MiniSpandex, make_sdd
 
 LINE = 0x11000
 
@@ -183,3 +183,22 @@ def test_multiword_denovo_store_across_owned_and_free_words():
     assert mini.llc_owner(LINE, 5) == "b"
     b_line = mini.l1s["b"].array.lookup(LINE, touch=False)
     assert b_line.data[0] == 2 and b_line.data[5] == 3
+
+
+def test_denovo_partial_hit_load_answers_held_words_locally():
+    """A DeNovo load that finds some words Owned locally sends a ReqV
+    for the missing words only; the held words answer from the L1's
+    own copy instead of reading as 0 from the response."""
+    mini = make_sdd()
+    mini.seed(LINE, {index: 100 + index for index in range(16)})
+    mini.store("cpu", LINE, 0b0011, {0: 11, 1: 12})
+    mini.release("cpu")
+    mini.run()
+    mini.rmw("gpu", LINE, 0b1, atomic_add(5))   # takes word 0 away
+    mini.run()
+    load = mini.load("cpu", LINE, 0xFFFF)
+    mini.run()
+    cpu_line = mini.l1s["cpu"].array.lookup(LINE, touch=False)
+    assert cpu_line.word_states[1] == DnState.O
+    assert load.values == {0: 16, 1: 12,
+                           **{index: 100 + index for index in range(2, 16)}}

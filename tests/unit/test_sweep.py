@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from repro.analysis import ExperimentRunner
 from repro.analysis.sweep import (CellSpec, ResultCache, SweepError,
                                   cell_key, code_fingerprint, grid_specs,
                                   run_sweep, simulate_cell)
@@ -200,19 +199,16 @@ def test_progress_callback_sees_every_cell(tmp_path):
     assert sorted(seen) == ["HMG", "SDD"]
 
 
-# -- the rewired ExperimentRunner ---------------------------------------------
+# -- grids as per-workload results --------------------------------------------
 def test_experiment_runner_on_sweep(tmp_path):
-    runner = ExperimentRunner(**SMALL, configs=["SDD", "HMG"],
-                              cache=ResultCache(tmp_path))
-    result = runner.run("ReuseS", MICROBENCHMARKS["ReuseS"])
+    summary = run_sweep(TINY_SPECS, cache=ResultCache(tmp_path))
+    (result,) = summary.workload_results()
     assert list(result.results) == ["SDD", "HMG"]
-    assert runner.last_sweep is not None
-    assert runner.last_sweep.simulated == 2
-    # a second runner over the same cache re-simulates nothing
-    runner2 = ExperimentRunner(**SMALL, configs=["SDD", "HMG"],
-                               cache=ResultCache(tmp_path))
-    result2 = runner2.run("ReuseS", MICROBENCHMARKS["ReuseS"])
-    assert runner2.last_sweep.cache_hits == 2
+    assert summary.simulated == 2
+    # a second sweep over the same cache re-simulates nothing
+    summary2 = run_sweep(TINY_SPECS, cache=ResultCache(tmp_path))
+    (result2,) = summary2.workload_results()
+    assert summary2.cache_hits == 2
     assert result2.results["SDD"].cycles == result.results["SDD"].cycles
 
 

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.analysis import (ConfigResult, ExperimentRunner,
-                            TRAFFIC_CLASSES, WorkloadResult,
-                            format_figure, format_traffic_stack,
+from repro.analysis import (CellSpec, ConfigResult, TRAFFIC_CLASSES,
+                            WorkloadResult, format_figure,
+                            format_traffic_stack, run_sweep,
                             summarize_headline)
 from repro.system import (CONFIG_ORDER, CONFIGS, HIERARCHICAL_CONFIGS,
                           SPANDEX_CONFIGS, build_system, scaled_config)
-from repro.workloads import make_reuse_o
 
 
 # -- config --------------------------------------------------------------------
@@ -188,10 +187,10 @@ def test_summarize_headline_empty_is_zero():
 
 
 def test_experiment_runner_end_to_end_small():
-    runner = ExperimentRunner(num_cpus=1, num_gpus=1, warps_per_cu=1,
-                              configs=("SDD",))
-    result = runner.run("ReuseO", make_reuse_o, tile_lines=2,
-                        iterations=2, sparse_reads=1)
+    spec = CellSpec.make("ReuseO", "SDD", dict(
+        num_cpus=1, num_gpus=1, warps_per_cu=1, tile_lines=2,
+        iterations=2, sparse_reads=1))
+    (result,) = run_sweep([spec]).workload_results()
     config_result = result.results["SDD"]
     assert config_result.cycles > 0
     assert config_result.memory_ok is True
