@@ -221,11 +221,11 @@ class InvariantChecker:
         fresh_mismatches: Dict[Tuple[int, int], MismatchRecord] = {}
         for home in self._homes():
             for resident in home.array.lines():
-                owned_any = False
+                owned = 0
                 for index, owner in enumerate(resident.owner):
                     if owner is None:
                         continue
-                    owned_any = True
+                    owned |= 1 << index
                     # inclusivity: the owned line is resident (trivially
                     # true here) and pinned against eviction
                     if not resident.pinned:
@@ -261,7 +261,12 @@ class InvariantChecker:
                                 holders=list(caches),
                                 first_cycle=self.system.engine.now,
                                 first_audit=self.audits)
-                if owned_any and resident.state == HomeState.S:
+                if resident.owned != owned:
+                    self._raise(
+                        f"{home.name}: line 0x{resident.line:x} owned mask "
+                        f"0x{resident.owned:04x} but owners recorded on "
+                        f"0x{owned:04x}")
+                if owned and resident.state == HomeState.S:
                     self._raise(
                         f"{home.name}: line 0x{resident.line:x} has "
                         "owned words while in Shared state")

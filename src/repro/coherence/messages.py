@@ -82,6 +82,10 @@ class MsgKind(enum.Enum):
     REL_ACK = "RelAck"
 
 
+#: Kind -> its wire name (``MsgKind.value`` is a property: hot paths that
+#: label counters read this table instead).
+KIND_LABELS: Dict["MsgKind", str] = {kind: kind.value for kind in MsgKind}
+
 #: Requests a Spandex device may issue (order matches Table II rows).
 DEVICE_REQUESTS = (
     MsgKind.REQ_V, MsgKind.REQ_S, MsgKind.REQ_WT, MsgKind.REQ_O,

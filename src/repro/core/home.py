@@ -28,9 +28,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Optional, Set
 
-from ..coherence.addr import (FULL_LINE_MASK, WORDS_PER_LINE,
-                               iter_mask)
-from ..coherence.messages import Message, MsgKind
+from ..coherence.addr import FULL_LINE_MASK, iter_mask
+from ..coherence.messages import KIND_LABELS, Message, MsgKind
 from ..mem.cache import CacheLine
 from ..sim.engine import SimulationError
 from .home_base import HomeController
@@ -147,7 +146,7 @@ class SpandexHome(HomeController):
             self._handle_probe_response(msg)
             return
         if msg.kind in TABLE_III:
-            self.hstats.incr_group("requests", msg.kind.value)
+            self.hstats.incr_group("requests", KIND_LABELS[msg.kind])
             self._process_request(msg)
             return
         self._dispatch_other(msg)
@@ -167,36 +166,35 @@ class SpandexHome(HomeController):
         line_obj.meta["blocked_mask"] = self._blocked_mask(line_obj) | mask
         line_obj.pin()
 
-    def _unblock_words(self, line_obj: CacheLine, mask: int) -> None:
-        line_obj.meta["blocked_mask"] = self._blocked_mask(line_obj) & ~mask
-        line_obj.unpin()
-        self._replay_deferred(line_obj.line)
-
     # ------------------------------------------------------------------
     # line residency
     # ------------------------------------------------------------------
-    def _set_word_owner(self, line_obj: CacheLine, index: int,
-                        owner: Optional[str]) -> None:
-        """Update a word's owner, pinning owned lines (inclusivity)."""
+    def _set_owners(self, line_obj: CacheLine, mask: int,
+                    owner: Optional[str]) -> None:
+        """Give the words in ``mask`` to ``owner`` (None: to the home),
+        pinning owned lines (inclusivity).  The only writer of
+        ``owner`` and ``owned``."""
         owners = line_obj.owner
-        old = owners[index]
-        owners[index] = owner
-        if (owner is None) == (old is None):
-            return      # owned-word count unchanged: pin state holds
-        others = any(o is not None for i, o in enumerate(owners)
-                     if i != index)
+        for index in iter_mask(mask):
+            owners[index] = owner
+        was = line_obj.owned
         if owner is not None:
-            if not others:
+            line_obj.owned = was | mask
+            if mask and not was:
                 line_obj.pin()      # first owned word pins the line
-        elif not others:
-            line_obj.unpin()        # last owned word released
+        else:
+            line_obj.owned = was & ~mask
+            if was and not line_obj.owned:
+                line_obj.unpin()    # last owned word released
 
-    def _owned_mask(self, line_obj: CacheLine) -> int:
-        mask = 0
-        for index, owner in enumerate(line_obj.owner):
-            if owner is not None:
-                mask |= 1 << index
-        return mask
+    def _owned_by(self, line_obj: CacheLine, mask: int, owner: str) -> int:
+        """The words of ``mask`` that ``owner`` owns."""
+        owners = line_obj.owner
+        mine = 0
+        for index in iter_mask(mask & line_obj.owned):
+            if owners[index] == owner:
+                mine |= 1 << index
+        return mine
 
     def _dirty_mask(self, line_obj: CacheLine) -> int:
         return int(line_obj.meta.get("dirty_mask", 0))
@@ -218,10 +216,10 @@ class SpandexHome(HomeController):
         # that piggybacked on the same upstream grant at the GPU L2)
         # may already have dirtied words, and owned words' data fields
         # belong to their owners.
-        protect = self._owned_mask(line_obj) | self._dirty_mask(line_obj)
-        for index in range(WORDS_PER_LINE):
-            if not (protect >> index) & 1:
-                line_obj.data[index] = data.get(index, 0)
+        protect = line_obj.owned | self._dirty_mask(line_obj)
+        words = line_obj.data
+        for index in iter_mask(FULL_LINE_MASK & ~protect):
+            words[index] = data.get(index, 0)
         self._fetching.discard(line)
         self._replay_deferred(line)
 
@@ -307,18 +305,21 @@ class SpandexHome(HomeController):
                 # in flight is discarded (Table III last row)
                 line_obj = self.array.lookup(msg.line, touch=False)
                 if line_obj is not None:
-                    for index in iter_mask(released):
-                        if line_obj.owner[index] == msg.src:
-                            self._set_word_owner(line_obj, index, None)
+                    self._set_owners(line_obj, self._owned_by(
+                        line_obj, released, msg.src), None)
         else:  # RspRvkO carries writeback data for the revoked words
             line_obj = self.array.lookup(msg.line, touch=False)
             if line_obj is not None:
-                for index in iter_mask(msg.mask & txn.data_mask):
+                revoked = msg.mask & txn.data_mask
+                written = 0
+                for index in iter_mask(revoked):
                     if index in msg.data:
                         line_obj.data[index] = msg.data[index]
-                        self._mark_dirty(line_obj, 1 << index)
-                    if line_obj.owner[index] == msg.src:
-                        self._set_word_owner(line_obj, index, None)
+                        written |= 1 << index
+                if written:
+                    self._mark_dirty(line_obj, written)
+                self._set_owners(line_obj, self._owned_by(
+                    line_obj, revoked, msg.src), None)
             txn.data_mask &= ~msg.mask
         if txn.done:
             self._finish_txn(txn)
@@ -351,7 +352,7 @@ class SpandexHome(HomeController):
         if msg.kind == MsgKind.REQ_WB:
             self._handle_reqwb(msg)
             return
-        line_obj = self._ensure_resident(msg)
+        line_obj = self._ensure_resident(msg, line_obj)
         if line_obj is None:
             return
         dispatch = self._req_dispatch
@@ -385,7 +386,7 @@ class SpandexHome(HomeController):
                 MsgKind.NACK, msg.line, msg.mask, src=self.name,
                 dst=msg.src, req_id=msg.req_id))
             return
-        owned = self._owned_mask(line_obj) & msg.mask
+        owned = line_obj.owned & msg.mask
         # Forward word-granularity ReqV per remote owner; the owner
         # responds directly to the requestor (Figure 1c).  No state
         # transition, no blocking.
@@ -394,7 +395,7 @@ class SpandexHome(HomeController):
             # Respond with every locally-available word of the line:
             # line granularity for GPU requests, and DeNovo responses
             # "may include any available up-to-date data in the line".
-            local = FULL_LINE_MASK & ~self._owned_mask(line_obj)
+            local = FULL_LINE_MASK & ~line_obj.owned
             self._respond(msg, MsgKind.RSP_V, local,
                           line_obj.read_data(local))
 
@@ -412,10 +413,8 @@ class SpandexHome(HomeController):
             return self.reqs_policy == "option1"
         if line_obj.state == HomeState.S:
             return True
-        for index in iter_mask(mask):
-            owner = line_obj.owner[index]
-            if owner is not None and \
-                    self.device_protocols.get(owner) == "MESI":
+        for index in iter_mask(mask & line_obj.owned):
+            if self.device_protocols.get(line_obj.owner[index]) == "MESI":
                 return True
         return False
 
@@ -423,7 +422,7 @@ class SpandexHome(HomeController):
         if not self._use_option1(line_obj, msg.mask):
             self._grant_exclusive(msg, line_obj, msg.mask)
             return
-        owned = self._owned_mask(line_obj) & msg.mask
+        owned = line_obj.owned & msg.mask
         plain = msg.mask & ~owned
         if plain:
             # Words up to date at the LLC: respond, record the sharer.
@@ -453,8 +452,7 @@ class SpandexHome(HomeController):
                 txn.data_mask = owner_mask
                 self._txns[txn.txn_id] = txn
                 self._block_words(line_obj, owner_mask)
-                for index in iter_mask(owner_mask):
-                    self._set_word_owner(line_obj, index, None)
+                self._set_owners(line_obj, owner_mask, None)
                 self.network.send(Message(
                     MsgKind.REQ_S, msg.line, owner_mask, src=self.name,
                     dst=owner, req_id=msg.req_id, requestor=msg.src,
@@ -463,16 +461,13 @@ class SpandexHome(HomeController):
     def _grant_exclusive(self, msg: Message, line_obj: CacheLine,
                          mask: int) -> None:
         """ReqS option (3): treat like ReqO+data (exclusive grant)."""
-        owned = self._owned_mask(line_obj) & mask
+        owned = line_obj.owned & mask
         self._forward_per_owner(msg, line_obj, owned, MsgKind.REQ_O_DATA,
                                 grant_s=True)
-        for index in iter_mask(owned):
-            self._set_word_owner(line_obj, index, msg.src)
+        self._set_owners(line_obj, mask, msg.src)
         local = mask & ~owned
         if local:
             data = line_obj.read_data(local)
-            for index in iter_mask(local):
-                self._set_word_owner(line_obj, index, msg.src)
             self._respond(msg, MsgKind.RSP_S, local, data,
                           meta={"granted": "O"})
 
@@ -491,19 +486,15 @@ class SpandexHome(HomeController):
             msg.line, lambda: self._perform_write(msg, line_obj))
 
     def _perform_write(self, msg: Message, line_obj: CacheLine) -> None:
-        owned = self._owned_mask(line_obj) & msg.mask
-        foreign = 0
-        for index in iter_mask(owned):
-            if line_obj.owner[index] != msg.src:
-                foreign |= 1 << index
+        owned = line_obj.owned & msg.mask
+        foreign = owned & ~self._owned_by(line_obj, owned, msg.src)
         if msg.kind == MsgKind.REQ_WT:
             # Immediate update + per-owner forwarded write-through; the
             # previous owner answers the requestor (Figure 1d).
             line_obj.write_data(msg.mask, msg.data)
             self._mark_dirty(line_obj, msg.mask)
             self._forward_per_owner(msg, line_obj, foreign, MsgKind.REQ_WT)
-            for index in iter_mask(msg.mask):
-                self._set_word_owner(line_obj, index, None)
+            self._set_owners(line_obj, msg.mask, None)
             local = msg.mask & ~foreign
             if local:
                 self._respond(msg, MsgKind.RSP_WT, local, {})
@@ -515,8 +506,7 @@ class SpandexHome(HomeController):
         local = msg.mask & ~foreign
         data = line_obj.read_data(local) \
             if msg.kind == MsgKind.REQ_O_DATA else {}
-        for index in iter_mask(msg.mask):
-            self._set_word_owner(line_obj, index, msg.src)
+        self._set_owners(line_obj, msg.mask, msg.src)
         if local:
             rsp = (MsgKind.RSP_O if msg.kind == MsgKind.REQ_O
                    else MsgKind.RSP_O_DATA)
@@ -550,16 +540,12 @@ class SpandexHome(HomeController):
         """
         line_obj.write_data(msg.mask, msg.data)
         self._mark_dirty(line_obj, msg.mask)
-        owned = self._owned_mask(line_obj) & msg.mask
+        owned = line_obj.owned & msg.mask
         # Words the writer itself still owns (the policy demoted an
         # owned-word store): reclaim silently — the request data IS
         # the owner's newest value, pushing it back would be circular.
-        mine = 0
-        for index in iter_mask(owned):
-            if line_obj.owner[index] == msg.src:
-                mine |= 1 << index
-        for index in iter_mask(mine):
-            self._set_word_owner(line_obj, index, None)
+        mine = self._owned_by(line_obj, owned, msg.src)
+        self._set_owners(line_obj, mine, None)
         owned &= ~mine
         if not owned:
             self._respond(msg, MsgKind.RSP_WT_FWD, msg.mask, {})
@@ -600,7 +586,7 @@ class SpandexHome(HomeController):
             return
         if line_obj.state == HomeState.S:
             line_obj.state = HomeState.V
-        owned = self._owned_mask(line_obj) & msg.mask
+        owned = line_obj.owned & msg.mask
         if owned:
             # Blocking: revoke ownership, wait for the writeback, then
             # retry (Figure 1b).
@@ -628,12 +614,11 @@ class SpandexHome(HomeController):
         line_obj = self.array.lookup(msg.line)
         applied = 0
         if line_obj is not None:
-            for index in iter_mask(msg.mask):
-                if line_obj.owner[index] == msg.src:
-                    self._set_word_owner(line_obj, index, None)
-                    if index in msg.data:
-                        line_obj.data[index] = msg.data[index]
-                    applied |= 1 << index
+            applied = self._owned_by(line_obj, msg.mask, msg.src)
+            self._set_owners(line_obj, applied, None)
+            for index in iter_mask(applied):
+                if index in msg.data:
+                    line_obj.data[index] = msg.data[index]
             if applied:
                 self._mark_dirty(line_obj, applied)
         # A write-back from a non-owner raced with an ownership transfer;
@@ -647,11 +632,11 @@ class SpandexHome(HomeController):
     # ------------------------------------------------------------------
     def _group_by_owner(self, line_obj: CacheLine,
                         mask: int) -> Dict[str, int]:
+        owners = line_obj.owner
         by_owner: Dict[str, int] = {}
-        for index in iter_mask(mask):
-            owner = line_obj.owner[index]
-            if owner is not None:
-                by_owner[owner] = by_owner.get(owner, 0) | (1 << index)
+        for index in iter_mask(mask & line_obj.owned):
+            owner = owners[index]
+            by_owner[owner] = by_owner.get(owner, 0) | (1 << index)
         return by_owner
 
     def _forward_per_owner(self, msg: Message, line_obj: CacheLine,

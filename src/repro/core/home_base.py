@@ -124,9 +124,13 @@ class HomeController(Component):
     def _sharers(self, line_obj: CacheLine) -> Set[str]:
         return line_obj.meta.setdefault("sharers", set())
 
-    def _ensure_resident(self, msg: Message) -> Optional[CacheLine]:
-        """Return the resident line, or start a fill and defer ``msg``."""
-        line_obj = self.array.lookup(msg.line)
+    def _ensure_resident(self, msg: Message,
+                         line_obj: Optional[CacheLine]) -> Optional[CacheLine]:
+        """Return the resident line, or start a fill and defer ``msg``.
+
+        ``line_obj`` is the caller's ``array.lookup(msg.line)`` with no
+        array access since, so looking it up again would not move the LRU.
+        """
         if line_obj is not None and line_obj.state != self.INVALID:
             return line_obj
         self._defer(msg)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Generic, Iterator, List, Optional, TypeVar
 
-from ..coherence.addr import LINE_BYTES, WORDS_PER_LINE, iter_mask
+from ..coherence.addr import (FULL_LINE_MASK, LINE_BYTES, WORDS_PER_LINE,
+                              iter_mask)
 
 S = TypeVar("S")
 
@@ -22,8 +23,8 @@ S = TypeVar("S")
 class CacheLine(Generic[S]):
     """One resident line: line state, per-word states, data, owner ids."""
 
-    __slots__ = ("line", "state", "word_states", "data", "owner", "pinned",
-                 "meta")
+    __slots__ = ("line", "state", "word_states", "data", "owner", "owned",
+                 "pinned", "meta")
 
     def __init__(self, line: int, state: S, word_state: S):
         self.line = line
@@ -32,6 +33,9 @@ class CacheLine(Generic[S]):
         self.data: List[int] = [0] * WORDS_PER_LINE
         #: per-word owner id (used by the Spandex LLC / directory)
         self.owner: List[Optional[str]] = [None] * WORDS_PER_LINE
+        #: mask of the words whose ``owner`` is set; written only with
+        #: ``owner`` (``SpandexHome._set_owners``)
+        self.owned = 0
         self.pinned = 0
         self.meta: Dict[str, object] = {}
 
@@ -41,8 +45,11 @@ class CacheLine(Generic[S]):
 
     def words_in(self, state: S) -> int:
         """Mask of words currently in ``state``."""
+        states = self.word_states
+        if state not in states:
+            return 0
         mask = 0
-        for index, word_state in enumerate(self.word_states):
+        for index, word_state in enumerate(states):
             if word_state == state:
                 mask |= 1 << index
         return mask
@@ -53,7 +60,10 @@ class CacheLine(Generic[S]):
                 self.data[index] = values[index]
 
     def read_data(self, mask: int) -> Dict[int, int]:
-        return {index: self.data[index] for index in iter_mask(mask)}
+        data = self.data
+        if mask == FULL_LINE_MASK:
+            return dict(enumerate(data))
+        return {index: data[index] for index in iter_mask(mask)}
 
     def pin(self) -> None:
         self.pinned += 1

@@ -129,9 +129,6 @@ class Network:
     def endpoint(self, name: str) -> Endpoint:
         return self._endpoints[name]
 
-    def has_endpoint(self, name: str) -> bool:
-        return name in self._endpoints
-
     # -- delivery callables ------------------------------------------------
     def _make_receiver(self, name: str) -> Callable[[Message], None]:
         receive = self._endpoints[name].receive

@@ -398,8 +398,7 @@ class SpanCollector:
                           for line, cycles in self.top_lines()],
             "top_shards": [list(row) for row in self.top_shards()],
             "top_links": [list(row) for row in self.top_links()],
-            "slowest": [dict(row, segments=[list(s) for s in
-                                            row["segments"]])
+            "slowest": [dict(row, segments=list(map(list, row["segments"])))
                         for row in self.slowest],
         }
 

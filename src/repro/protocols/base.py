@@ -365,10 +365,3 @@ class L1Controller(Component):
             label = labels[what] = "l1." + what
         self._counters[label] += amount
 
-
-def merge_values(into: Dict[int, int], mask: int,
-                 values: Dict[int, int]) -> None:
-    """Copy masked ``values`` into ``into``."""
-    for index in iter_mask(mask):
-        if index in values:
-            into[index] = values[index]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional
 
-from ..coherence.addr import iter_mask
+from ..coherence.addr import WORDS_PER_LINE, iter_mask
 from ..coherence.messages import Message, MsgKind
 from ..mem.cache import CacheLine
 from ..sim.engine import SimulationError
@@ -33,6 +33,10 @@ class DnState(enum.Enum):
     I = "I"
     V = "V"
     O = "O"
+
+
+#: the word states of a line this L1 does not hold (read-only)
+_NO_WORDS = (DnState.I,) * WORDS_PER_LINE
 
 
 class DeNovoL1(L1Controller):
@@ -79,27 +83,22 @@ class DeNovoL1(L1Controller):
     # ------------------------------------------------------------------
     # device-facing API
     # ------------------------------------------------------------------
-    def _word_state(self, line: int, index: int) -> DnState:
-        line_obj = self.array.lookup(line, touch=False)
-        if line_obj is None:
-            return DnState.I
-        return line_obj.word_states[index]
-
     def _do_load(self, access: Access) -> bool:
         line_obj = self.array.lookup(access.line)
-        if access.invalidate_first and line_obj is not None:
+        states = line_obj.word_states if line_obj is not None else _NO_WORDS
+        if access.invalidate_first:
             # spin-wait reload: drop the stale Valid copy, keep Owned
             for index in iter_mask(access.mask):
-                if line_obj.word_states[index] == DnState.V:
-                    line_obj.word_states[index] = DnState.I
+                if states[index] is DnState.V:
+                    states[index] = DnState.I
+        # the store-buffer check leaves the array alone: the lookup
+        # above still holds
         if self._load_from_buffer(access):
             return True
-        line_obj = self.array.lookup(access.line)
         missing = access.mask
-        if line_obj is not None:
-            for index in iter_mask(access.mask):
-                if line_obj.word_states[index] != DnState.I:
-                    missing &= ~(1 << index)
+        for index in iter_mask(access.mask):
+            if states[index] is not DnState.I:
+                missing &= ~(1 << index)
         if not missing:
             self.count("hits")
             values = self._with_buffered(
@@ -123,9 +122,10 @@ class DeNovoL1(L1Controller):
     def _do_store(self, access: Access) -> bool:
         line_obj = self.array.lookup(access.line)
         if line_obj is not None:
+            states = line_obj.word_states
             owned = access.mask
-            for index in iter_mask(access.mask):
-                if line_obj.word_states[index] != DnState.O:
+            for index in iter_mask(owned):
+                if states[index] is not DnState.O:
                     owned = 0
                     break
             if owned and self.tu is not None and \
@@ -188,13 +188,15 @@ class DeNovoL1(L1Controller):
                           info="flash self-invalidate"
                                + (" (regions)" if regions else ""))
         inside = self._region_filter(regions)
+        valid, invalid, owned = DnState.V, DnState.I, DnState.O
         for line_obj in list(self.array.lines()):
             if not inside(line_obj.line):
                 continue
-            for index in range(16):
-                if line_obj.word_states[index] == DnState.V:
-                    line_obj.word_states[index] = DnState.I
-            if line_obj.words_in(DnState.O) == 0 and not line_obj.pinned:
+            states = line_obj.word_states
+            if valid in states:
+                states[:] = [invalid if state is valid else state
+                             for state in states]
+            if owned not in states and not line_obj.pinned:
                 self.array.evict(line_obj.line)
 
     # ------------------------------------------------------------------
@@ -302,10 +304,11 @@ class DeNovoL1(L1Controller):
     def _install_words(self, line: int, data: Dict[int, int],
                        state: DnState, mask: int) -> CacheLine:
         line_obj = self._resident(line)
+        words, states = line_obj.data, line_obj.word_states
         for index in iter_mask(mask):
             if index in data:
-                line_obj.data[index] = data[index]
-                line_obj.word_states[index] = state
+                words[index] = data[index]
+                states[index] = state
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.record("l1.state", self.name, line=line,
@@ -315,9 +318,11 @@ class DeNovoL1(L1Controller):
     def _finish_load(self, inflight: Inflight) -> None:
         entry = self.mshrs.release(inflight.line)
         downgraded = self._downgraded_pending.pop(inflight.line, 0)
+        line_obj = self.array.lookup(inflight.line, touch=False)
+        states = line_obj.word_states if line_obj is not None else _NO_WORDS
         cache_mask = 0
         for index in inflight.data:
-            if self._word_state(inflight.line, index) == DnState.I:
+            if states[index] is DnState.I:
                 cache_mask |= 1 << index
         cache_mask &= ~inflight.no_cache & ~downgraded
         if cache_mask:
@@ -336,7 +341,8 @@ class DeNovoL1(L1Controller):
         unrequested &= ~entry.meta["requested"]
         source = inflight.data
         if unrequested:
-            line_obj = self.array.lookup(inflight.line, touch=False)
+            # still the resident line: only _install_words touched the
+            # array, and it returned the line it installed
             if line_obj is not None:
                 held = unrequested & ~line_obj.words_in(DnState.I)
                 source = {**source, **line_obj.read_data(held)}
@@ -398,11 +404,11 @@ class DeNovoL1(L1Controller):
     def _owned_data(self, msg: Message) -> Optional[Dict[int, int]]:
         """Up-to-date data for ``msg.mask``, from cache or pending WB."""
         line_obj = self.array.lookup(msg.line, touch=False)
+        states = line_obj.word_states if line_obj is not None else _NO_WORDS
         values: Dict[int, int] = {}
         wb = self._pending_wb.get(msg.line, {})
         for index in iter_mask(msg.mask):
-            if line_obj is not None and \
-                    line_obj.word_states[index] == DnState.O:
+            if states[index] is DnState.O:
                 values[index] = line_obj.data[index]
             elif index in wb:
                 values[index] = wb[index]
@@ -425,7 +431,14 @@ class DeNovoL1(L1Controller):
                     mask |= access.mask
         return mask
 
-    def _downgrade_words(self, line: int, mask: int) -> None:
+    def _downgrade_words(self, msg: Message) -> None:
+        """Give up ownership of ``msg.mask``: Owned words drop to I, and
+        a grant still in flight for them lands in I (§III-C.1)."""
+        line, mask = msg.line, msg.mask
+        pending = self._pending_grant_mask(line) & mask
+        if pending:
+            self._downgraded_pending[line] = \
+                self._downgraded_pending.get(line, 0) | pending
         line_obj = self.array.lookup(line, touch=False)
         if line_obj is None:
             return
@@ -433,11 +446,15 @@ class DeNovoL1(L1Controller):
         if tracer is not None:
             tracer.record("l1.state", self.name, line=line,
                           info=f"O->I mask=0x{mask:04x}")
+        states = line_obj.word_states
+        dropped = 0
         for index in iter_mask(mask):
-            if line_obj.word_states[index] == DnState.O:
-                line_obj.word_states[index] = DnState.I
-                line_obj.meta["dirty_mask"] = \
-                    int(line_obj.meta.get("dirty_mask", 0)) & ~(1 << index)
+            if states[index] is DnState.O:
+                states[index] = DnState.I
+                dropped |= 1 << index
+        if dropped:
+            line_obj.meta["dirty_mask"] = \
+                int(line_obj.meta.get("dirty_mask", 0)) & ~dropped
 
     def _ext_reqv(self, msg: Message) -> None:
         values = self._owned_data(msg)
@@ -483,22 +500,14 @@ class DeNovoL1(L1Controller):
 
     def _ext_reqo(self, msg: Message) -> None:
         # ownership-only downgrade: never needs data, respond at once
-        pending = self._pending_grant_mask(msg.line) & msg.mask
-        if pending:
-            self._downgraded_pending[msg.line] = \
-                self._downgraded_pending.get(msg.line, 0) | pending
-        self._downgrade_words(msg.line, msg.mask)
+        self._downgrade_words(msg)
         self.send(Message(MsgKind.RSP_O, msg.line, msg.mask,
                           src=self.name, dst=msg.requestor or msg.src,
                           req_id=msg.req_id))
 
     def _ext_reqwt(self, msg: Message) -> None:
         # a write-through overwrote these words at the home; drop ours
-        pending = self._pending_grant_mask(msg.line) & msg.mask
-        if pending:
-            self._downgraded_pending[msg.line] = \
-                self._downgraded_pending.get(msg.line, 0) | pending
-        self._downgrade_words(msg.line, msg.mask)
+        self._downgrade_words(msg)
         self.send(Message(MsgKind.RSP_WT, msg.line, msg.mask,
                           src=self.name, dst=msg.requestor or msg.src,
                           req_id=msg.req_id))
@@ -512,11 +521,7 @@ class DeNovoL1(L1Controller):
                 return
             raise SimulationError(
                 f"{self.name}: ReqO+data for unowned words {msg}")
-        pending = self._pending_grant_mask(msg.line) & msg.mask
-        if pending:
-            self._downgraded_pending[msg.line] = \
-                self._downgraded_pending.get(msg.line, 0) | pending
-        self._downgrade_words(msg.line, msg.mask)
+        self._downgrade_words(msg)
         self.send(Message(MsgKind.RSP_O_DATA, msg.line, msg.mask,
                           src=self.name, dst=msg.requestor or msg.src,
                           req_id=msg.req_id, data=values,
@@ -530,11 +535,7 @@ class DeNovoL1(L1Controller):
             if self._delay_if_pending_rmw(msg):
                 return
             raise SimulationError(f"{self.name}: RvkO for unowned {msg}")
-        pending = self._pending_grant_mask(msg.line) & msg.mask
-        if pending:
-            self._downgraded_pending[msg.line] = \
-                self._downgraded_pending.get(msg.line, 0) | pending
-        self._downgrade_words(msg.line, msg.mask)
+        self._downgrade_words(msg)
         self.send(Message(MsgKind.RSP_RVK_O, msg.line, msg.mask,
                           src=self.name, dst=msg.src,
                           req_id=msg.req_id, data=values))

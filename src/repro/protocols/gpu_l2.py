@@ -142,9 +142,9 @@ class GPUL2(SpandexHome):
         if line_obj is not None:
             self._set_up_state(line_obj, state)
             # refresh words that are neither L1-owned nor locally dirty
-            protect = self._owned_mask(line_obj) | self._dirty_mask(line_obj)
+            protect = line_obj.owned | self._dirty_mask(line_obj)
             if pending["invalidated"]:
-                protect = self._owned_mask(line_obj)
+                protect = line_obj.owned
                 line_obj.meta["dirty_mask"] = 0
             for index, value in msg.data.items():
                 if not (protect >> index) & 1:
@@ -171,7 +171,7 @@ class GPUL2(SpandexHome):
 
     def _drop_invalidated(self, line: int) -> None:
         line_obj = self.array.lookup(line, touch=False)
-        if line_obj is None or self._owned_mask(line_obj):
+        if line_obj is None or line_obj.owned:
             return
         tracer = self.engine.tracer
         if tracer is not None:
@@ -210,7 +210,7 @@ class GPUL2(SpandexHome):
         grant issued mid-recall would be stranded when the line is
         surrendered upstream.
         """
-        owned = self._owned_mask(line_obj)
+        owned = line_obj.owned
         if not owned:
             then()      # synchronous: nothing can interleave
             return

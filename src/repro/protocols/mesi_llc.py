@@ -13,7 +13,7 @@ import enum
 from typing import Callable, Dict, Optional
 
 from ..coherence.addr import FULL_LINE_MASK
-from ..coherence.messages import Message, MsgKind
+from ..coherence.messages import KIND_LABELS, Message, MsgKind
 from ..core.home_base import HomeController
 from ..mem.cache import CacheLine
 from ..mem.dram import MainMemory
@@ -79,7 +79,7 @@ class MESIDirectoryLLC(HomeController):
             self._probe_response(msg)
             return
         if msg.kind in (MsgKind.GET_S, MsgKind.GET_M, MsgKind.PUT_M):
-            self.hstats.incr_group("requests", msg.kind.value)
+            self.hstats.incr_group("requests", KIND_LABELS[msg.kind])
             self._process_request(msg)
             return
         raise SimulationError(f"{self.name}: unexpected {msg}")
@@ -196,7 +196,7 @@ class MESIDirectoryLLC(HomeController):
         if msg.kind == MsgKind.PUT_M:
             self._handle_putm(msg)
             return
-        line_obj = self._ensure_resident(msg)
+        line_obj = self._ensure_resident(msg, line_obj)
         if line_obj is None:
             return
         if msg.kind == MsgKind.GET_S:

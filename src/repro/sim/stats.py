@@ -168,9 +168,9 @@ class StatsRegistry:
         return {
             "counters": {name: float(self._counters[name])
                          for name in sorted(self._counters)},
-            "groups": {group: {key: float(keys[key])
-                               for key in sorted(keys)}
-                       for group, keys in sorted(self._groups.items())},
+            "groups": {
+                group: {key: float(keys[key]) for key in sorted(keys)}
+                for group, keys in sorted(self._groups.items())},
         }
 
     @classmethod

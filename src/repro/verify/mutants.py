@@ -108,9 +108,9 @@ def _home_reqwb_applies_stale(self, msg: Message) -> None:
     data over the new owner's values."""
     line_obj = self.array.lookup(msg.line)
     if line_obj is not None:
+        self._set_owners(line_obj, self._owned_by(
+            line_obj, msg.mask, msg.src), None)
         for index in iter_mask(msg.mask):
-            if line_obj.owner[index] == msg.src:
-                self._set_word_owner(line_obj, index, None)
             if index in msg.data:
                 line_obj.data[index] = msg.data[index]
         self._mark_dirty(line_obj, msg.mask)
@@ -131,7 +131,7 @@ def _denovo_reqo_keeps_owner(self, msg: Message) -> None:
     if pending:
         self._downgraded_pending[msg.line] = \
             self._downgraded_pending.get(msg.line, 0) | pending
-    # BUG: self._downgrade_words(msg.line, msg.mask) forgotten
+    # BUG: the Owned words are never dropped (_downgrade_words)
     self.send(Message(MsgKind.RSP_O, msg.line, msg.mask,
                       src=self.name, dst=msg.requestor or msg.src,
                       req_id=msg.req_id))

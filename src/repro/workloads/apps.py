@@ -24,13 +24,6 @@ from .graph import community_graph
 from .trace import AddressSpace, Op, Trace
 
 
-def _partition(items: List[int], parts: int) -> List[List[int]]:
-    out: List[List[int]] = [[] for _ in range(parts)]
-    for index, item in enumerate(items):
-        out[index % parts].append(item)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # BC — Betweenness Centrality (push-based, atomics with temporal locality)
 # ---------------------------------------------------------------------------

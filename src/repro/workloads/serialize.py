@@ -114,10 +114,11 @@ def workload_to_dict(workload: Workload) -> Dict[str, object]:
         },
         "initial_memory": {str(addr): value for addr, value
                            in workload.initial_memory.items()},
-        "cpu_traces": [[encode_op(op) for op in trace]
+        "cpu_traces": [list(map(encode_op, trace))
                        for trace in workload.cpu_traces],
-        "gpu_traces": [[[encode_op(op) for op in warp] for warp in cu]
-                       for cu in workload.gpu_traces],
+        "gpu_traces": [
+            [list(map(encode_op, warp)) for warp in cu]
+            for cu in workload.gpu_traces],
     }
 
 
@@ -135,10 +136,10 @@ def workload_from_dict(payload: Dict[str, object]) -> Workload:
         parameters=dict(meta_payload["parameters"]))
     return Workload(
         payload["name"],
-        [[decode_op(op) for op in trace]
-         for trace in payload["cpu_traces"]],
-        [[[decode_op(op) for op in warp] for warp in cu]
-         for cu in payload["gpu_traces"]],
+        [list(map(decode_op, trace)) for trace in payload["cpu_traces"]],
+        [
+            [list(map(decode_op, warp)) for warp in cu]
+            for cu in payload["gpu_traces"]],
         initial_memory={int(addr): value for addr, value
                         in payload["initial_memory"].items()},
         meta=meta)

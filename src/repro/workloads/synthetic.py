@@ -49,14 +49,16 @@ def make_indirection(num_cpus: int = 4, num_gpus: int = 4,
     gpu_threads = num_gpus * warps_per_cu
 
     # Each thread owns a strided slice of A and of B per iteration.
-    cpu_a = [[space.alloc_lines(lines_per_thread)
-              for _ in range(num_cpus)] for _ in range(iterations)]
-    cpu_b = [[space.alloc_lines(lines_per_thread)
-              for _ in range(num_cpus)] for _ in range(iterations)]
-    gpu_a = [[space.alloc_lines(lines_per_thread)
-              for _ in range(gpu_threads)] for _ in range(iterations)]
-    gpu_b = [[space.alloc_lines(lines_per_thread)
-              for _ in range(gpu_threads)] for _ in range(iterations)]
+    def slices(threads: int) -> List[List[int]]:
+        """Per iteration, a fresh slice for each of ``threads``."""
+        out = []
+        for _ in range(iterations):
+            out.append([space.alloc_lines(lines_per_thread)
+                        for _ in range(threads)])
+        return out
+
+    cpu_a, cpu_b = slices(num_cpus), slices(num_cpus)
+    gpu_a, gpu_b = slices(gpu_threads), slices(gpu_threads)
 
     rounds = []
     for _ in range(2 * iterations + 1):

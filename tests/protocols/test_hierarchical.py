@@ -178,7 +178,7 @@ def test_gpu_l2_drops_an_invalidated_grant_unless_l1s_own_words():
     assert l2._up_state(line_obj) == "I"
 
     line_obj.state = HomeState.V
-    l2._set_word_owner(line_obj, 0, "gpu0")
+    l2._set_owners(line_obj, 0b1, "gpu0")
     l2._drop_invalidated(LINE)
     assert line_obj.state == HomeState.V
     assert l2.array.lookup(LINE, touch=False) is line_obj

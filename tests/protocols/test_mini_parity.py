@@ -27,6 +27,7 @@ from typing import Dict
 
 import pytest
 
+from repro.analysis import InvariantViolation, check_final_state
 from repro.coherence.messages import atomic_add
 from repro.core.home_base import HomeController
 from repro.core.tu import TranslationUnit
@@ -143,6 +144,20 @@ def test_mini_systems_match_golden():
             f"{fresh[name]}, expected {golden[name]}. If the change is "
             f"intended, regenerate the file with `{REGENERATE}` and "
             f"explain the change in the commit.")
+
+
+@pytest.mark.tier1
+def test_final_audit_catches_an_owned_mask_that_drifts_from_owner():
+    mini = make_sdd()
+    _spandex_script(mini)
+    check_final_state(mini)
+    resident = mini.llc_line(LINE)
+    assert resident.owned   # the script leaves words owned
+    unowned = next(index for index in range(16)
+                   if resident.owner[index] is None)
+    resident.owned |= 1 << unowned
+    with pytest.raises(InvariantViolation, match="owned mask"):
+        check_final_state(mini)
 
 
 def _registered(system: System):
