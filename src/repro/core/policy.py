@@ -177,18 +177,6 @@ class RequestPolicy:
         return f"<{type(self).__name__}>"
 
 
-class FixedPolicy(RequestPolicy):
-    """Per-device-family mapping, exactly the paper's Table II.
-
-    Present so sweeps can name the baseline explicitly; behaviour is
-    identical to attaching no policy at all (the builder special-cases
-    ``fixed`` to skip the policy hook entirely, keeping the hot path
-    bit-identical to the pre-policy simulator).
-    """
-
-    name = "fixed"
-
-
 class CriticalityPolicy(RequestPolicy):
     """Criticality-weighted heuristic (hpvm-spandex compiler pass).
 
@@ -251,9 +239,9 @@ class AdaptivePolicy(RequestPolicy):
 def make_policy(name: str) -> Optional[RequestPolicy]:
     """Policy instance for a config name; None for the fixed baseline.
 
-    Returning None (not a FixedPolicy object) is what keeps the fixed
-    baseline bit-identical: the TU's ``from_device`` takes the original
-    early-exit path when no policy is attached.
+    The fixed baseline (the paper's Table II mapping) has no policy
+    object: with none attached, the TU's ``from_device`` takes its
+    early-exit path, which keeps the baseline bit-identical.
     """
     if name in (None, "fixed"):
         return None

@@ -8,11 +8,22 @@ operation issues per cycle when everything hits; structural hazards
 Spinning flag reads model fine-grained synchronization: the core
 re-reads the flag with a backoff, forcing a fresh copy on protocols
 that self-invalidate, and treats a successful spin as an acquire.
+
+Every wait goes through one hook, ``_stall(delay, resume, args)``:
+structural stalls resume at ``_step`` after ``issue_period``, a spin
+miss at ``_op_spin`` after ``spin_backoff``.  It is the engine's
+``schedule`` itself; the litmus explorer's subclass
+(:mod:`repro.verify.explorer`) swaps it to park the resumption until
+its drain loop wakes the core.  ``log`` is ``None`` in simulation
+runs; as a list it gets a ``{kind, addr, value, cycle, uid, seq}``
+entry per completed load, accepted store, RMW (before its acquire
+fence) and successful spin (kind ``"spin"``) — what the explorer's
+value-legality pass reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..protocols.base import Access, L1Controller
 from ..sim.engine import Component, Engine
@@ -41,6 +52,10 @@ class CPUCore(Component):
         self.on_done: Optional[Callable[[], None]] = None
         self.ops_executed = 0
         self.spin_iterations = 0
+        #: completed-operation log (``None``: not recorded)
+        self.log: Optional[List[Dict[str, object]]] = None
+        #: wait hook ``(delay, resume, args)``: the engine's schedule
+        self._stall = self.schedule
         #: issue cycle of the one outstanding load (the core blocks on it)
         self._load_issued_at = 0
         #: live flat-counter dict for the per-op latency accounting
@@ -74,8 +89,14 @@ class CPUCore(Component):
         self.ops_executed += 1
         self.schedule(max(delay, self.issue_period), self._step)
 
-    def _retry(self) -> None:
-        self.schedule(self.issue_period, self._step)
+    def _log(self, kind: str, values: Dict[int, int]) -> None:
+        """Append the current op's completion, with its word's value."""
+        op = self.trace[self._pc]
+        addr = op.addrs[0]
+        log = self.log
+        log.append({"kind": kind, "addr": addr,
+                    "value": values.get((addr >> 2) & 15, 0),
+                    "cycle": self.now, "uid": op.uid, "seq": len(log)})
 
     def _step(self) -> None:
         if self._pc >= len(self.trace):
@@ -94,12 +115,14 @@ class CPUCore(Component):
         access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
                         callback=self._load_done)
         if not self.l1.try_access(access):
-            self._retry()
+            self._stall(self.issue_period, self._step)
 
     def _load_done(self, values: Dict[int, int]) -> None:
         counters = self._counters
         counters["cpu.load_latency_total"] += self.now - self._load_issued_at
         counters["cpu.load_count"] += 1
+        if self.log is not None:
+            self._log("load", values)
         self._advance()
 
     def _op_store(self, op: Op) -> None:
@@ -109,8 +132,10 @@ class CPUCore(Component):
                         values={index: op.value},
                         callback=_discard_values)
         if not self.l1.try_access(access):
-            self._retry()
+            self._stall(self.issue_period, self._step)
             return
+        if self.log is not None:
+            self._log("store", access.values)
         self._advance()
 
     def _op_rmw(self, op: Op) -> None:
@@ -125,10 +150,12 @@ class CPUCore(Component):
         access = Access("rmw", addr & ~63, 1 << ((addr >> 2) & 15),
                         atomic=op.atomic, callback=self._rmw_done)
         if not self.l1.try_access(access):
-            self._retry()
+            self._stall(self.issue_period, self._step)
 
     def _rmw_done(self, values: Dict[int, int]) -> None:
         op = self.trace[self._pc]
+        if self.log is not None:
+            self._log("rmw", values)
         if op.acquire:
             self.l1.fence_acquire(self._advance,
                                   regions=op.regions, scope=op.scope)
@@ -143,18 +170,20 @@ class CPUCore(Component):
         access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
                         callback=self._spin_check, invalidate_first=True)
         if not self.l1.try_access(access):
-            self._retry()
+            self._stall(self.issue_period, self._step)
 
     def _spin_check(self, values: Dict[int, int]) -> None:
         op = self.trace[self._pc]
         if op.spin_until(values.get((op.addrs[0] >> 2) & 15, 0)):
+            if self.log is not None:
+                self._log("spin", values)
             # a successful sync read is an acquire
             self.l1.fence_acquire(self._advance,
                                   regions=op.regions, scope=op.scope)
             return
         self.spin_iterations += 1
         self._counters["cpu.spin_iterations"] += 1
-        self.schedule(self.spin_backoff, self._op_spin, (op,))
+        self._stall(self.spin_backoff, self._op_spin, (op,))
 
     def _op_acquire(self, op: Op) -> None:
         self.l1.fence_acquire(self._advance,

@@ -17,6 +17,11 @@ pending message (different destination *and* different line) eagerly,
 without a choice point — such deliveries commute with everything else
 pending, so no distinguishable interleaving is lost.
 
+Each litmus thread is the simulator's own
+:class:`~repro.devices.cpu.CPUCore`, subclassed only to park its
+stalls and spin misses until the drain loop wakes it, with its
+completion log on.
+
 Every explored schedule is checked four ways: all litmus threads ran
 to completion (else deadlock), the invariant auditor's final audit,
 final memory against the sequential reference image, and the per-load
@@ -32,14 +37,13 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis.invariants import InvariantChecker, InvariantViolation
 from ..coherence.messages import Message, clone
+from ..devices.cpu import CPUCore
 from ..faults.diagnostics import collect_diagnostic
 from ..faults.watchdog import DeadlockError
 from ..network.noc import Network
 from ..network.reliable import _RecvChannel
-from ..protocols.base import Access
 from ..sim.engine import SimulationError
 from ..system.config import SystemConfig
-from ..workloads.trace import Op
 from .legality import check_value_legality
 from .systems import THREAD_NAMES, VerifySystem
 
@@ -257,145 +261,37 @@ class _ForcedNacks:
         return False
 
 
-class LitmusDriver:
-    """A CPU-core-like trace driver that *parks* instead of polling.
+class LitmusDriver(CPUCore):
+    """The simulator's CPU core, *parking* instead of polling.
 
-    The stock :class:`~repro.devices.cpu.CPUCore` retries structural
-    stalls and spin misses on a timer; under the controlled network
-    that busy-wait would keep the engine from ever draining.  This
-    driver parks a blocked/spinning operation in ``_wake`` and lets the
-    explorer's drain loop wake it between deliveries.  It also logs
-    every completed memory operation (value and completion cycle) for
-    the value-legality pass.
+    :class:`~repro.devices.cpu.CPUCore` waits out structural stalls and
+    spin misses on a timer; under the controlled network that
+    busy-wait would keep the engine from ever draining.  This subclass
+    replaces the core's one wait hook, ``_stall``, to park the
+    resumption in ``_wake``, and the explorer's drain loop wakes it
+    between deliveries.  Its completion ``log`` feeds the
+    value-legality pass.
     """
 
-    def __init__(self, engine, name: str, l1, trace: List[Op]):
-        self.engine = engine
-        self.name = name
-        self.l1 = l1
-        self.trace = trace
-        self._pc = 0
-        self.done = False
-        self.ops_executed = 0
-        self.spin_iterations = 0
-        self._wake: Optional[Callable[[], None]] = None
-        #: completed-operation log: dicts with kind/addr/value/cycle/uid
-        self.log: List[Dict[str, object]] = []
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+        self._wake: Optional[Tuple[Callable[..., None], tuple]] = None
+        self._stall = self._park
 
-    # -- explorer interface -------------------------------------------
-    def start(self) -> None:
-        self.engine.schedule(0, self._step)
+    def _park(self, delay: int, resume: Callable[..., None],
+              args: tuple = ()) -> None:
+        self._wake = (resume, args)
 
     @property
     def parked(self) -> bool:
         return self._wake is not None
 
     def wake(self) -> None:
-        fn, self._wake = self._wake, None
-        if fn is not None:
-            fn()
-
-    # -- execution ----------------------------------------------------
-    def _log(self, kind: str, addr: int, value: int, uid: int) -> None:
-        self.log.append({"kind": kind, "addr": addr, "value": value,
-                         "cycle": self.engine.now, "uid": uid,
-                         "seq": len(self.log)})
-
-    def _advance(self) -> None:
-        self._pc += 1
-        self.ops_executed += 1
-        self.engine.schedule(1, self._step)
-
-    def _step(self) -> None:
-        if self._pc >= len(self.trace):
-            self.done = True
-            return
-        op = self.trace[self._pc]
-        handler = {
-            "load": self._op_load, "store": self._op_store,
-            "rmw": self._op_rmw, "spin_load": self._op_spin,
-            "acquire": self._op_acquire, "release": self._op_release,
-            "compute": self._op_compute,
-        }[op.kind.value]
-        handler(op)
-
-    def _op_load(self, op: Op) -> None:
-        addr = op.addrs[0]
-        index = (addr >> 2) & 15
-
-        def done(values: Dict[int, int]) -> None:
-            self._log("load", addr, values.get(index, 0), op.uid)
-            self._advance()
-
-        access = Access("load", addr & ~63, 1 << index, callback=done)
-        if not self.l1.try_access(access):
-            self._wake = self._step
-
-    def _op_store(self, op: Op) -> None:
-        addr = op.addrs[0]
-        index = (addr >> 2) & 15
-        access = Access("store", addr & ~63, 1 << index,
-                        values={index: op.value},
-                        callback=lambda values: None)
-        if not self.l1.try_access(access):
-            self._wake = self._step
-            return
-        self._log("store", addr, op.value, op.uid)
-        self._advance()
-
-    def _op_rmw(self, op: Op) -> None:
-        addr = op.addrs[0]
-        index = (addr >> 2) & 15
-
-        def done(values: Dict[int, int]) -> None:
-            self._log("rmw", addr, values.get(index, 0), op.uid)
-            if op.acquire:
-                self.l1.fence_acquire(lambda: self._advance(),
-                                      regions=op.regions, scope=op.scope)
-            else:
-                self._advance()
-
-        def issue() -> None:
-            access = Access("rmw", addr & ~63, 1 << index,
-                            atomic=op.atomic, callback=done)
-            if not self.l1.try_access(access):
-                self._wake = issue
-
-        if op.release:
-            self.l1.fence_release(issue, scope=op.scope)
-        else:
-            issue()
-
-    def _op_spin(self, op: Op) -> None:
-        addr = op.addrs[0]
-        index = (addr >> 2) & 15
-
-        def check(values: Dict[int, int]) -> None:
-            value = values.get(index, 0)
-            if op.spin_until(value):
-                self._log("spin", addr, value, op.uid)
-                self.l1.fence_acquire(lambda: self._advance(),
-                                      regions=op.regions, scope=op.scope)
-                return
-            self.spin_iterations += 1
-            # park: a delivery (or nothing) must change the observable
-            # value; the drain loop re-reads after every choice
-            self._wake = lambda: self._op_spin(op)
-
-        access = Access("load", addr & ~63, 1 << index, callback=check,
-                        invalidate_first=True)
-        if not self.l1.try_access(access):
-            self._wake = lambda: self._op_spin(op)
-
-    def _op_acquire(self, op: Op) -> None:
-        self.l1.fence_acquire(lambda: self._advance(),
-                              regions=op.regions, scope=op.scope)
-
-    def _op_release(self, op: Op) -> None:
-        self.l1.fence_release(lambda: self._advance(), scope=op.scope)
-
-    def _op_compute(self, op: Op) -> None:
-        self._advance()
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            resume, args = wake
+            resume(*args)
 
 
 # ---------------------------------------------------------------------
@@ -527,7 +423,7 @@ def run_schedule(scenario, config_name: str, chooser=None, *,
     if coverage is not None:
         coverage.attach(system)
     drivers = [LitmusDriver(system.engine, name, system.l1s[name],
-                            spec["threads"].get(name, []))
+                            system.stats, spec["threads"].get(name, []))
                for name in THREAD_NAMES]
     for driver in drivers:
         driver.start()

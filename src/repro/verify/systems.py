@@ -14,7 +14,8 @@ the builder's three hooks:
   over delivery ordering);
 * ``_l1_kwargs`` adds a one-cycle store coalescing delay.
 
-The builder's cores and CUs are never started; litmus drivers issue
+The builder's cores and CUs are never started; the explorer's litmus
+threads, parking :class:`~repro.devices.cpu.CPUCore` subclasses, issue
 straight into the L1s.
 """
 

@@ -161,6 +161,33 @@ def test_cpu_load_latency_counts_from_the_accepted_issue():
         accepted["done"] - accepted["at"]
 
 
+def test_cpu_completion_log_is_off_by_default():
+    _mini, core = cpu_rig([])
+    assert core.log is None
+
+
+def test_cpu_completion_log_records_program_order():
+    """With ``log`` set, each completed load/store/RMW/spin appends its
+    kind, word, value and completion cycle, in program order."""
+    counter = 0x5100
+    trace = [Op.store(LINE, 7), Op.load(LINE),
+             Op.rmw(counter, atomic_add(5)), Op.spin_ge(counter, 5)]
+    mini, core = cpu_rig(trace)
+    core.log = []
+    calls = spy_accesses(mini)
+    core.start()
+    mini.run()
+    assert core.done
+    store, load, rmw, spin = [c for c in calls if c["accepted"]][-4:]
+    assert [(e["kind"], e["addr"], e["value"], e["cycle"], e["uid"],
+             e["seq"]) for e in core.log] == [
+        ("store", LINE, 7, store["at"], trace[0].uid, 0),
+        ("load", LINE, 7, load["done"], trace[1].uid, 1),
+        ("rmw", counter, 0, rmw["done"], trace[2].uid, 2),
+        ("spin", counter, 5, spin["done"], trace[3].uid, 3),
+    ]
+
+
 def test_cpu_on_done_callback():
     mini, core = cpu_rig([Op.compute(5)])
     fired = []

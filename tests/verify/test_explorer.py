@@ -14,7 +14,9 @@ from repro.verify import (CORPUS, DfsExplorer, RandomWalkExplorer,
                           shrink_failure)
 from repro.verify.explorer import (ControlledNetwork, FAILURE_KINDS,
                                    PrefixChooser, RandomChooser)
+from repro.verify.litmus import DATA, LitmusScenario
 from repro.verify.mutants import mutant_by_name
+from repro.workloads.trace import Op
 
 CONFIG_NAMES = tuple(CONFIGS)
 SMOKE_CONFIGS = ("SMG", "HMG")          # one Spandex, one hierarchical
@@ -99,6 +101,22 @@ def test_forced_nack_scenario_exercises_retry_path():
 
 
 # -- controlled network unit behaviour --------------------------------------
+@pytest.mark.tier1
+def test_litmus_compute_op_takes_its_cycles():
+    """Litmus threads run the simulator's CPU core, so a compute op
+    advances ``op.cycles``, not one cycle."""
+    scenario = LitmusScenario(
+        "compute-gap",
+        lambda: {"threads": {"c0": [Op.store(DATA, 1), Op.compute(50),
+                                    Op.store(DATA + 4, 2)]}},
+        "two stores around a 50-cycle compute op")
+    run = run_schedule(scenario, "SMG")
+    (c0,) = [driver for driver in run.drivers if driver.name == "c0"]
+    first, second = c0.log
+    assert (first["kind"], second["kind"]) == ("store", "store")
+    assert second["cycle"] - first["cycle"] >= 50
+
+
 @pytest.mark.tier1
 def test_deliverable_orders_heads_oldest_first():
     from repro.coherence.messages import Message, MsgKind
