@@ -136,6 +136,13 @@ ADDR_BYTES = 8
 MASK_BYTES = 2
 
 
+def wire_bytes(mask: int, data_words: int) -> int:
+    """On-wire size: header + mask (if partial) + data payload."""
+    if mask and mask != FULL_LINE_MASK:
+        return CONTROL_BYTES + ADDR_BYTES + MASK_BYTES + 4 * data_words
+    return CONTROL_BYTES + ADDR_BYTES + 4 * data_words
+
+
 class AtomicOp:
     """A read-modify-write operation carried by ReqWT+data / ReqO+data.
 
@@ -224,12 +231,8 @@ class Message:
         return TRAFFIC_CLASS[self.kind]
 
     def size_bytes(self) -> int:
-        """On-wire size: header + mask (if partial) + data payload."""
-        size = CONTROL_BYTES + ADDR_BYTES
-        if self.mask not in (0, FULL_LINE_MASK):
-            size += MASK_BYTES
-        size += 4 * len(self.data)
-        return size
+        """On-wire size (:func:`wire_bytes`)."""
+        return wire_bytes(self.mask, len(self.data))
 
     def carries_data(self) -> bool:
         return bool(self.data)

@@ -59,7 +59,7 @@ class TranslationUnit(Component):
                  stats: StatsRegistry, l1: L1Controller, latency: int = 1,
                  nack_retry_limit: int = 0, backoff_base: int = 8,
                  backoff_cap: int = 128, backoff_jitter: int = 0,
-                 retry_seed: int = 0):
+                 retry_seed: int = 0, device_class: str = "cpu"):
         super().__init__(engine, l1.name)
         self.network = network
         self.stats = stats
@@ -83,9 +83,9 @@ class TranslationUnit(Component):
         self.predictor = None
         #: 'cpu' | 'gpu' — criticality weighting keys on the device
         #: class (paper: CPU accesses have less latency tolerance), not
-        #: on the cache's protocol family.  Device names start with the
-        #: class letter in both builders ('cpu0'/'gpu0', 'c0'/'g0').
-        self.device_class = "gpu" if l1.name.startswith("g") else "cpu"
+        #: on the cache's protocol family; the builder passes the
+        #: device's role
+        self.device_class = device_class
         self._pred_pending: Dict[int, int] = {}  # req_id -> line
         l1.tu = self
         network.register(self)
@@ -279,7 +279,7 @@ class DeNovoTU(TranslationUnit):
         if msg.kind is not MsgKind.REQ_O:
             super()._convert_to_wtfwd(msg)
             return
-        values = self.l1._store_values_for(msg.line, msg.mask)
+        values = self.l1.store_buffer.forward(msg.line, msg.mask)
         if values is None:
             return    # not a plain store-buffer ReqO: leave it alone
         self._count_wtfwd(msg)
@@ -298,8 +298,8 @@ class MESITU(TranslationUnit):
 
     def __init__(self, engine: Engine, network: Network,
                  stats: StatsRegistry, l1: MESIL1, latency: int = 1,
-                 **retry_kwargs):
-        super().__init__(engine, network, stats, l1, latency, **retry_kwargs)
+                 **kwargs):
+        super().__init__(engine, network, stats, l1, latency, **kwargs)
         #: line -> {word: value}: data retained for TU-issued partial
         #: write-backs until the LLC acknowledges them
         self._tu_wb: Dict[int, Dict[int, int]] = {}
@@ -544,14 +544,15 @@ class MESITU(TranslationUnit):
 
 def make_tu(engine: Engine, network: Network, stats: StatsRegistry,
             l1: L1Controller, latency: int = 1,
-            **retry_kwargs) -> TranslationUnit:
+            **kwargs) -> TranslationUnit:
     """Build the TU matching the wrapped cache's protocol family.
 
-    ``retry_kwargs`` (``nack_retry_limit``, ``backoff_base``,
-    ``backoff_cap``, ``backoff_jitter``, ``retry_seed``) configure the
-    bounded Nack retry/backoff policy; by default retries are off and a
-    Nack escalates immediately.
+    ``kwargs``: ``device_class`` (the device's role, 'cpu' by default)
+    and the bounded Nack retry/backoff knobs (``nack_retry_limit``,
+    ``backoff_base``, ``backoff_cap``, ``backoff_jitter``,
+    ``retry_seed``); by default retries are off and a Nack escalates
+    immediately.
     """
     family = getattr(l1, "PROTOCOL_FAMILY", "GPU")
     cls = {"GPU": GPUCoherenceTU, "DeNovo": DeNovoTU, "MESI": MESITU}[family]
-    return cls(engine, network, stats, l1, latency, **retry_kwargs)
+    return cls(engine, network, stats, l1, latency, **kwargs)

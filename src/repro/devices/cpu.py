@@ -10,8 +10,10 @@ re-reads the flag with a backoff, forcing a fresh copy on protocols
 that self-invalidate, and treats a successful spin as an acquire.
 
 Every wait goes through one hook, ``_stall(delay, resume, args)``:
-structural stalls resume at ``_step`` after ``issue_period``, a spin
-miss at ``_op_spin`` after ``spin_backoff``.  It is the engine's
+structural stalls resume at ``_step`` after ``issue_period`` (a store
+at ``_poll_store``, which keeps its ``Access`` until its line's
+store-buffer entry clears), a spin miss at ``_op_spin`` after
+``spin_backoff``.  It is the engine's
 ``schedule`` itself; the litmus explorer's subclass
 (:mod:`repro.verify.explorer`) swaps it to park the resumption until
 its drain loop wakes the core.  ``log`` is ``None`` in simulation
@@ -87,7 +89,8 @@ class CPUCore(Component):
     def _advance(self, delay: int = 0) -> None:
         self._pc += 1
         self.ops_executed += 1
-        self.schedule(max(delay, self.issue_period), self._step)
+        self.schedule(delay if delay > self.issue_period
+                      else self.issue_period, self._step)
 
     def _log(self, kind: str, values: Dict[int, int]) -> None:
         """Append the current op's completion, with its word's value."""
@@ -128,15 +131,24 @@ class CPUCore(Component):
     def _op_store(self, op: Op) -> None:
         addr = op.addrs[0]
         index = (addr >> 2) & 15
-        access = Access("store", addr & ~63, 1 << index,
-                        values={index: op.value},
-                        callback=_discard_values)
+        self._store(Access("store", addr & ~63, 1 << index,
+                           values={index: op.value},
+                           callback=_discard_values))
+
+    def _store(self, access: Access) -> None:
         if not self.l1.try_access(access):
-            self._stall(self.issue_period, self._step)
+            self._stall(self.issue_period, self._poll_store, (access,))
             return
         if self.log is not None:
             self._log("store", access.values)
         self._advance()
+
+    def _poll_store(self, access: Access) -> None:
+        """Retry a refused store once its line's entry has cleared."""
+        if self.l1.store_blocked(access):
+            self._stall(self.issue_period, self._poll_store, (access,))
+        else:
+            self._store(access)
 
     def _op_rmw(self, op: Op) -> None:
         if op.release:

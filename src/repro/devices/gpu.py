@@ -9,6 +9,8 @@ word-granularity write-throughs come from.
 
 The CU issues one warp-instruction per ``issue_period`` cycles (the
 2 GHz : 700 MHz clock ratio of Table VI makes this ~3 in CPU cycles).
+A refused access retries every ``issue_period`` at ``_poll``, which
+re-presents a store only once its line's store-buffer entry clears.
 """
 
 from __future__ import annotations
@@ -154,8 +156,15 @@ class GPUCU(Component):
         """Issue an access, retrying on structural hazards each tick."""
         if not self.l1.try_access(access):
             self._counters["gpu.issue_retries"] += 1
-            self.schedule(self.issue_period, self._issue_with_retry,
-                          (access,))
+            self.schedule(self.issue_period, self._poll, (access,))
+
+    def _poll(self, access: Access) -> None:
+        """Retry a refused access (a store once its entry has cleared)."""
+        if access.kind == "store" and self.l1.store_blocked(access):
+            self._counters["gpu.issue_retries"] += 1
+            self.schedule(self.issue_period, self._poll, (access,))
+        else:
+            self._issue_with_retry(access)
 
     def _op_mem(self, warp: Warp, op: Op) -> None:
         """Coalesced vector load/store.

@@ -63,6 +63,9 @@ class CacheLine(Generic[S]):
         data = self.data
         if mask == FULL_LINE_MASK:
             return dict(enumerate(data))
+        if mask and not mask & (mask - 1):    # one word (a CPU load)
+            index = mask.bit_length() - 1
+            return {index: data[index]}
         return {index: data[index] for index in iter_mask(mask)}
 
     def pin(self) -> None:

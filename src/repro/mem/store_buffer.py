@@ -10,7 +10,7 @@ synchronization cannot complete until the buffer has drained
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..coherence.addr import iter_mask, popcount
 
@@ -35,11 +35,12 @@ class StoreBuffer:
 
     def __init__(self, capacity_words: int = 128):
         self.capacity_words = capacity_words
-        self._entries: "OrderedDict[int, StoreBufferEntry]" = OrderedDict()
+        #: line -> entry, in FIFO order
+        self.entries: "OrderedDict[int, StoreBufferEntry]" = OrderedDict()
         self._words = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def words(self) -> int:
@@ -47,18 +48,18 @@ class StoreBuffer:
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     def can_accept(self, mask: int, line: int) -> bool:
         new_words = popcount(mask)
-        entry = self._entries.get(line)
+        entry = self.entries.get(line)
         if entry is not None:
             new_words = popcount(mask & ~entry.mask)
         return self._words + new_words <= self.capacity_words
 
     def push(self, line: int, mask: int, values: Dict[int, int]) -> None:
         """Insert a store; coalesces with an unissued same-line entry."""
-        entry = self._entries.get(line)
+        entry = self.entries.get(line)
         if entry is not None and not entry.issued:
             self._words += popcount(mask & ~entry.mask)
             entry.merge(mask, values)
@@ -70,28 +71,22 @@ class StoreBuffer:
             raise RuntimeError(f"store to in-flight line 0x{line:x}")
         entry = StoreBufferEntry(line)
         entry.merge(mask, values)
-        self._entries[line] = entry
+        self.entries[line] = entry
         self._words += popcount(mask)
 
-    def has_line(self, line: int) -> bool:
-        return line in self._entries
-
-    def entry(self, line: int) -> Optional[StoreBufferEntry]:
-        return self._entries.get(line)
-
     def next_unissued(self) -> Optional[StoreBufferEntry]:
-        for entry in self._entries.values():
+        for entry in self.entries.values():
             if not entry.issued:
                 return entry
         return None
 
     def mark_issued(self, line: int) -> StoreBufferEntry:
-        entry = self._entries[line]
+        entry = self.entries[line]
         entry.issued = True
         return entry
 
     def complete(self, line: int) -> StoreBufferEntry:
-        entry = self._entries.pop(line, None)
+        entry = self.entries.pop(line, None)
         if entry is None:
             raise RuntimeError(f"completing absent store 0x{line:x}")
         self._words -= popcount(entry.mask)
@@ -99,10 +94,7 @@ class StoreBuffer:
 
     def forward(self, line: int, mask: int) -> Optional[Dict[int, int]]:
         """Store->load forwarding: values if the buffer covers ``mask``."""
-        entry = self._entries.get(line)
+        entry = self.entries.get(line)
         if entry is None or (entry.mask & mask) != mask:
             return None
         return {index: entry.values[index] for index in iter_mask(mask)}
-
-    def iter_entries(self) -> Iterator[StoreBufferEntry]:
-        return iter(self._entries.values())

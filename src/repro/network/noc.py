@@ -19,14 +19,15 @@ instead of three), each endpoint gets one pre-bound
 delivery callable reused for every message (no per-message closure),
 and the in-flight diagnostic set is pruned event-driven — the delivery
 callable removes its own entry — instead of lazily rescanned on send.
+A send looks its link up first: only a pair's first send checks the
+endpoints (and builds the link and its untraced delivery callable).
 """
 
 from __future__ import annotations
 
-from math import ceil
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..coherence.messages import Message, clone
+from ..coherence.messages import TRAFFIC_CLASS, Message, clone, wire_bytes
 from ..sim.engine import Engine, SimulationError
 from ..sim.stats import StatsRegistry
 
@@ -126,9 +127,6 @@ class Network:
             raise SimulationError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
 
-    def endpoint(self, name: str) -> Endpoint:
-        return self._endpoints[name]
-
     # -- delivery callables ------------------------------------------------
     def _make_receiver(self, name: str) -> Callable[[Message], None]:
         receive = self._endpoints[name].receive
@@ -156,10 +154,7 @@ class Network:
     def _receiver(self, name: str) -> Callable[[Message], None]:
         tracer = self.engine.tracer
         if tracer is None:
-            deliver = self._receivers.get(name)
-            if deliver is None:
-                deliver = self._receivers[name] = self._make_receiver(name)
-            return deliver
+            return self._receivers[name]     # built with the first link
         if tracer is not self._traced_for:
             self._traced_receivers.clear()
             self._traced_for = tracer
@@ -169,16 +164,33 @@ class Network:
                 self._make_traced_receiver(name, tracer)
         return deliver
 
+    def _new_link(self, msg: Message, model: LatencyModel) -> _Link:
+        """First send on a pair: check it, build its link and receiver."""
+        src, dst = msg.src, msg.dst
+        for name, role in ((dst, "destination"), (src, "source")):
+            if name not in self._endpoints:
+                raise SimulationError(f"unknown {role} {name!r} for {msg}")
+        if dst not in self._receivers:
+            self._receivers[dst] = self._make_receiver(dst)
+        link = self._links[(src, dst)] = _Link(model.latency(src, dst),
+                                               model.version)
+        return link
+
     # -- the hot path ------------------------------------------------------
     def send(self, msg: Message) -> None:
         """Queue ``msg`` for delivery; accounts traffic immediately."""
         dst = msg.dst
-        if dst not in self._endpoints:
-            raise SimulationError(f"unknown destination {dst!r} for {msg}")
-        if msg.src not in self._endpoints:
-            raise SimulationError(f"unknown source {msg.src!r} for {msg}")
-        size = msg.size_bytes()
-        traffic_class = msg.traffic_class
+        model = self.latency_model
+        link = self._links.get((msg.src, dst))
+        if link is None:
+            link = self._new_link(msg, model)
+        elif link.version != model.version:
+            # the model changed after this link first carried traffic
+            # (topology rewiring, test reconfiguration): re-derive
+            link.latency = model.latency(msg.src, dst)
+            link.version = model.version
+        size = wire_bytes(msg.mask, len(msg.data))
+        traffic_class = TRAFFIC_CLASS[msg.kind]
         counters = self._counters
         counters["network.messages"] += 1
         counters["network.bytes"] += size
@@ -187,19 +199,8 @@ class Network:
 
         engine = self.engine
         now = engine.now
-        model = self.latency_model
-        link = self._links.get((msg.src, dst))
-        if link is None:
-            link = self._links[(msg.src, dst)] = _Link(
-                model.latency(msg.src, dst), model.version)
-        elif link.version != model.version:
-            # the model changed after this link first carried traffic
-            # (topology rewiring, test reconfiguration): re-derive
-            link.latency = model.latency(msg.src, dst)
-            link.version = model.version
-        serialization = ceil(size / self.link_bytes_per_cycle)
-        if serialization < 1:
-            serialization = 1
+        # every message carries a header, so this is at least 1
+        serialization = -(-size // self.link_bytes_per_cycle)
         start = now if now > link.free else link.free
         link.free = start + serialization
         injector = self.fault_injector
@@ -224,11 +225,13 @@ class Network:
             self.trace_hook(msg, delivery)
         self._in_flight[id(msg)] = (delivery, msg, now)
         tracer = engine.tracer
-        if tracer is not None:
-            # The hop's flight time is fully determined here, so the
-            # send event is recorded as a span and delivery rides the
-            # same scheduled callback — tracing adds no engine events.
-            tracer.message_sent(msg, now, delivery)
+        if tracer is None:
+            engine.schedule(delivery - now, self._receivers[dst], (msg,))
+            return
+        # The hop's flight time is fully determined here, so the send
+        # event is recorded as a span and delivery rides the same
+        # scheduled callback — tracing adds no engine events.
+        tracer.message_sent(msg, now, delivery)
         engine.schedule(delivery - now, self._receiver(dst), (msg,))
 
     # -- the delivery-fault path (cold: only with unreliable classes) ------

@@ -25,6 +25,9 @@ from ..network.noc import Network
 from ..sim.engine import Component, Engine
 from ..sim.stats import StatsRegistry
 
+#: responses granting their words Owned
+_GRANTS_OWNED = frozenset((MsgKind.RSP_O, MsgKind.RSP_O_DATA))
+
 
 class Access:
     """One memory operation presented by a device to its L1.
@@ -101,6 +104,8 @@ class L1Controller(Component):
     PROPERTIES: Dict[str, str] = {}
     #: the protocol's invalid state (a fresh cache line's state)
     INVALID: object = None
+    #: ``_do_store`` first looks the line up for an owned hit (LRU touch)
+    STORE_LOOKS_UP = False
 
     def __init__(self, engine: Engine, name: str, network: Network,
                  stats: StatsRegistry, home: str,
@@ -133,7 +138,7 @@ class L1Controller(Component):
         #: set when a translation unit wraps this controller (flat
         #: Spandex configurations); the TU is then the network endpoint.
         self.tu = None
-        #: live flat-counter dict; ``count`` is called on every access
+        #: live flat-counter dict
         self._counters = stats.raw_counters()
         if register_on_network:
             network.register(self)
@@ -155,24 +160,39 @@ class L1Controller(Component):
     def _buffer_store(self, access: Access) -> bool:
         """Admit a store to the store buffer, schedule the drain and
         acknowledge the device; False when the buffer cannot take it."""
-        entry = self.store_buffer.entry(access.line)
+        entry = self.store_buffer.entries.get(access.line)
         if entry is not None and entry.issued:
-            self.count("sb_conflict_stalls")
+            self._counters["l1.sb_conflict_stalls"] += 1
             return False
         if not self.store_buffer.can_accept(access.mask, access.line):
-            self.count("sb_full_stalls")
+            self._counters["l1.sb_full_stalls"] += 1
             return False
         self.store_buffer.push(access.line, access.mask, access.values)
         self._schedule_issue()
         self.schedule(self.hit_latency, access.callback, ({},))
         return True
 
+    def store_blocked(self, access: Access) -> bool:
+        """Retry poll of a refused store: while its line's store-buffer
+        entry is still issued, do what ``try_access`` would (the owned-hit
+        check's LRU touch, one stall count) without the store path.
+        Exact while no store hits a line whose entry is issued."""
+        entry = self.store_buffer.entries.get(access.line)
+        if entry is None or not entry.issued:
+            return False
+        if self.STORE_LOOKS_UP:
+            self.array.lookup(access.line)
+        self._counters["l1.sb_conflict_stalls"] += 1
+        return True
+
     def _load_from_buffer(self, access: Access) -> bool:
         """Serve a load the store buffer fully covers (a hit)."""
+        if access.line not in self.store_buffer.entries:
+            return False
         forwarded = self.store_buffer.forward(access.line, access.mask)
         if forwarded is None:
             return False
-        self.count("hits")
+        self._counters["l1.hits"] += 1
         self.schedule(self.hit_latency, access.callback, (forwarded,))
         return True
 
@@ -180,7 +200,7 @@ class L1Controller(Component):
                        values: Dict[int, int]) -> Dict[int, int]:
         """Overlay this cache's younger buffered stores on ``values``
         (same-thread ordering); returns ``values``."""
-        partial = self.store_buffer.entry(access.line)
+        partial = self.store_buffer.entries.get(access.line)
         if partial is not None:
             for index in iter_mask(access.mask & partial.mask):
                 values[index] = partial.values[index]
@@ -308,8 +328,7 @@ class L1Controller(Component):
             return False
         inflight.data.update(msg.data)
         served = msg.mask & inflight.remaining
-        if msg.kind in (MsgKind.RSP_O, MsgKind.RSP_O_DATA) or \
-                msg.meta.get("granted") == "O":
+        if msg.kind in _GRANTS_OWNED or msg.meta.get("granted") == "O":
             inflight.granted_o |= served
         if msg.kind == MsgKind.RSP_WT_DATA:
             # result of a TU escalation (Nacked ReqV replayed as an
@@ -356,12 +375,7 @@ class L1Controller(Component):
         return msg
 
     # -- stats helpers --------------------------------------------------------
-    _COUNT_LABELS: Dict[str, str] = {}
-
     def count(self, what: str, amount: float = 1) -> None:
-        labels = L1Controller._COUNT_LABELS
-        label = labels.get(what)
-        if label is None:
-            label = labels[what] = "l1." + what
-        self._counters[label] += amount
+        """Add to the cold counter ``l1.<what>``."""
+        self._counters["l1." + what] += amount
 

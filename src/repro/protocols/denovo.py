@@ -50,6 +50,7 @@ class DeNovoL1(L1Controller):
     }
     PROTOCOL_FAMILY = "DeNovo"
     INVALID = DnState.I
+    STORE_LOOKS_UP = True
 
     def __init__(self, *args, atomic_policy: str = "own",
                  nack_retry_limit: int = 1, **kwargs):
@@ -100,7 +101,7 @@ class DeNovoL1(L1Controller):
             if states[index] is not DnState.I:
                 missing &= ~(1 << index)
         if not missing:
-            self.count("hits")
+            self._counters["l1.hits"] += 1
             values = self._with_buffered(
                 access, line_obj.read_data(access.mask))
             self.schedule(self.hit_latency, access.callback, (values,))
@@ -111,7 +112,7 @@ class DeNovoL1(L1Controller):
         if self.mshrs.full:
             self.count("mshr_stalls")
             return False
-        self.count("load_misses")
+        self._counters["l1.load_misses"] += 1
         entry = self.mshrs.allocate(access.line, access)
         msg = self.request(MsgKind.REQ_V, access.line, missing)
         self._track(msg, "load")
@@ -136,7 +137,7 @@ class DeNovoL1(L1Controller):
                 # buffer and let the TU convert the ReqO
                 owned = 0
             if owned:
-                self.count("hits")
+                self._counters["l1.hits"] += 1
                 line_obj.write_data(access.mask, access.values)
                 self._mark_dirty(line_obj, access.mask)
                 self.schedule(self.hit_latency, access.callback, ({},))
@@ -423,7 +424,7 @@ class DeNovoL1(L1Controller):
             if inflight.line != line:
                 continue
             if inflight.purpose == "store":
-                entry = self.store_buffer.entry(line)
+                entry = self.store_buffer.entries.get(line)
                 if entry is not None:
                     mask |= entry.mask & inflight.remaining
             elif inflight.purpose == "rmw" and inflight.remaining:
@@ -461,7 +462,7 @@ class DeNovoL1(L1Controller):
         if values is None:
             # pending ReqO: the store fully overwrites, so its buffered
             # values are the up-to-date data (§III-C.1)
-            values = self._store_values_for(msg.line, msg.mask)
+            values = self.store_buffer.forward(msg.line, msg.mask)
         if values is None:
             if self._delay_if_pending_rmw(msg):
                 return
@@ -491,13 +492,6 @@ class DeNovoL1(L1Controller):
         for msg in queue:
             self.receive(msg)
 
-    def _store_values_for(self, line: int, mask: int) \
-            -> Optional[Dict[int, int]]:
-        entry = self.store_buffer.entry(line)
-        if entry is None or (entry.mask & mask) != mask:
-            return None
-        return {index: entry.values[index] for index in iter_mask(mask)}
-
     def _ext_reqo(self, msg: Message) -> None:
         # ownership-only downgrade: never needs data, respond at once
         self._downgrade_words(msg)
@@ -515,7 +509,7 @@ class DeNovoL1(L1Controller):
     def _ext_reqo_data(self, msg: Message) -> None:
         values = self._owned_data(msg)
         if values is None:
-            values = self._store_values_for(msg.line, msg.mask)
+            values = self.store_buffer.forward(msg.line, msg.mask)
         if values is None:
             if self._delay_if_pending_rmw(msg):
                 return
@@ -530,7 +524,7 @@ class DeNovoL1(L1Controller):
     def _ext_rvko(self, msg: Message) -> None:
         values = self._owned_data(msg)
         if values is None:
-            values = self._store_values_for(msg.line, msg.mask)
+            values = self.store_buffer.forward(msg.line, msg.mask)
         if values is None:
             if self._delay_if_pending_rmw(msg):
                 return
@@ -546,7 +540,7 @@ class DeNovoL1(L1Controller):
         Valid copy — V is always safe under DRF."""
         values = self._owned_data(msg)
         if values is None:
-            values = self._store_values_for(msg.line, msg.mask)
+            values = self.store_buffer.forward(msg.line, msg.mask)
         if values is None:
             if self._delay_if_pending_rmw(msg):
                 return

@@ -53,7 +53,7 @@ class GPUCoherenceL1(L1Controller):
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state == GpuState.V:
-            self.count("hits")
+            self._counters["l1.hits"] += 1
             values = self._with_buffered(
                 access, line_obj.read_data(access.mask))
             self.schedule(self.hit_latency, access.callback, (values,))
@@ -65,7 +65,7 @@ class GPUCoherenceL1(L1Controller):
         if self.mshrs.full:
             self.count("mshr_stalls")
             return False
-        self.count("load_misses")
+        self._counters["l1.load_misses"] += 1
         entry = self.mshrs.allocate(access.line, access)
         msg = self.request(MsgKind.REQ_V, access.line, FULL_LINE_MASK,
                            is_line_granularity=True)
@@ -169,7 +169,7 @@ class GPUCoherenceL1(L1Controller):
             for index, value in inflight.data.items():
                 line_obj.data[index] = value
             # our own buffered stores are younger than the fill
-            partial = self.store_buffer.entry(inflight.line)
+            partial = self.store_buffer.entries.get(inflight.line)
             if partial is not None:
                 line_obj.write_data(partial.mask, partial.values)
         for access in entry.all_requests():

@@ -58,6 +58,7 @@ class MESIL1(L1Controller):
     }
     PROTOCOL_FAMILY = "MESI"
     INVALID = MesiState.I
+    STORE_LOOKS_UP = True
 
     def __init__(self, *args, dialect: str = "spandex",
                  coalesce_delay: int = 4, **kwargs):
@@ -87,7 +88,7 @@ class MESIL1(L1Controller):
             return True
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state != MesiState.I:
-            self.count("hits")
+            self._counters["l1.hits"] += 1
             values = line_obj.read_data(access.mask)
             self.schedule(self.hit_latency, access.callback, (values,))
             return True
@@ -99,10 +100,10 @@ class MESIL1(L1Controller):
             # an ownership miss is pending: the grant serves loads too
             self.mshrs.attach(access.line, access)
             return True
-        if self.mshrs.full or self.store_buffer.has_line(access.line):
+        if self.mshrs.full or access.line in self.store_buffer.entries:
             self.count("mshr_stalls")
             return False
-        self.count("load_misses")
+        self._counters["l1.load_misses"] += 1
         entry = self.mshrs.allocate(access.line, access)
         entry.meta["type"] = "IS"
         kind = MsgKind.REQ_S if self.dialect == "spandex" else MsgKind.GET_S
@@ -114,7 +115,7 @@ class MESIL1(L1Controller):
     def _do_store(self, access: Access) -> bool:
         line_obj = self.array.lookup(access.line)
         if line_obj is not None and line_obj.state in _OWNED:
-            self.count("hits")
+            self._counters["l1.hits"] += 1
             line_obj.state = MesiState.M
             line_obj.write_data(access.mask, access.values)
             self.schedule(self.hit_latency, access.callback, ({},))
@@ -132,7 +133,7 @@ class MESIL1(L1Controller):
             self.schedule(self.hit_latency, access.callback, ({index: old},))
             return True
         if (self.mshrs.full or access.line in self.mshrs
-                or self.store_buffer.has_line(access.line)):
+                or access.line in self.store_buffer.entries):
             self.count("mshr_stalls")
             return False
         self.count("atomics")

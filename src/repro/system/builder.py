@@ -196,8 +196,8 @@ class System:
 
         ``protocol`` ('MESI' | 'GPU' | 'DeNovo') picks the L1
         controller; ``role`` ('cpu' | 'gpu') picks the core model that
-        drives it, its network latency class and, for a DeNovo L1, its
-        atomic policy.
+        drives it, its network latency class, its TU's device class
+        and, for a DeNovo L1, its atomic policy.
         """
         config = self.config
         return ([(f"cpu{i}.l1", config.cpu_protocol, "cpu")
@@ -268,7 +268,8 @@ class System:
             l1 = self._make_l1(name, protocol, role, names[0])
             l1.home_map = self.home_map
             tu = make_tu(self.engine, self.network, self.stats, l1,
-                         config.tu_latency, **self._tu_kwargs())
+                         config.tu_latency, device_class=role,
+                         **self._tu_kwargs())
             self._attach_policy(tu)
             latency = config.net_cpu_llc if role == "cpu" \
                 else config.net_gpu_llc

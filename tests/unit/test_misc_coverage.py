@@ -56,7 +56,7 @@ def test_store_buffer_iteration_order():
     buffer = StoreBuffer(64)
     for i, line in enumerate((0x100, 0x200, 0x300)):
         buffer.push(line, 0b1, {0: i})
-    assert [e.line for e in buffer.iter_entries()] == \
+    assert [e.line for e in buffer.entries.values()] == \
         [0x100, 0x200, 0x300]
 
 

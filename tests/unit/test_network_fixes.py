@@ -5,12 +5,15 @@ and ``Network.send`` validating ``msg.dst`` but happily transmitting
 from an unregistered ``msg.src``.  Plus fault-injector edges: burst
 window boundary cycles, latency revalidation mid-run with an injector
 attached (both timing-only and unreliable paths), and the per-link
-fabric snapshot used by diagnostic dumps.
+fabric snapshot used by diagnostic dumps.  ``send`` looks its link up
+first (the stale-cache pins above run through that path), so its
+first-send endpoint checks and its byte accounting are pinned too.
 """
 
 import pytest
 
-from repro.coherence.messages import Message, MsgKind
+from repro.coherence.addr import FULL_LINE_MASK
+from repro.coherence.messages import TRAFFIC_CLASS, Message, MsgKind
 from repro.faults.injector import FaultInjector
 from repro.network.noc import LatencyModel, Network
 from repro.sim.engine import Engine, SimulationError
@@ -170,3 +173,41 @@ def test_links_snapshot_tracks_in_flight_depth_and_age():
     assert row["in_flight"] == 0
     assert row["oldest_age"] == 0
     assert row["last_delivery"] == sink.received[-1][0]
+
+
+# -- send's link-first fast path ----------------------------------------------
+@pytest.mark.tier1
+@pytest.mark.parametrize("src, dst, unknown", [
+    ("ghost", "b", "unknown source"),
+    ("a", "ghost", "unknown destination"),
+])
+def test_first_send_checks_both_endpoints(src, dst, unknown):
+    # endpoints are checked when the send creates the pair's link
+    engine, model, network, sink = _rig()
+    with pytest.raises(SimulationError, match=unknown):
+        network.send(Message(MsgKind.REQ_V, 0x100, 1, src, dst))
+    assert (src, dst) not in network._links
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
+def test_send_accounts_size_bytes_for_every_kind(kind):
+    engine, model, network, sink = _rig()
+    stats = network.stats
+
+    def accounted():
+        return (stats.get("network.bytes"),
+                stats.group("traffic.bytes").get(TRAFFIC_CLASS[kind], 0))
+
+    for mask in (0, 0b0110, FULL_LINE_MASK):
+        for words in (0, 1, 16):
+            msg = Message(kind, 0x100, mask, "a", "b",
+                          data={index: index for index in range(words)})
+            before = accounted()
+            network.send(msg)
+            size = msg.size_bytes()
+            assert size == 16 + (2 if mask == 0b0110 else 0) + 4 * words
+            after = accounted()
+            assert (after[0] - before[0], after[1] - before[1]) == \
+                (size, size)
+    engine.run()

@@ -10,6 +10,8 @@ from repro.core.policy import (AdaptivePolicy, CriticalityPolicy,
                                OwnerPredictor, criticality_weight,
                                make_policy)
 
+from tests.systems import MiniSpandex
+
 LINE = 0x1_0000
 
 
@@ -161,3 +163,11 @@ def test_make_policy_names():
     assert isinstance(make_policy("adaptive"), AdaptivePolicy)
     with pytest.raises(ValueError):
         make_policy("bogus")
+
+
+def test_tu_device_class_is_the_device_role():
+    """The builder hands each TU its device's role; the L1's name plays
+    no part (neither name starts with the class letter)."""
+    mini = MiniSpandex({"accel": "GPU", "host": "MESI"})
+    assert mini.l1s["accel"].tu.device_class == "gpu"
+    assert mini.l1s["host"].tu.device_class == "cpu"

@@ -16,7 +16,7 @@ def test_coalescing_same_line():
     buffer = StoreBuffer(16)
     buffer.push(0x100, 0b01, {0: 5})
     buffer.push(0x100, 0b10, {1: 6})
-    entry = buffer.entry(0x100)
+    entry = buffer.entries[0x100]
     assert entry.mask == 0b11
     assert buffer.words == 2
     assert len(buffer) == 1
