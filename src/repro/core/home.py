@@ -651,7 +651,7 @@ class SpandexHome(HomeController):
             if tracer is not None:
                 tracer.record("home.fwd", self.name, dst=owner,
                               line=msg.line, req_id=msg.req_id,
-                              info=f"{kind.value} for {msg.src}")
+                              info=f"{KIND_LABELS[kind]} for {msg.src}")
             meta = {"grant_s": True} if grant_s else {}
             data = {}
             if kind == MsgKind.REQ_WT:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Set
 
-from ..coherence.messages import Message
+from ..coherence.messages import KIND_LABELS, Message
 from ..mem.cache import CacheArray, CacheLine
 from ..network.noc import Network
 from ..sim.engine import Component, Engine, SimulationError
@@ -91,7 +91,7 @@ class HomeController(Component):
         if tracer is not None:
             tracer.record("home.busy", self.name, line=msg.line,
                           req_id=msg.req_id, dur=delay,
-                          info=msg.kind.value)
+                          info=KIND_LABELS[msg.kind])
         self.schedule(delay, self._dispatch, (msg,))
 
     # ------------------------------------------------------------------
@@ -102,7 +102,7 @@ class HomeController(Component):
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.record("home.defer", self.name, line=msg.line,
-                          req_id=msg.req_id, info=msg.kind.value)
+                          req_id=msg.req_id, info=KIND_LABELS[msg.kind])
         self._deferred.setdefault(msg.line, []).append(msg)
 
     def _replay_deferred(self, line: int) -> None:
@@ -115,7 +115,7 @@ class HomeController(Component):
             # re-defer in their original order.
             if tracer is not None:
                 tracer.record("home.replay", self.name, line=msg.line,
-                              req_id=msg.req_id, info=msg.kind.value)
+                              req_id=msg.req_id, info=KIND_LABELS[msg.kind])
             self._process_request(msg)
 
     # ------------------------------------------------------------------
@@ -141,7 +141,7 @@ class HomeController(Component):
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.record("home.fill", self.name, line=msg.line,
-                          req_id=msg.req_id, info=msg.kind.value)
+                          req_id=msg.req_id, info=KIND_LABELS[msg.kind])
         self._make_room(msg.line, lambda: self._backing_fetch(
             msg.line, lambda data: self._fill_complete(msg.line, data)))
         return None

@@ -27,7 +27,7 @@ import zlib
 from typing import Dict
 
 from ..coherence.addr import FULL_LINE_MASK, iter_mask
-from ..coherence.messages import Message, MsgKind
+from ..coherence.messages import KIND_LABELS, Message, MsgKind
 from ..network.noc import Network
 from ..protocols.base import L1Controller
 from ..protocols.mesi import MESIL1
@@ -98,7 +98,7 @@ class TranslationUnit(Component):
         if tracer is not None:
             tracer.record("tu.out", self.name, dst=msg.dst,
                           line=msg.line, req_id=msg.req_id,
-                          dur=self.latency, info=msg.kind.value)
+                          dur=self.latency, info=KIND_LABELS[msg.kind])
         self.schedule(self.latency, self.network.send, (msg,))
 
     # -- per-access request-type selection (policy layer) --------------------
@@ -156,7 +156,7 @@ class TranslationUnit(Component):
         if tracer is not None:
             tracer.record("tu.fwd", self.name, dst=msg.dst,
                           line=msg.line, req_id=msg.req_id,
-                          info=f"{msg.kind.value}->ReqWTfwd")
+                          info=f"{KIND_LABELS[msg.kind]}->ReqWTfwd")
 
     # -- inbound: system -> device ------------------------------------------
     def receive(self, msg: Message) -> None:
@@ -164,7 +164,7 @@ class TranslationUnit(Component):
         if tracer is not None:
             tracer.record("tu.in", self.name, line=msg.line,
                           req_id=msg.req_id, dur=self.latency,
-                          info=msg.kind.value)
+                          info=KIND_LABELS[msg.kind])
         self.schedule(self.latency, self._handle, (msg,))
 
     def _handle(self, msg: Message) -> None:

@@ -4,11 +4,13 @@ Every layer is strictly passive — nothing in this package ever
 schedules engine events, so enabling a trace can never change cycle
 counts, event counts, or final memory:
 
-* :mod:`repro.obs.trace` — a bounded ring buffer of typed
-  :class:`TraceEvent` records fed by trace points threaded through the
-  network, homes, TUs, L1 protocols, MSHRs and DRAM.  Components reach
-  the recorder through ``self.engine.tracer`` (``None`` when tracing is
-  off, which keeps the disabled hot path to a single attribute test).
+* :mod:`repro.obs.trace` — a bounded ring buffer of trace events, plain
+  tuples in :class:`TraceEvent` field order that the cyclic collector
+  untracks (ints, strs and ``None`` only), fed by trace points threaded
+  through the network, homes, TUs, L1 protocols, MSHRs and DRAM.
+  Components reach the recorder through ``self.engine.tracer`` (``None``
+  when tracing is off, which keeps the disabled hot path to a single
+  attribute test).
 * :mod:`repro.obs.spans` — the recorder's one sink, a
   :class:`SpanCollector` that stitches events into per-request spans
   keyed by ``req_id``, decomposes end-to-end latency into an exact

@@ -9,10 +9,11 @@ counter ("C") tracks.  Cycle timestamps are written directly as
 microseconds — Perfetto's absolute units are irrelevant for a
 simulator; relative spans are what matter.
 
-``write_chrome_trace`` formats each record straight to JSON text, byte
-for byte what ``json.dump`` writes for the equivalent dict (key order,
-separators, ASCII escaping) but without building it: ``json.dump``
-runs CPython's pure-Python encoder, as slow as the traced simulation.
+``write_chrome_trace`` formats each record straight from the
+recorder's event tuples to JSON text, byte for byte what ``json.dump``
+writes for the equivalent dict (key order, separators, ASCII escaping)
+but without building it: ``json.dump`` runs CPython's pure-Python
+encoder, as slow as the traced simulation.
 
 ``validate_chrome_trace`` is the checker used by tests and the CI
 trace-smoke job: the payload must parse, carry a ``traceEvents`` list,
@@ -31,7 +32,6 @@ from json.encoder import encode_basestring_ascii as _str
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .prometheus import prometheus_text, registry_samples, stats_samples
-from .trace import TraceEvent
 
 
 def _json(value: object) -> str:
@@ -45,46 +45,63 @@ def _json(value: object) -> str:
     return json.dumps(value)
 
 
+def _args_tail(*fields) -> str:
+    """The ``dst``/``class``/``hop``/``info`` args of one record, each
+    preceded by ``", "``."""
+    return "".join(f', "{key}": {_json(value)}'
+                   for key, value in zip(("dst", "class", "hop", "info"),
+                                         fields) if value is not None)
+
+
 def _section_records(pid: int, section: dict) -> Iterator[str]:
     """The JSON text of one section's records: process metadata, then
     each event (preceded by its track's thread metadata the first time
     the track appears), then one point per counter of each scrape row
-    (:class:`~repro.obs.monitor.HealthMonitor` samples) at its ``ts``."""
+    (:class:`~repro.obs.monitor.HealthMonitor` samples) at its ``ts``.
+
+    Events are tuples in ``TraceEvent`` field order.  The name/cat head
+    and the args tail are formatted once per ``(kind, info)`` and
+    ``(dst, cls, hop, info)``; ints skip :func:`_json`."""
     name = str(section.get("name", f"sim{pid}"))
     yield (f'{{"ph": "M", "pid": {pid}, "name": "process_name", '
            f'"args": {{"name": {_str(name)}}}}}')
     tids: Dict[str, int] = {}
-    for event in section["events"]:
-        track = event.src or "?"
+    heads: Dict[tuple, str] = {}
+    tails: Dict[tuple, str] = {}
+    for ts, kind, src, dst, line, req_id, cls, dur, hop, info, _ \
+            in section["events"]:
+        track = src or "?"
         tid = tids.get(track)
         if tid is None:
             tid = tids[track] = len(tids)
             yield (f'{{"ph": "M", "pid": {pid}, "tid": {tid}, '
                    f'"name": "thread_name", '
                    f'"args": {{"name": {_json(track)}}}}}')
-        kind, info = event.kind, event.info
-        args = ""
-        if event.line is not None:
-            args = f', "line": "0x{event.line:x}"'
-        if event.req_id is not None:
-            args += f', "req_id": {_json(event.req_id)}'
-        if event.dst is not None:
-            args += f', "dst": {_json(event.dst)}'
-        if event.cls is not None:
-            args += f', "class": {_json(event.cls)}'
-        if event.hop is not None:
-            args += f', "hop": {_json(event.hop)}'
-        if info is not None:
-            args += f', "info": {_json(info)}'
-        name = kind if info is None else f"{kind} {info}"
-        head = (f'{{"name": {_str(name)}, '
+        head = heads.get((kind, info))
+        if head is None:
+            label = kind if info is None else f"{kind} {info}"
+            head = heads[kind, info] = (
+                f'{{"name": {_str(label)}, '
                 f'"cat": {_str(kind.split(".", 1)[0])}, "pid": {pid}, '
-                f'"tid": {tid}, "ts": {_json(event.ts)}, '
-                f'"args": {{{args[2:]}}}')
-        if event.dur > 0:
-            yield f'{head}, "ph": "X", "dur": {_json(event.dur)}}}'
+                f'"tid": ')
+        args = tails.get((dst, cls, hop, info))
+        if args is None:
+            args = tails[dst, cls, hop, info] = \
+                _args_tail(dst, cls, hop, info)
+        if req_id is not None:
+            args = (f', "req_id": '
+                    f'{req_id if type(req_id) is int else _json(req_id)}'
+                    f'{args}')
+        if line is not None:
+            args = f', "line": "0x{line:x}"{args}'
+        record = (f'{head}{tid}, '
+                  f'"ts": {ts if type(ts) is int else _json(ts)}, '
+                  f'"args": {{{args[2:]}}}')
+        if dur > 0:
+            yield (f'{record}, "ph": "X", '
+                   f'"dur": {dur if type(dur) is int else _json(dur)}}}')
         else:
-            yield f'{head}, "ph": "i", "s": "t"}}'
+            yield f'{record}, "ph": "i", "s": "t"}}'
     for row in section.get("samples") or ():
         ts, counters = _json(row["ts"]), row["counters"]
         for counter in sorted(counters):
@@ -96,7 +113,7 @@ def _section_records(pid: int, section: dict) -> Iterator[str]:
 def write_chrome_trace(path: str, sections: Sequence[dict]) -> int:
     """Write one Chrome trace file combining several sections.
 
-    Each section is ``{"name": ..., "events": [TraceEvent, ...],
+    Each section is ``{"name": ..., "events": [event tuple, ...],
     "samples": optional monitor scrape rows}`` and becomes one
     process (pid) in the trace — ``repro run --config all`` emits one
     file with a process per configuration.  Returns the number of
@@ -189,38 +206,36 @@ def validate_chrome_trace(payload: dict) -> List[str]:
     return problems
 
 
-def format_timeline(events: Iterable[TraceEvent],
+def format_timeline(events: Iterable[tuple],
                     line: Optional[int] = None,
                     device: Optional[str] = None,
                     limit: Optional[int] = None) -> str:
-    """Human-readable timeline, optionally restricted to one line
-    address and/or one device (matched against src or dst)."""
+    """Human-readable timeline of event tuples, optionally restricted
+    to one line address and/or one device (matched against src or dst)."""
     want_line: Optional[int] = None if line is None else line & ~63
     rows: List[str] = []
-    for event in events:
+    for ts, kind, src, dst, at, req_id, cls, dur, hop, info, _ in events:
         if want_line is not None and (
-                event.line is None or (event.line & ~63) != want_line):
+                at is None or (at & ~63) != want_line):
             continue
-        if device is not None and \
-                event.src != device and event.dst != device:
+        if device is not None and src != device and dst != device:
             continue
         detail = []
-        if event.info is not None:
-            detail.append(str(event.info))
-        if event.line is not None:
-            detail.append(f"0x{event.line:x}")
-        if event.dst is not None:
-            detail.append(f"-> {event.dst}")
-        if event.req_id is not None:
-            detail.append(f"id={event.req_id}")
-        if event.cls is not None:
-            detail.append(f"class={event.cls}")
-        if event.hop is not None:
-            detail.append(f"hop={event.hop}")
-        if event.dur:
-            detail.append(f"dur={event.dur}")
-        rows.append(f"{event.ts:>10}  {event.src:<12} "
-                    f"{event.kind:<12} {' '.join(detail)}")
+        if info is not None:
+            detail.append(str(info))
+        if at is not None:
+            detail.append(f"0x{at:x}")
+        if dst is not None:
+            detail.append(f"-> {dst}")
+        if req_id is not None:
+            detail.append(f"id={req_id}")
+        if cls is not None:
+            detail.append(f"class={cls}")
+        if hop is not None:
+            detail.append(f"hop={hop}")
+        if dur:
+            detail.append(f"dur={dur}")
+        rows.append(f"{ts:>10}  {src:<12} {kind:<12} {' '.join(detail)}")
     if limit is not None and len(rows) > limit:
         omitted = len(rows) - limit
         rows = rows[-limit:]

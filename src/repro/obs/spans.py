@@ -61,7 +61,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.stats import LatencySampler
-from .trace import INDIRECTION_HOPS, TraceEvent
+from .trace import INDIRECTION_HOPS
 
 #: exact-partition stages, in report order
 SPAN_STAGES = ("issue", "queue", "flight", "probe", "retransmit",
@@ -222,84 +222,84 @@ class SpanCollector:
         }
 
     # -- sink protocol -----------------------------------------------------
-    # The collector sees EVERY trace event; most are not span-relevant,
-    # so dispatch is one dict probe (the handler table is built once in
-    # __init__) instead of a compare chain.
-    def __call__(self, event: TraceEvent) -> None:
-        handler = self._handlers.get(event.kind)
+    # The collector sees EVERY trace event (a tuple, read by position);
+    # most are not span-relevant, so dispatch is one dict probe (the
+    # handler table is built once in __init__), not a compare chain.
+    def __call__(self, event: tuple) -> None:
+        handler = self._handlers.get(event[1])
         if handler is not None:
             handler(event)
         monitor = self.monitor
-        if monitor is not None and event.ts >= monitor.next_due:
-            monitor.sample_at(event.ts)
+        if monitor is not None and event[0] >= monitor.next_due:
+            monitor.sample_at(event[0])
 
-    def _first_send(self, event: TraceEvent) -> bool:
+    def _first_send(self, channel: Tuple[str, str], rseq: int,
+                    dur: int) -> bool:
         """Advance the channel's ``rseq`` watermark; a send at or below
         it is a transport retransmission, booked apart (False)."""
-        channel = (event.src, event.dst)
-        if event.rseq <= self._seq_watermark.get(channel, -1):
-            self.retx_flight_cycles += event.dur
+        if rseq <= self._seq_watermark.get(channel, -1):
+            self.retx_flight_cycles += dur
             self.retx_suppressed += 1
             return False
-        self._seq_watermark[channel] = event.rseq
+        self._seq_watermark[channel] = rseq
         return True
 
-    def _on_send(self, event: TraceEvent) -> None:
-        cls = event.cls
-        if (event.rseq is None or self._first_send(event)) \
+    def _on_send(self, event: tuple) -> None:
+        ts, _, src, dst, _, req_id, cls, dur, hop, _, rseq = event
+        if (rseq is None or self._first_send((src, dst), rseq, dur)) \
                 and cls is not None:
             hops = self.by_class.get(cls)
             if hops is None:
                 hops = self.by_class[cls] = {}
-            hop = event.hop or "direct"
-            hops[hop] = hops.get(hop, 0.0) + event.dur
-        span = self._open.get(event.req_id)
+            hop_name = hop or "direct"
+            hops[hop_name] = hops.get(hop_name, 0.0) + dur
+        span = self._open.get(req_id)
         if span is None:
             return
         if span.first_send is None:
-            span.first_send = event.ts
-        stage = "probe" if event.hop == "probe" else "flight"
+            span.first_send = ts
+        stage = "probe" if hop == "probe" else "flight"
         span.intervals.append(
-            (stage, event.ts, event.ts + int(event.dur),
-             f"{event.src}->{event.dst}"))
+            (stage, ts, ts + int(dur), f"{src}->{dst}"))
 
-    def _on_busy(self, event: TraceEvent) -> None:
-        span = self._open.get(event.req_id)
+    def _on_busy(self, event: tuple) -> None:
+        span = self._open.get(event[5])
         if span is not None:
+            ts = event[0]
             span.intervals.append(
-                ("queue", event.ts, event.ts + int(event.dur),
-                 event.src))
+                ("queue", ts, ts + int(event[7]), event[2]))
 
-    def _on_defer(self, event: TraceEvent) -> None:
-        span = self._open.get(event.req_id)
+    def _on_defer(self, event: tuple) -> None:
+        span = self._open.get(event[5])
         if span is not None:
-            span.defer_starts.append((event.ts, event.src))
+            span.defer_starts.append((event[0], event[2]))
 
-    def _on_replay(self, event: TraceEvent) -> None:
-        span = self._open.get(event.req_id)
+    def _on_replay(self, event: tuple) -> None:
+        span = self._open.get(event[5])
         if span is not None and span.defer_starts:
             t0, home = span.defer_starts.pop()
-            span.intervals.append(("queue", t0, event.ts, home))
+            span.intervals.append(("queue", t0, event[0], home))
 
-    def _on_retx(self, event: TraceEvent) -> None:
-        span = self._open.get(event.req_id)
+    def _on_retx(self, event: tuple) -> None:
+        ts, _, src, dst, _, req_id, _, dur, _, _, _ = event
+        span = self._open.get(req_id)
         if span is not None:
             # the event marks the retransmission instant; its dur
             # is the RTO that was waited out beforehand
-            t0 = max(span.start, event.ts - int(event.dur))
+            t0 = max(span.start, ts - int(dur))
             span.intervals.append(
-                ("retransmit", t0, event.ts,
-                 f"{event.src}->{event.dst}"))
+                ("retransmit", t0, ts, f"{src}->{dst}"))
 
-    def _on_issue(self, event: TraceEvent) -> None:
-        self._open[event.req_id] = _OpenSpan(
-            event.src, event.line, event.info or "?", event.ts)
+    def _on_issue(self, event: tuple) -> None:
+        ts, _, src, _, line, req_id, _, _, _, info, _ = event
+        self._open[req_id] = _OpenSpan(src, line, info or "?", ts)
 
-    def _finish(self, event: TraceEvent) -> None:
-        span = self._open.pop(event.req_id, None)
+    def _finish(self, event: tuple) -> None:
+        req_id = event[5]
+        span = self._open.pop(req_id, None)
         if span is None:
             return
-        end = event.ts
+        end = event[0]
         if span.first_send is not None and span.first_send > span.start:
             span.intervals.append(
                 ("issue", span.start, span.first_send, span.origin))
@@ -332,7 +332,7 @@ class SpanCollector:
                 self.link_cycles[resource] = \
                     self.link_cycles.get(resource, 0.0) + width
         record = {
-            "req_id": event.req_id,
+            "req_id": req_id,
             "origin": span.origin,
             "line": span.line,
             "purpose": span.purpose,

@@ -2,10 +2,14 @@
 
 Trace points across the simulator call :meth:`TraceRecorder.record`
 (guarded by ``self.engine.tracer is not None``, so the disabled path is
-one attribute load per site).  Events land in a bounded ring buffer and
-are additionally pushed to registered *sinks* — in a built system the
-one :class:`~repro.obs.spans.SpanCollector` — which always see the full
-stream even when a :class:`TraceFilter` restricts what the ring keeps.
+one attribute load per site).  Each event is an exact ``tuple`` in
+:class:`TraceEvent` field order holding only ints, strs and ``None``, so
+CPython's cyclic collector untracks it the first time a collection sees
+it and later collections skip the ring.  Events land in a bounded ring
+buffer and are additionally pushed to registered *sinks* — in a built
+system the one :class:`~repro.obs.spans.SpanCollector` — which always
+see the full stream even when a :class:`TraceFilter` restricts what the
+ring keeps.
 
 Every network hop is classified at send time (:func:`hop_class`) so the
 span collector's hop rollup can separate the paper's headline effect —
@@ -35,10 +39,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import (Callable, Deque, FrozenSet, Iterable, List, Optional,
-                    Set)
+from typing import (Callable, Deque, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Set)
 
-from ..coherence.messages import Message, MsgKind
+from ..coherence.messages import (KIND_LABELS, TRAFFIC_CLASS, Message,
+                                  MsgKind)
 
 #: hop classes counted as indirection cycles
 INDIRECTION_HOPS = ("fwd", "level")
@@ -75,63 +80,42 @@ def hop_class(msg: Message, homes: Set[str]) -> str:
     return "direct"
 
 
-class TraceEvent:
-    """One typed trace record.
+class TraceEvent(NamedTuple):
+    """The fields of a recorded event tuple, by name (``TraceEvent(*e)``).
 
     ``dur`` is a duration in cycles for span-like events (a network
     hop's flight time, a home's occupancy for one request); 0 marks an
     instant.  ``hop`` is set for ``net.send`` events only; ``cls`` is
-    the message traffic class when the event concerns a message.
+    the message traffic class when the event concerns a message;
+    ``rseq`` is the transport sequence number (``msg.meta["rseq"]``) of
+    a sequenced message on an unreliable fabric, which lets sinks tell
+    a first send from its retransmissions.
     """
 
-    __slots__ = ("ts", "kind", "src", "dst", "line", "req_id", "cls",
-                 "dur", "hop", "info", "rseq")
-
-    def __init__(self, ts: int, kind: str, src: str,
-                 dst: Optional[str] = None, line: Optional[int] = None,
-                 req_id: Optional[int] = None, cls: Optional[str] = None,
-                 dur: int = 0, hop: Optional[str] = None,
-                 info: Optional[str] = None,
-                 rseq: Optional[int] = None):
-        self.ts = ts
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.line = line
-        self.req_id = req_id
-        self.cls = cls
-        self.dur = dur
-        self.hop = hop
-        self.info = info
-        #: transport sequence number (msg.meta["rseq"]) when the event
-        #: concerns a sequenced message on an unreliable fabric; lets
-        #: sinks tell a first send from its retransmissions
-        self.rseq = rseq
+    ts: int
+    kind: str
+    src: str
+    dst: Optional[str] = None
+    line: Optional[int] = None
+    req_id: Optional[int] = None
+    cls: Optional[str] = None
+    dur: int = 0
+    hop: Optional[str] = None
+    info: Optional[str] = None
+    rseq: Optional[int] = None
 
     def to_dict(self) -> dict:
-        """JSON-safe rendering (omits unset fields)."""
+        """JSON-safe rendering (omits unset fields: None, or a 0 dur)."""
         out = {"ts": self.ts, "kind": self.kind, "src": self.src}
-        if self.dst is not None:
-            out["dst"] = self.dst
-        if self.line is not None:
-            out["line"] = f"0x{self.line:x}"
-        if self.req_id is not None:
-            out["req_id"] = self.req_id
-        if self.cls is not None:
-            out["class"] = self.cls
-        if self.dur:
-            out["dur"] = self.dur
-        if self.hop is not None:
-            out["hop"] = self.hop
-        if self.info is not None:
-            out["info"] = self.info
-        if self.rseq is not None:
-            out["rseq"] = self.rseq
+        for key, value in zip(_DICT_KEYS, self[3:]):
+            if value is not None and (value or key != "dur"):
+                out[key] = f"0x{value:x}" if key == "line" else value
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        line = f" 0x{self.line:x}" if self.line is not None else ""
-        return f"<TraceEvent t={self.ts} {self.kind} {self.src}{line}>"
+
+#: :meth:`TraceEvent.to_dict` keys of the fields after ``src``
+_DICT_KEYS = ("dst", "line", "req_id", "class", "dur", "hop", "info",
+              "rseq")
 
 
 class TraceFilter:
@@ -186,21 +170,25 @@ class TraceFilter:
         return cls(frozenset(lines) or None, frozenset(devices) or None,
                    frozenset(classes) or None)
 
-    def matches(self, event: TraceEvent) -> bool:
+    def matches(self, event: tuple) -> bool:
+        """Whether the ring keeps ``event`` (an event tuple)."""
+        _, _, src, dst, line, _, cls, _, _, _, _ = event
         if self.lines is not None:
-            if event.line is None or (event.line & ~63) not in self.lines:
+            if line is None or (line & ~63) not in self.lines:
                 return False
         if self.devices is not None:
-            if event.src not in self.devices and \
-                    event.dst not in self.devices:
+            if src not in self.devices and dst not in self.devices:
                 return False
-        if self.classes is not None and event.cls not in self.classes:
+        if self.classes is not None and cls not in self.classes:
             return False
         return True
 
 
 class TraceRecorder:
-    """Bounded ring buffer of :class:`TraceEvent` plus fan-out sinks.
+    """Bounded ring buffer of trace events plus fan-out sinks.
+
+    Events stay exact tuples from :meth:`record` through the sinks, the
+    ring and :meth:`events`, so the collector can untrack them.
 
     ``homes`` is the set of home-node endpoint names (LLC / L3 / GPU
     L2), registered by the system builder after construction; it drives
@@ -214,8 +202,8 @@ class TraceRecorder:
         self.capacity = max(1, int(capacity))
         self.filter = filter
         self.homes: Set[str] = set()
-        self.sinks: List[Callable[[TraceEvent], None]] = []
-        self._events: Deque[TraceEvent] = deque(maxlen=self.capacity)
+        self.sinks: List[Callable[[tuple], None]] = []
+        self._events: Deque[tuple] = deque(maxlen=self.capacity)
         #: events observed (pre-filter) / kept in the ring
         self.seen = 0
         self.kept = 0
@@ -226,9 +214,9 @@ class TraceRecorder:
                cls: Optional[str] = None, dur: int = 0,
                hop: Optional[str] = None,
                info: Optional[str] = None,
-               rseq: Optional[int] = None) -> TraceEvent:
-        event = TraceEvent(self.engine.now, kind, src, dst, line, req_id,
-                           cls, dur, hop, info, rseq)
+               rseq: Optional[int] = None) -> tuple:
+        event = (self.engine.now, kind, src, dst, line, req_id, cls, dur,
+                 hop, info, rseq)
         self.seen += 1
         for sink in self.sinks:
             sink(event)
@@ -240,68 +228,63 @@ class TraceRecorder:
     # -- message-specific trace points (called by the network) ------------
     def message_sent(self, msg: Message, now: int, delivery: int) -> None:
         """One hop enters the network; flight time is already known."""
-        self.record("net.send", msg.src, dst=msg.dst, line=msg.line,
-                    req_id=msg.req_id, cls=msg.traffic_class,
-                    dur=delivery - now, hop=hop_class(msg, self.homes),
-                    info=msg.kind.value, rseq=msg.meta.get("rseq"))
+        kind = msg.kind
+        self.record("net.send", msg.src, msg.dst, msg.line, msg.req_id,
+                    TRAFFIC_CLASS[kind], delivery - now,
+                    hop_class(msg, self.homes), KIND_LABELS[kind],
+                    msg.meta.get("rseq"))
 
     def message_delivered(self, msg: Message) -> None:
-        self.record("net.deliver", msg.src, dst=msg.dst, line=msg.line,
-                    req_id=msg.req_id, cls=msg.traffic_class,
-                    info=msg.kind.value)
+        kind = msg.kind
+        self.record("net.deliver", msg.src, msg.dst, msg.line, msg.req_id,
+                    TRAFFIC_CLASS[kind], 0, None, KIND_LABELS[kind])
 
     def message_dropped(self, msg: Message, now: int,
                         reason: str) -> None:
         """The wire ate a send (delivery fault); ``reason`` is the
         fault class: drop / link_down / partition."""
-        self.record("net.drop", msg.src, dst=msg.dst, line=msg.line,
-                    req_id=msg.req_id, cls=msg.traffic_class,
-                    info=f"{msg.kind.value}:{reason}")
+        self._message("net.drop", msg, info=f":{reason}")
 
     def message_duplicated(self, msg: Message, now: int,
                            delivery: int) -> None:
         """The wire delivers a second copy (delivery fault)."""
-        self.record("net.dup", msg.src, dst=msg.dst, line=msg.line,
-                    req_id=msg.req_id, cls=msg.traffic_class,
-                    dur=delivery - now, info=msg.kind.value,
-                    rseq=msg.meta.get("rseq"))
+        self._message("net.dup", msg, delivery - now,
+                      msg.meta.get("rseq"))
 
     # -- transport trace points (repro.network.reliable) -------------------
     def transport_retransmit(self, msg: Message, attempt_rto: int) -> None:
-        self.record("transport.retx", msg.src, dst=msg.dst,
-                    line=msg.line, req_id=msg.req_id,
-                    cls=msg.traffic_class, dur=attempt_rto,
-                    info=msg.kind.value, rseq=msg.meta.get("rseq"))
+        self._message("transport.retx", msg, attempt_rto,
+                      msg.meta.get("rseq"))
 
     def transport_dedupe(self, msg: Message, why: str) -> None:
         """Receiver-side transport suppressed a wire delivery
         (``dup`` = already delivered upward, ``buffer`` = held for
         in-order delivery)."""
-        self.record("transport.dedupe", msg.src, dst=msg.dst,
-                    line=msg.line, req_id=msg.req_id,
-                    cls=msg.traffic_class,
-                    info=f"{msg.kind.value}:{why}")
+        self._message("transport.dedupe", msg, info=f":{why}")
+
+    def _message(self, kind: str, msg: Message, dur: int = 0,
+                 rseq: Optional[int] = None, info: str = "") -> None:
+        """A cold message trace point; ``info`` follows the kind label."""
+        self.record(kind, msg.src, msg.dst, msg.line, msg.req_id,
+                    TRAFFIC_CLASS[msg.kind], dur, None,
+                    KIND_LABELS[msg.kind] + info, rseq)
 
     # -- inspection --------------------------------------------------------
-    def events(self) -> List[TraceEvent]:
-        """Snapshot of the ring contents, oldest first."""
+    def events(self) -> List[tuple]:
+        """Snapshot of the ring contents, oldest first, as the recorded
+        tuples (``TraceEvent(*e)`` names the fields of one)."""
         return list(self._events)
 
     def tail(self, n: int, lines: Optional[Set[int]] = None
              ) -> List[TraceEvent]:
         """Last ``n`` ring events, optionally only those touching
         ``lines`` (line-aligned addresses) — used by crash dumps."""
-        if lines is None:
-            out = list(self._events)[-n:] if n else []
-            return out
-        picked: List[TraceEvent] = []
-        for event in reversed(self._events):
-            if event.line is not None and (event.line & ~63) in lines:
-                picked.append(event)
-                if len(picked) >= n:
-                    break
-        picked.reverse()
-        return picked
+        events = self._events
+        if lines is not None:
+            events = [event for event in events if event[4] is not None
+                      and (event[4] & ~63) in lines]
+        return [TraceEvent._make(event)
+                for event in list(events)[-n:]] if n else []
 
     def __len__(self) -> int:
         return len(self._events)

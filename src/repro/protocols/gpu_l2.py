@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from ..coherence.addr import FULL_LINE_MASK
-from ..coherence.messages import Message, MsgKind
+from ..coherence.messages import KIND_LABELS, Message, MsgKind
 from ..core.home import HomeState, SpandexHome
 from ..mem.cache import CacheLine
 from ..sim.engine import SimulationError
@@ -116,7 +116,7 @@ class GPUL2(SpandexHome):
         if tracer is not None:
             tracer.record("l2.up_req", self.name, dst=self.l3_name,
                           line=line, req_id=msg.req_id,
-                          info=f"{msg.kind.value} {purpose}")
+                          info=f"{KIND_LABELS[msg.kind]} {purpose}")
         self.network.send(msg)
 
     # ------------------------------------------------------------------

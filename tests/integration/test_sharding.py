@@ -19,6 +19,7 @@ from repro.coherence.messages import Message
 
 from repro.analysis import check_final_state
 from repro.analysis.sweep import CellSpec, simulate_cell
+from repro.obs import TraceEvent
 from repro.system import (CONFIG_ORDER, SPANDEX_CONFIGS, TraceConfig,
                           build_system, scaled_config)
 from repro.system.config import FaultConfig
@@ -44,7 +45,8 @@ def _fingerprint(config):
     # are comparable without renumbering
     Message._req_ids = itertools.count(1)
     system, _, _ = _run(config)
-    trace = [event.to_dict() for event in system.tracer.events()]
+    trace = [TraceEvent(*event).to_dict()
+             for event in system.tracer.events()]
     return dict(cycles=system.engine.now,
                 events=system.engine.events_executed,
                 stats=system.stats.counters(),

@@ -20,14 +20,15 @@ from typing import Dict
 
 import pytest
 
-from repro.coherence.addr import iter_mask
+from repro.coherence.addr import FULL_LINE_MASK, iter_mask
 from repro.devices.cpu import CPUCore
 from repro.devices.gpu import GPUCU
-from repro.protocols.base import L1Controller
+from repro.protocols.base import Access, L1Controller
 from repro.protocols.denovo import DeNovoL1, DnState
 from repro.protocols.mesi import MESIL1, MesiState
 from repro.system import CONFIG_ORDER, build_system, scaled_config
 from repro.workloads import APPLICATIONS, MICROBENCHMARKS
+from tests.systems import Completion, MiniSpandex
 
 PROGRAMS = {**MICROBENCHMARKS, **APPLICATIONS}
 
@@ -101,3 +102,77 @@ def test_store_poll_takes_the_fast_path(monkeypatch):
     assert {device for device, _ in stalled} == {"cpu", "gpu"}
     assert {protocol for _, protocol in stalled} == {
         "MESIL1", "DeNovoL1", "GPUCoherenceL1"}
+
+
+# -- the poll's LRU touch ----------------------------------------------------
+#: nine lines of one set: a one-set, 8-way L1 (512 B) holds eight
+SET_LINES = [0x4000 + 64 * index for index in range(9)]
+
+
+def _poll_shipped(l1: L1Controller, access: Access) -> bool:
+    """The device poll as shipped: re-present only once unblocked."""
+    return not l1.store_blocked(access) and l1.try_access(access)
+
+
+def _poll_re_presenting(l1: L1Controller, access: Access) -> bool:
+    return l1.try_access(access)
+
+
+def _stalled_store_picks_victim(protocol: str, poll) -> tuple:
+    """cpu0 stalls a store to line ``a`` behind its issued entry while
+    a fill needs a victim in ``a``'s full set.  The refused store's
+    lookup made ``a`` most recent; load hits on the other seven lines
+    make it least recent again, so only the poll's touch keeps ``a``
+    resident.  cpu1 shares (MESI) or owns (DeNovo) ``a``, so cpu0's
+    ownership request takes more hops than the fill's LLC hit.
+    Returns the L1's LRU order after the fill, the hits a probe of
+    ``a`` then scores, and the run's events and stats."""
+    mini = MiniSpandex({"cpu0": protocol, "cpu1": protocol}, l1_size=512)
+    cpu0 = mini.l1s["cpu0"]
+    a, *others, new = SET_LINES
+    mini.load("cpu1", new, FULL_LINE_MASK)
+    if protocol == "MESI":
+        mini.load("cpu1", a, FULL_LINE_MASK)
+    mini.run()
+    for line in [a] + others:
+        mini.load("cpu0", line, FULL_LINE_MASK)
+        mini.run()
+    if protocol == "DeNovo":
+        mini.store("cpu1", a, 0b1, {0: 7})
+        mini.run()
+    assert mini.store("cpu0", a, 0b1, {0: 1}).accepted
+    while not cpu0.store_buffer.entries[a].issued:
+        mini.run(until=mini.engine.now + 1)
+    access = Access("store", a, 0b1, Completion(), values={0: 2})
+    assert not cpu0.try_access(access)
+    for line in others:
+        assert mini.load("cpu0", line, 0b1).accepted
+    assert not poll(cpu0, access)
+    fill = mini.load("cpu0", new, 0b1)
+    while not fill.done:
+        mini.run(until=mini.engine.now + 1)
+        assert not poll(cpu0, access)
+    # the fill chose its victim while the store was still stalled
+    assert cpu0.store_buffer.entries[a].issued
+    lru = [line_obj.line for line_obj in cpu0.array.lines()]
+    hits = mini.stats.counters()["l1.hits"]
+    mini.load("cpu0", a, 0b10)
+    probe_hits = mini.stats.counters()["l1.hits"] - hits
+    while not poll(cpu0, access):
+        mini.run(until=mini.engine.now + 1)
+    mini.run()
+    return (lru, probe_hits, mini.engine.events_executed,
+            mini.stats.snapshot())
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("protocol", ("MESI", "DeNovo"))
+def test_store_poll_touch_picks_the_same_victim(protocol):
+    """While a stalled store polls, a fill evicts the same line as when
+    the store re-presents itself every cycle."""
+    shipped = _stalled_store_picks_victim(protocol, _poll_shipped)
+    assert shipped == _stalled_store_picks_victim(protocol,
+                                                  _poll_re_presenting)
+    lru, probe_hits = shipped[:2]
+    assert SET_LINES[0] in lru and SET_LINES[1] not in lru
+    assert probe_hits == 1

@@ -29,7 +29,7 @@ def chrome_trace_events(events: Iterable[TraceEvent], pid: int = 0,
         "args": {"name": process_name},
     }]
     tids: Dict[str, int] = {}
-    for event in events:
+    for event in map(TraceEvent._make, events):
         track = event.src or "?"
         tid = tids.get(track)
         if tid is None:

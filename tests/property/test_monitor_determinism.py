@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs import TraceEvent
 from repro.system import (CONFIG_ORDER, FaultConfig, TraceConfig,
                           WatchdogConfig, build_system, scaled_config)
 from repro.workloads import MICROBENCHMARKS
@@ -65,7 +66,7 @@ def _normalized_trace(system):
     renumber = {}
     out = []
     for event in system.tracer.events():
-        record = event.to_dict()
+        record = TraceEvent(*event).to_dict()
         req_id = record.get("req_id")
         if req_id is not None:
             record["req_id"] = renumber.setdefault(req_id,

@@ -16,6 +16,7 @@ Two invariants pin the policy layer (DESIGN.md):
 import pytest
 
 from repro.core.policy import make_policy
+from repro.obs import TraceEvent
 from repro.system import (CONFIG_ORDER, TraceConfig, WatchdogConfig,
                           build_system, scaled_config)
 from repro.workloads import MICROBENCHMARKS
@@ -57,7 +58,7 @@ def _normalized_trace(system):
     renumber = {}
     out = []
     for event in system.tracer.events():
-        record = event.to_dict()
+        record = TraceEvent(*event).to_dict()
         req_id = record.get("req_id")
         if req_id is not None:
             record["req_id"] = renumber.setdefault(req_id, len(renumber))

@@ -3,6 +3,7 @@ ring semantics, filter parsing, hop classification, span stitching,
 Chrome-trace export/validation, monitor counter series, and
 timelines."""
 
+import gc
 import json
 
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from repro.coherence.addr import FULL_LINE_MASK
 from repro.coherence.messages import Message, MsgKind
 from repro.obs import (SPAN_STAGES, HealthMonitor, MetricsRegistry,
-                       SpanCollector, TraceFilter, TraceRecorder,
+                       SpanCollector, TraceEvent, TraceFilter, TraceRecorder,
                        format_timeline, hop_class, load_chrome_trace,
                        validate_chrome_trace, write_chrome_trace)
 from repro.sim.stats import StatsRegistry
+from repro.system import TraceConfig, build_system, scaled_config
+from repro.workloads import MICROBENCHMARKS
 
 
 class FakeEngine:
@@ -37,7 +40,8 @@ def test_ring_is_bounded_and_counts_everything():
     assert recorder.seen == 20
     assert recorder.kept == 20          # filterless: every event kept...
     assert len(recorder) == 8           # ...but the ring holds only 8
-    assert [e.ts for e in recorder.events()] == list(range(12, 20))
+    assert [TraceEvent(*e).ts for e in recorder.events()] == \
+        list(range(12, 20))
 
 
 def test_sinks_see_filtered_out_events():
@@ -49,7 +53,7 @@ def test_sinks_see_filtered_out_events():
     recorder.record("l1.state", "gpu0.l1")
     assert len(seen_by_sink) == 2       # sinks: everything
     assert len(recorder) == 1           # ring: only the match
-    assert recorder.events()[0].src == "gpu0.l1"
+    assert TraceEvent(*recorder.events()[0]).src == "gpu0.l1"
 
 
 def test_tail_picks_events_for_implicated_lines():
@@ -61,6 +65,24 @@ def test_tail_picks_events_for_implicated_lines():
     assert [e.ts for e in tail] == [5, 7, 9]
     assert all(e.line == 64 for e in tail)
     assert [e.ts for e in recorder.tail(2)] == [8, 9]
+
+
+@pytest.mark.parametrize("config_name", ("SDD", "HMG"))
+def test_ring_events_are_untracked_plain_tuples(config_name):
+    """Recorded events are exact tuples of ints, strs and None, so the
+    cyclic collector untracks them and stops traversing the ring."""
+    system = build_system(scaled_config(config_name, 2, 2,
+                                        trace=TraceConfig()))
+    system.load_workload(MICROBENCHMARKS["ReuseS"](
+        num_cpus=2, num_gpus=2, warps_per_cu=1))
+    system.run(max_events=30_000_000)
+    gc.collect()
+    events = system.tracer.events()
+    assert events
+    assert not [event for event in events if gc.is_tracked(event)]
+    assert {type(event) for event in events} == {tuple}
+    assert {type(field) for event in events for field in event} <= \
+        {int, str, type(None)}
 
 
 # ---------------------------------------------------------------------------
