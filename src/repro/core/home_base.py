@@ -84,9 +84,10 @@ class HomeController(Component):
         if self.bank_stride != 1:
             index //= self.bank_stride
         bank = index % self.banks
-        start = max(self.now, self._bank_free[bank])
+        now = self.engine.now
+        start = max(now, self._bank_free[bank])
         self._bank_free[bank] = start + self.bank_busy_cycles
-        delay = (start - self.now) + self.access_latency
+        delay = (start - now) + self.access_latency
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.record("home.busy", self.name, line=msg.line,

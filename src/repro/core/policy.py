@@ -46,37 +46,6 @@ from ..coherence.messages import MsgKind
 #: Policy names accepted by SystemConfig.request_policy / --policy.
 POLICY_NAMES = ("fixed", "criticality", "adaptive")
 
-# -- criticality weights (hpvm-spandex `criticality_weight`) ----------------
-#
-# Loads and RMWs sit on the critical path of the consuming kernel, so
-# they carry more weight than stores; CPU-side accesses weigh more than
-# GPU-side ones because the CPU has less latency-hiding ability.
-CPU_LOAD_WEIGHT = 3.0
-GPU_LOAD_WEIGHT = 2.0
-CPU_STORE_WEIGHT = 1.5
-GPU_STORE_WEIGHT = 1.0
-
-#: Stores at or below this weight are treated as producer data the
-#: writer will not reuse: write them through (forwarding) rather than
-#: acquiring ownership.  Only GPU stores sit at the threshold — a CPU
-#: store keeps the fixed ownership mapping under the static heuristic
-#: (the adaptive policy can still learn to forward it).
-WT_WEIGHT_THRESHOLD = 1.0
-
-
-def criticality_weight(device_class: str, kind: MsgKind) -> float:
-    """Weight of an access, after hpvm-spandex's ``criticality_weight``.
-
-    ``device_class`` is 'cpu' or 'gpu' (the issuing device, not the
-    cache's protocol family — an SDD GPU runs a DeNovo L1 but still
-    has GPU latency tolerance).
-    """
-    is_load = kind in (MsgKind.REQ_V, MsgKind.REQ_S)
-    is_rmw = kind in (MsgKind.REQ_WT_DATA, MsgKind.REQ_O_DATA)
-    if device_class == "gpu":
-        return GPU_LOAD_WEIGHT if (is_load or is_rmw) else GPU_STORE_WEIGHT
-    return CPU_LOAD_WEIGHT if (is_load or is_rmw) else CPU_STORE_WEIGHT
-
 
 class OwnerPredictor:
     """Tagged direct-mapped last-writer table with confidence counters.
@@ -163,11 +132,10 @@ class RequestPolicy:
 
     name = "base"
 
-    def select(self, family: str, kind: MsgKind, line: int,
-               tu) -> Optional[MsgKind]:
+    def select(self, kind: MsgKind, line: int, tu) -> Optional[MsgKind]:
         return None
 
-    def wants_prediction(self, family: str, kind: MsgKind) -> bool:
+    def wants_prediction(self, kind: MsgKind) -> bool:
         return False
 
     def observe_forward(self, line: int, requestor: str) -> None:
@@ -178,23 +146,28 @@ class RequestPolicy:
 
 
 class CriticalityPolicy(RequestPolicy):
-    """Criticality-weighted heuristic (hpvm-spandex compiler pass).
+    """Static heuristic after the hpvm-spandex criticality pass.
 
-    Low-weight stores — producer data the writer will not reuse — are
-    converted to forwarding write-throughs; high-weight (CPU) stores
-    keep ownership.  Loads use owner prediction to skip the home hop.
+    A GPU device's stores (ReqO or ReqWT) are producer data the writer
+    will not reuse, so they become forwarding write-throughs; a CPU
+    device's stores keep the fixed ownership mapping.  The role is the
+    issuing device's (``tu.device_class``), not the cache's protocol
+    family: an SDD GPU runs a DeNovo L1 but still hides latency like a
+    GPU.  hpvm-spandex weighs every store 1.0 and converts them all;
+    keeping CPU stores on ownership is this repo's own deviation (the
+    adaptive policy can still learn to forward them).  Loads use owner
+    prediction to skip the home hop.
     """
 
     name = "criticality"
 
-    def select(self, family, kind, line, tu):
-        if kind in (MsgKind.REQ_O, MsgKind.REQ_WT):
-            weight = criticality_weight(tu.device_class, kind)
-            if weight <= WT_WEIGHT_THRESHOLD:
-                return MsgKind.REQ_WT_FWD
+    def select(self, kind, line, tu):
+        if kind in (MsgKind.REQ_O, MsgKind.REQ_WT) and \
+                tu.device_class == "gpu":
+            return MsgKind.REQ_WT_FWD
         return None
 
-    def wants_prediction(self, family, kind):
+    def wants_prediction(self, kind):
         return kind is MsgKind.REQ_V
 
 
@@ -225,14 +198,14 @@ class AdaptivePolicy(RequestPolicy):
         region = self._region(line)
         self._remote_reads[region] = self._remote_reads.get(region, 0) + 1
 
-    def select(self, family, kind, line, tu):
+    def select(self, kind, line, tu):
         if kind in (MsgKind.REQ_O, MsgKind.REQ_WT):
             if (self._remote_reads.get(self._region(line), 0)
                     >= self.remote_threshold):
                 return MsgKind.REQ_WT_FWD
         return None
 
-    def wants_prediction(self, family, kind):
+    def wants_prediction(self, kind):
         return kind is MsgKind.REQ_V
 
 

@@ -109,13 +109,12 @@ class TranslationUnit(Component):
                 # we are about to write: any cached prediction for the
                 # line is about to go stale (ownership transfers)
                 self.predictor.invalidate(msg.line)
-            choice = self.policy.select(self.PROTOCOL_FAMILY, kind,
-                                        msg.line, self)
+            choice = self.policy.select(kind, msg.line, self)
             if choice is MsgKind.REQ_WT_FWD:
                 self._convert_to_wtfwd(msg)
             return
         if kind is MsgKind.REQ_V and self.predictor is not None and \
-                self.policy.wants_prediction(self.PROTOCOL_FAMILY, kind):
+                self.policy.wants_prediction(kind):
             target = self.predictor.predict(msg.line)
             if target is not None and target != self.name and \
                     target != self.l1.home_for(msg.line):
@@ -135,8 +134,8 @@ class TranslationUnit(Component):
         out as a ReqWTfwd) instead."""
         if self.policy is None:
             return False
-        return self.policy.select(self.PROTOCOL_FAMILY, MsgKind.REQ_O,
-                                  line, self) is MsgKind.REQ_WT_FWD
+        choice = self.policy.select(MsgKind.REQ_O, line, self)
+        return choice is MsgKind.REQ_WT_FWD
 
     def _convert_to_wtfwd(self, msg: Message) -> None:
         """Turn a write request into a forwarding write-through.

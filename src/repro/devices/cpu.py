@@ -99,7 +99,7 @@ class CPUCore(Component):
         log = self.log
         log.append({"kind": kind, "addr": addr,
                     "value": values.get((addr >> 2) & 15, 0),
-                    "cycle": self.now, "uid": op.uid, "seq": len(log)})
+                    "cycle": self.engine.now, "uid": op.uid, "seq": len(log)})
 
     def _step(self) -> None:
         if self._pc >= len(self.trace):
@@ -114,7 +114,7 @@ class CPUCore(Component):
     # current op back from ``self.trace[self._pc]``.
     def _op_load(self, op: Op) -> None:
         addr = op.addrs[0]
-        self._load_issued_at = self.now
+        self._load_issued_at = self.engine.now
         access = Access("load", addr & ~63, 1 << ((addr >> 2) & 15),
                         callback=self._load_done)
         if not self.l1.try_access(access):
@@ -122,7 +122,8 @@ class CPUCore(Component):
 
     def _load_done(self, values: Dict[int, int]) -> None:
         counters = self._counters
-        counters["cpu.load_latency_total"] += self.now - self._load_issued_at
+        counters["cpu.load_latency_total"] += \
+            self.engine.now - self._load_issued_at
         counters["cpu.load_count"] += 1
         if self.log is not None:
             self._log("load", values)

@@ -112,18 +112,20 @@ class GPUCU(Component):
                     self.on_done()
             return
         # every live warp is blocked; wake with the earliest timer
+        now = self.engine.now
         timers = [w.wake_at for w in self.warps
-                  if not w.done and w.wake_at > self.now]
+                  if not w.done and w.wake_at > now]
         if timers:
-            self._schedule_tick(min(timers) - self.now)
+            self._schedule_tick(min(timers) - now)
 
     def _pick_warp(self) -> Optional[Warp]:
         count = len(self.warps)
+        now = self.engine.now
         for offset in range(count):
             warp = self.warps[(self._rr + offset) % count]
             if warp.done or warp.blocked:
                 continue
-            if warp.wake_at > self.now:
+            if warp.wake_at > now:
                 continue
             self._rr = (self._rr + offset + 1) % count
             return warp
@@ -181,7 +183,7 @@ class GPUCU(Component):
             masks[line] = masks.get(line, 0) | 1 << ((addr >> 2) & 15)
         warp.blocked = True
         warp.outstanding = len(masks)
-        warp.issued_at = self.now
+        warp.issued_at = self.engine.now
         if op.kind is OpKind.LOAD:
             on_load = warp.on_load
             for line in sorted(masks):
@@ -198,7 +200,8 @@ class GPUCU(Component):
 
     def _load_done(self, warp: Warp, values: Dict[int, int]) -> None:
         counters = self._counters
-        counters["gpu.load_latency_total"] += self.now - warp.issued_at
+        counters["gpu.load_latency_total"] += \
+            self.engine.now - warp.issued_at
         counters["gpu.load_count"] += 1
         self._line_done(warp, values)
 
@@ -262,6 +265,6 @@ class GPUCU(Component):
         self.l1.fence_release(warp.advance, scope=op.scope)
 
     def _op_compute(self, warp: Warp, op: Op) -> None:
-        warp.wake_at = self.now + op.cycles
+        warp.wake_at = self.engine.now + op.cycles
         warp.pc += 1
         self.ops_executed += 1

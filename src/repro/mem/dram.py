@@ -47,9 +47,10 @@ class MainMemory(Component):
     # -- timed interface -----------------------------------------------------
     def _bank_delay(self, line: int) -> int:
         bank = (line >> 6) % self.banks
-        start = max(self.now, self._bank_free[bank])
+        now = self.engine.now
+        start = max(now, self._bank_free[bank])
         self._bank_free[bank] = start + self.bank_busy_cycles
-        return (start - self.now) + self.latency
+        return (start - now) + self.latency
 
     def fetch(self, line: int,
               callback: Callable[[Dict[int, int]], None]) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
+from ..sim.engine import Engine
+
 T = TypeVar("T")
 
 
@@ -31,14 +33,14 @@ class MSHREntry(Generic[T]):
 class MSHRFile(Generic[T]):
     """Fixed-capacity map of line address -> :class:`MSHREntry`.
 
-    ``clock`` (usually ``lambda: engine.now``) timestamps allocations so
-    the liveness watchdog can flag entries stalled past a cycle bound.
+    Allocations are stamped with the owning ``engine``'s ``now`` so the
+    liveness watchdog can flag entries stalled past a cycle bound;
+    without an engine every entry is stamped 0.
     """
 
-    def __init__(self, capacity: int,
-                 clock: Optional[Callable[[], int]] = None):
+    def __init__(self, capacity: int, engine: Optional[Engine] = None):
         self.capacity = capacity
-        self.clock = clock
+        self.engine = engine
         self._entries: Dict[int, MSHREntry[T]] = {}
         #: peak simultaneous occupancy over the run — one integer
         #: compare per allocation, cheap enough to keep always-on so
@@ -67,8 +69,10 @@ class MSHRFile(Generic[T]):
             raise RuntimeError(f"MSHR already allocated for 0x{line:x}")
         if self.full:
             raise RuntimeError("MSHR file full; caller must stall")
-        now = self.clock() if self.clock is not None else 0
-        entry = MSHREntry(line, primary, allocated_at=now)
+        engine = self.engine
+        entry = MSHREntry(
+            line, primary,
+            allocated_at=engine.now if engine is not None else 0)
         self._entries[line] = entry
         if len(self._entries) > self.high_water:
             self.high_water = len(self._entries)
@@ -88,10 +92,9 @@ class MSHRFile(Generic[T]):
         if entry is None:
             raise RuntimeError(f"releasing absent MSHR 0x{line:x}")
         if self.tracer is not None:
-            now = self.clock() if self.clock is not None else 0
             self.tracer.record(
                 "mshr.free", self.owner, line=line,
-                dur=now - entry.allocated_at,
+                dur=self.engine.now - entry.allocated_at,
                 info=f"{len(self._entries)}/{self.capacity}")
         return entry
 

@@ -124,10 +124,9 @@ class L1Controller(Component):
         #: line->home mapping for sharded systems; None keeps ``home``
         #: as the single destination (see :meth:`home_for`)
         self.home_map = None
-        self.mshrs: MSHRFile = MSHRFile(mshr_entries,
-                                        clock=lambda: engine.now)
-        # the MSHR file has no engine reference of its own; hand it the
-        # recorder (None when tracing is off) so alloc/free are traced
+        self.mshrs: MSHRFile = MSHRFile(mshr_entries, engine)
+        # hand the MSHR file the recorder (None when tracing is off) so
+        # alloc/free are traced
         self.mshrs.tracer = engine.tracer
         self.mshrs.owner = name
         self.store_buffer = StoreBuffer(store_buffer_words)
@@ -309,7 +308,7 @@ class L1Controller(Component):
         inflight = Inflight(
             msg.req_id, msg.line, purpose,
             remaining if remaining is not None else msg.mask,
-            issued_at=self.now)
+            issued_at=self.engine.now)
         self._inflight[msg.req_id] = inflight
         tracer = self.engine.tracer
         if tracer is not None:
@@ -341,7 +340,7 @@ class L1Controller(Component):
             if tracer is not None:
                 tracer.record("l1.complete", self.name,
                               line=inflight.line, req_id=inflight.req_id,
-                              dur=self.now - inflight.issued_at,
+                              dur=self.engine.now - inflight.issued_at,
                               info=inflight.purpose)
             self._request_complete(inflight)
         return True

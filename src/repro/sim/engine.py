@@ -26,13 +26,14 @@ otherwise-quiescent simulation alive or stretch its measured length.
 Live-event counts are O(1): :meth:`Engine.pending` and
 :meth:`Engine.pending_non_idle` are differences of four counters
 (scheduled, executed, retired unexecuted, live idle).  Per event the
-run loop writes only the entry's callback slot and the executed count;
+run loop writes only the entry's callback slot and ``events_executed``;
 it stores the count before the callback, so the running event is no
 longer pending and observers sampling mid-run (the health monitor)
 read a current count.
 
-Components never see the calendar; they interact through
-:meth:`Engine.schedule`, :meth:`Engine.cancel` and :meth:`Engine.run`.
+Components never see the calendar: they read the plain ``engine.now``
+attribute (the run loop writes it) and call :meth:`Engine.schedule`,
+:meth:`Engine.cancel` and :meth:`Engine.run`.
 """
 
 from __future__ import annotations
@@ -56,12 +57,14 @@ class Engine:
         self._buckets: Dict[int, List[list]] = {}
         #: heap of the distinct due times in ``_buckets``
         self._times: List[int] = []
-        self._now = 0
+        #: current simulation time in cycles; only the run loop writes it
+        self.now = 0
         self._running = False
         #: entries ever scheduled / executed / retired unexecuted
-        #: (cancelled while queued, or dropped as idle housekeeping)
+        #: (cancelled while queued, or dropped as idle housekeeping);
+        #: ``events_executed`` is current mid-run, too
         self._scheduled = 0
-        self._executed = 0
+        self.events_executed = 0
         self._retired = 0
         #: queued, non-cancelled ``idle`` entries
         self._idle_live = 0
@@ -77,16 +80,6 @@ class Engine:
         #: perturb the simulation.
         self.tracer = None
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Events executed so far (current mid-run, too)."""
-        return self._executed
-
     def schedule(self, delay: int, callback: Callable[..., None],
                  args: tuple = (), idle: bool = False) -> list:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
@@ -98,7 +91,7 @@ class Engine:
             raise SimulationError(
                 f"negative delay {delay} for "
                 f"{getattr(callback, '__qualname__', callback)!r}")
-        time = self._now + delay
+        time = self.now + delay
         entry = [callback, args, idle]
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -110,11 +103,6 @@ class Engine:
         if idle:
             self._idle_live += 1
         return entry
-
-    def schedule_at(self, time: int, callback: Callable[..., None],
-                    args: tuple = (), idle: bool = False) -> list:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        return self.schedule(time - self._now, callback, args, idle)
 
     def cancel(self, entry: list) -> None:
         """Stop a queued entry from running; a no-op once it has left
@@ -129,7 +117,7 @@ class Engine:
     # -- queue accounting --------------------------------------------------
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._scheduled - self._executed - self._retired
+        return self._scheduled - self.events_executed - self._retired
 
     def pending_non_idle(self) -> int:
         """Live events that are real work (not ``idle`` housekeeping)."""
@@ -170,7 +158,7 @@ class Engine:
         buckets = self._buckets
         times = self._times
         budget = _NO_BUDGET if max_events is None else max_events
-        executed = self._executed
+        executed = self.events_executed
         try:
             while times:
                 time = times[0]
@@ -196,7 +184,7 @@ class Engine:
                     raise SimulationError(
                         f"cycle budget exhausted ({max_cycles}); "
                         "possible protocol livelock")
-                self._now = time
+                self.now = time
                 cursor = iter(bucket)
                 try:
                     for entry in cursor:
@@ -214,7 +202,7 @@ class Engine:
                         # counted on entry, so a running event is
                         # neither pending nor missing from the count
                         executed += 1
-                        self._executed = executed
+                        self.events_executed = executed
                         callback(*args)
                         if executed >= budget and \
                                 self.pending_non_idle() > 0:
@@ -226,7 +214,7 @@ class Engine:
                 except BaseException:
                     # the raising event left the queue but did not run
                     # to completion: retire it uncounted
-                    self._executed = executed - 1
+                    self.events_executed = executed - 1
                     self._retired += 1
                     self._keep_unrun(time, cursor)
                     raise
@@ -236,11 +224,11 @@ class Engine:
                     "possible protocol livelock")
             if not times and self.stall_check is not None:
                 self.stall_check()
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def _keep_unrun(self, time: int, cursor) -> None:
         """Trim the run part of an interrupted bucket for a resume."""
@@ -250,29 +238,19 @@ class Engine:
             del self._buckets[time]
             heappop(self._times)
 
-    def drain_check(self) -> None:
-        """Raise if live events remain (used by tests for quiescence)."""
-        live = self.pending()
-        if live:
-            raise SimulationError(f"{live} events still pending")
-
 
 class Component:
     """Base class for anything that lives on the engine.
 
-    Subclasses get a ``name`` for diagnostics, ``now``, and
-    ``schedule`` — the engine's own bound method, so scheduling through
-    a component costs no extra call.
+    Subclasses get a ``name`` for diagnostics and ``schedule`` — the
+    engine's own bound method, so scheduling through a component costs
+    no extra call.  They read the time as ``self.engine.now``.
     """
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
         self.schedule = engine.schedule
-
-    @property
-    def now(self) -> int:
-        return self.engine._now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -127,19 +127,18 @@ class ControlledNetwork(Network):
         if self.delivery_observer is not None:
             self.delivery_observer(msg)
         target = self._endpoints[msg.dst]
-        now = self.engine.now
-        tracer = self.engine.tracer
+        engine = self.engine
+        tracer = engine.tracer
         for ready in self._released(msg):
             if tracer is None:
-                def deliver(m=ready, t=target):
-                    t.receive(m)
-            else:
-                tracer.message_sent(ready, now, now + 1)
+                engine.schedule(1, target.receive, (ready,))
+                continue
+            tracer.message_sent(ready, engine.now, engine.now + 1)
 
-                def deliver(m=ready, t=target, tr=tracer):
-                    tr.message_delivered(m)
-                    t.receive(m)
-            self.engine.schedule_at(now + 1, deliver)
+            def deliver(m=ready, t=target, tr=tracer):
+                tr.message_delivered(m)
+                t.receive(m)
+            engine.schedule(1, deliver)
 
     def _released(self, msg: Message) -> List[Message]:
         """What delivering link head ``msg`` hands its endpoint."""

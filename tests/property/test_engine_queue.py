@@ -5,7 +5,7 @@ flags, cancels (including cancel-twice and cancel-after-fire), events
 that schedule and cancel from inside their callbacks, callbacks that
 raise, and ``until`` / ``max_events`` / ``max_cycles`` stops followed
 by resumes — and plays each one on :class:`repro.sim.engine.Engine` and
-on :class:`repro.sim.reference.ReferenceEngine`.  The two must agree on
+on :class:`tests.reference_engine.ReferenceEngine`.  The two must agree on
 the execution order, on what every callback observes (``now``,
 ``pending()``, ``pending_non_idle()``, ``events_executed``), on every
 stall check, and after every step on ``now``, the counters and the
@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.reference import ReferenceEngine
+
+from tests.reference_engine import ReferenceEngine
 
 _delays = st.one_of(st.just(0), st.integers(min_value=0, max_value=6),
                     st.integers(min_value=0, max_value=40))

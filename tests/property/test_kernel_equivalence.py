@@ -3,7 +3,7 @@ not behaviour.
 
 The optimized engine (indexed queue, FIFO micro-queue, compaction,
 ``args`` fast path) and the seed-algorithm
-:class:`repro.sim.reference.ReferenceEngine` are run through identical
+:class:`tests.reference_engine.ReferenceEngine` are run through identical
 full-system simulations on every Table V configuration; the runs must
 be bit-identical — same cycle count, same executed-event count, same
 final memory image, same stats counters.  A differential timing test
@@ -19,10 +19,11 @@ import pytest
 
 import repro.system.builder
 from repro.sim.engine import Engine
-from repro.sim.reference import ReferenceEngine
 from repro.system import (CONFIG_ORDER, FaultConfig, WatchdogConfig,
                           build_system, scaled_config)
 from repro.workloads import MICROBENCHMARKS
+
+from tests.reference_engine import ReferenceEngine
 
 SMALL = dict(num_cpus=2, num_gpus=2, warps_per_cu=1)
 FAULT_SEED = 7

@@ -1,28 +1,28 @@
-"""Reference (pre-overhaul) simulation kernel for differential checks.
+"""Reference (seed) simulation kernel, the oracle for differential checks.
 
 This module preserves the *seed* event-loop algorithm — a heap of
-:class:`Event` objects compared through ``Event.__lt__`` plus a linear
-``any()`` rescan of the whole heap on every idle pop — behind the same
-API as the optimized :class:`repro.sim.engine.Engine` (``idle`` flags,
-``args``-carrying events, ``cancel``, ``pending_non_idle``).
+:class:`ReferenceEvent` objects compared through ``__lt__`` plus a
+linear ``any()`` rescan of the whole heap on every idle pop — behind
+the same API as the optimized :class:`repro.sim.engine.Engine`: plain
+``now`` and ``events_executed`` attributes, ``idle`` flags,
+``args``-carrying events, ``cancel`` and ``pending_non_idle``.
 
-Three consumers:
+Two test modules use it:
 
-* the determinism suite swaps it into the system builder and asserts
-  that runs are cycle- and memory-identical to the optimized kernel on
-  every configuration — the overhaul changed *cost*, not behaviour;
-* the same suite runs both engines through one event-churn schedule
-  in one process, a machine-independent measure of the speedup;
+* ``tests/property/test_kernel_equivalence.py`` swaps it into the
+  system builder and asserts that runs are cycle- and memory-identical
+  to the optimized kernel on every configuration, then runs both
+  engines through one event-churn schedule in one process, a
+  machine-independent measure of the speedup;
 * ``tests/property/test_engine_queue.py`` plays random schedules
   (cancels, idle flags, nested scheduling, raising callbacks, stops and
   resumes) on both and compares every observation.
 
-The three scheduler bug fixes that shipped with the overhaul are
+The scheduler bug fixes that shipped with the first kernel overhaul are
 applied here too (``max_events`` only raising while live non-idle work
-remains, ``schedule_at`` honouring ``idle``, counter-accurate
-``pending``), and an event counts as executed from the moment its
-callback starts unless that callback raises, so the two kernels are
-semantically identical and only the algorithm differs.
+remains, counter-accurate ``pending``), and an event counts as executed
+from the moment its callback starts unless that callback raises, so the
+two kernels are semantically identical and only the algorithm differs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional
 
-from .engine import SimulationError
+from repro.sim.engine import SimulationError
 
 
 class ReferenceEvent:
@@ -57,19 +57,11 @@ class ReferenceEngine:
     def __init__(self):
         self._heap: List[ReferenceEvent] = []
         self._seq = 0
-        self._now = 0
-        self._events_executed = 0
+        self.now = 0
+        self.events_executed = 0
         self._running = False
         self.stall_check: Optional[Callable[[], None]] = None
         self.tracer = None
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
 
     def schedule(self, delay: int, callback: Callable[..., None],
                  args: tuple = (), idle: bool = False) -> ReferenceEvent:
@@ -77,15 +69,11 @@ class ReferenceEngine:
             raise SimulationError(
                 f"negative delay {delay} for "
                 f"{getattr(callback, '__qualname__', callback)!r}")
-        event = ReferenceEvent(self._now + delay, self._seq, callback,
+        event = ReferenceEvent(self.now + delay, self._seq, callback,
                                args, idle)
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event
-
-    def schedule_at(self, time: int, callback: Callable[..., None],
-                    args: tuple = (), idle: bool = False) -> ReferenceEvent:
-        return self.schedule(time - self._now, callback, args, idle)
 
     def cancel(self, event: ReferenceEvent) -> None:
         event.cancelled = True
@@ -123,15 +111,15 @@ class ReferenceEngine:
                     raise SimulationError(
                         f"cycle budget exhausted ({max_cycles}); "
                         "possible protocol livelock")
-                self._now = event.time
-                self._events_executed += 1
+                self.now = event.time
+                self.events_executed += 1
                 try:
                     event.callback(*event.args)
                 except BaseException:
-                    self._events_executed -= 1
+                    self.events_executed -= 1
                     raise
                 if max_events is not None \
-                        and self._events_executed >= max_events \
+                        and self.events_executed >= max_events \
                         and any(not e.cancelled and not e.idle
                                 for e in heap):
                     raise SimulationError(
@@ -139,13 +127,8 @@ class ReferenceEngine:
                         "possible protocol livelock")
             if not heap and self.stall_check is not None:
                 self.stall_check()
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
-        return self._now
-
-    def drain_check(self) -> None:
-        live = self.pending()
-        if live:
-            raise SimulationError(f"{live} events still pending")
+        return self.now

@@ -152,18 +152,11 @@ def test_pending_counts_live_events():
     assert engine.pending() == 0
 
 
-def test_drain_check_raises_when_events_remain():
-    engine = Engine()
-    engine.schedule(5, lambda: None)
-    with pytest.raises(SimulationError):
-        engine.drain_check()
-
-
 def test_component_schedule_uses_engine():
     engine = Engine()
     component = Component(engine, "widget")
     seen = []
-    component.schedule(4, lambda: seen.append(component.now))
+    component.schedule(4, lambda: seen.append(component.engine.now))
     engine.run()
     assert seen == [4]
 

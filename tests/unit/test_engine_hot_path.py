@@ -5,23 +5,32 @@ These tests pin the observable semantics of the calendar event queue
 cancel and execution; lazily cancelled entries never running, never
 reordering the survivors and never outliving their cycle in storage;
 same-cycle FIFO order for zero-delay events; ``args``-carrying events;
-and the three scheduler bug fixes that shipped with the first kernel
-overhaul —
+the scheduler bug fixes that shipped with the first kernel overhaul —
 
 * ``Engine.run(max_events=N)`` no longer raises when the N-th event
   legitimately drained the queue (off-by-one);
-* ``Engine.schedule_at`` no longer drops the ``idle`` flag, so
-  absolute-time watchdog ticks cannot stretch a quiescent run;
 * ``Network.in_flight()`` is exact at every cycle (event-driven
-  pruning instead of lazy rescans on send).
+  pruning instead of lazy rescans on send);
+
+and that simulated time is a plain attribute: a profiled cell runs no
+``now``, ``events_executed`` or MSHR clock frame.
 """
+
+import cProfile
+import inspect
+import os
+import pstats
 
 import pytest
 
+import repro
 from repro.coherence.messages import Message, MsgKind
 from repro.network.noc import LatencyModel, Network
+from repro.protocols.base import L1Controller
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.stats import StatsRegistry
+from repro.system import build_system, scaled_config
+from repro.workloads import MICROBENCHMARKS
 
 
 # ----------------------------------------------------------------------
@@ -228,31 +237,6 @@ def test_max_events_ignores_leftover_idle_housekeeping():
 
 
 # ----------------------------------------------------------------------
-# bug fix: schedule_at must honour the idle flag
-# ----------------------------------------------------------------------
-def test_schedule_at_keeps_idle_flag():
-    # Regression: schedule_at dropped ``idle``, so an absolute-time
-    # watchdog tick counted as live work and stretched quiescent runs.
-    engine = Engine()
-    engine.schedule(5, lambda: None)
-    ticked = []
-    engine.schedule_at(100, ticked.append, ("tick",), idle=True)
-    assert engine.pending_non_idle() == 1
-    engine.run()
-    assert ticked == []
-    assert engine.now == 5
-
-
-def test_schedule_at_passes_args():
-    engine = Engine()
-    seen = []
-    engine.schedule_at(7, seen.append, (42,))
-    engine.run()
-    assert seen == [42]
-    assert engine.now == 7
-
-
-# ----------------------------------------------------------------------
 # bug fix: Network.in_flight() exact at every cycle
 # ----------------------------------------------------------------------
 class _Sink:
@@ -299,3 +283,33 @@ def test_in_flight_tracks_multiple_messages():
     engine.run()
     assert network.in_flight() == []
     assert dst.received == [first, second]
+
+
+# ----------------------------------------------------------------------
+# simulated time is a plain attribute: no accessor frames on a real run
+# ----------------------------------------------------------------------
+def test_profiled_cell_runs_no_clock_frames():
+    workload = MICROBENCHMARKS["ReuseS"](num_cpus=2, num_gpus=2,
+                                         warps_per_cu=1)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    system = build_system(scaled_config("SDD", 2, 2))
+    system.load_workload(workload)
+    system.run()
+    profiler.disable()
+    assert system.engine.events_executed > 0
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    mshr_py = os.path.join(package, "mem", "mshr.py")
+    base_py = os.path.join(package, "protocols", "base.py")
+    init_lines, init_first = inspect.getsourcelines(L1Controller.__init__)
+    init_span = range(init_first, init_first + len(init_lines))
+    clock_frames = []
+    for filename, line, name in pstats.Stats(profiler).stats:
+        if not filename.startswith(package):
+            continue
+        if name in ("now", "events_executed") or name == "<lambda>" and (
+                filename == mshr_py
+                or filename == base_py and line in init_span):
+            clock_frames.append((filename, line, name))
+    assert clock_frames == []

@@ -7,8 +7,7 @@ import pytest
 
 from repro.coherence.messages import MsgKind
 from repro.core.policy import (AdaptivePolicy, CriticalityPolicy,
-                               OwnerPredictor, criticality_weight,
-                               make_policy)
+                               OwnerPredictor, make_policy)
 
 from tests.systems import MiniSpandex
 
@@ -17,8 +16,6 @@ LINE = 0x1_0000
 
 class FakeTU:
     """Just enough TU surface for RequestPolicy.select."""
-
-    PROTOCOL_FAMILY = "DeNovo"
 
     def __init__(self, device_class="cpu"):
         self.device_class = device_class
@@ -97,26 +94,17 @@ def test_predictor_rejects_zero_sets():
 
 # -- criticality selection -------------------------------------------------
 
-def test_criticality_weights_order():
-    assert criticality_weight("cpu", MsgKind.REQ_V) > \
-        criticality_weight("gpu", MsgKind.REQ_V)
-    assert criticality_weight("cpu", MsgKind.REQ_O) > \
-        criticality_weight("gpu", MsgKind.REQ_O)
-    assert criticality_weight("gpu", MsgKind.REQ_V) > \
-        criticality_weight("gpu", MsgKind.REQ_WT)
-
-
 def test_criticality_converts_only_low_weight_stores():
     policy = CriticalityPolicy()
     gpu, cpu = FakeTU("gpu"), FakeTU("cpu")
-    assert policy.select("GPU", MsgKind.REQ_WT, LINE, gpu) is \
+    assert policy.select(MsgKind.REQ_WT, LINE, gpu) is \
         MsgKind.REQ_WT_FWD
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, gpu) is \
+    assert policy.select(MsgKind.REQ_O, LINE, gpu) is \
         MsgKind.REQ_WT_FWD
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, cpu) is None
-    assert policy.select("DeNovo", MsgKind.REQ_V, LINE, gpu) is None
-    assert policy.wants_prediction("DeNovo", MsgKind.REQ_V)
-    assert not policy.wants_prediction("DeNovo", MsgKind.REQ_O)
+    assert policy.select(MsgKind.REQ_O, LINE, cpu) is None
+    assert policy.select(MsgKind.REQ_V, LINE, gpu) is None
+    assert policy.wants_prediction(MsgKind.REQ_V)
+    assert not policy.wants_prediction(MsgKind.REQ_O)
 
 
 # -- adaptive selection ----------------------------------------------------
@@ -124,15 +112,15 @@ def test_criticality_converts_only_low_weight_stores():
 def test_adaptive_converts_after_observed_remote_read():
     policy = AdaptivePolicy(region_lines=4, remote_threshold=1)
     tu = FakeTU("cpu")
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, tu) is None
+    assert policy.select(MsgKind.REQ_O, LINE, tu) is None
     policy.observe_forward(LINE, "g0")
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, tu) is \
+    assert policy.select(MsgKind.REQ_O, LINE, tu) is \
         MsgKind.REQ_WT_FWD
     # whole region flips: a neighbouring line in the same 4-line
     # region converts too, but a different region stays fixed
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE + 64, tu) is \
+    assert policy.select(MsgKind.REQ_O, LINE + 64, tu) is \
         MsgKind.REQ_WT_FWD
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE + 4 * 64, tu) \
+    assert policy.select(MsgKind.REQ_O, LINE + 4 * 64, tu) \
         is None
 
 
@@ -141,9 +129,9 @@ def test_adaptive_threshold_counts_observations():
     tu = FakeTU("cpu")
     policy.observe_forward(LINE, "g0")
     policy.observe_forward(LINE + 64, "g1")
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, tu) is None
+    assert policy.select(MsgKind.REQ_O, LINE, tu) is None
     policy.observe_forward(LINE, "g0")
-    assert policy.select("DeNovo", MsgKind.REQ_O, LINE, tu) is \
+    assert policy.select(MsgKind.REQ_O, LINE, tu) is \
         MsgKind.REQ_WT_FWD
 
 
@@ -151,8 +139,8 @@ def test_adaptive_never_touches_loads():
     policy = AdaptivePolicy()
     tu = FakeTU("cpu")
     policy.observe_forward(LINE, "g0")
-    assert policy.select("DeNovo", MsgKind.REQ_V, LINE, tu) is None
-    assert policy.wants_prediction("DeNovo", MsgKind.REQ_V)
+    assert policy.select(MsgKind.REQ_V, LINE, tu) is None
+    assert policy.wants_prediction(MsgKind.REQ_V)
 
 
 # -- factory ---------------------------------------------------------------
