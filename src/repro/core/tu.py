@@ -53,8 +53,6 @@ class TranslationUnit(Component):
     caused the Nack.
     """
 
-    PROTOCOL_FAMILY = "GPU"
-
     def __init__(self, engine: Engine, network: Network,
                  stats: StatsRegistry, l1: L1Controller, latency: int = 1,
                  nack_retry_limit: int = 0, backoff_base: int = 8,
@@ -81,10 +79,9 @@ class TranslationUnit(Component):
         #: owner-prediction table (repro.core.policy.OwnerPredictor);
         #: only consulted when a policy wants prediction for a kind.
         self.predictor = None
-        #: 'cpu' | 'gpu' — criticality weighting keys on the device
-        #: class (paper: CPU accesses have less latency tolerance), not
-        #: on the cache's protocol family; the builder passes the
-        #: device's role
+        #: 'cpu' | 'gpu' — the criticality policy converts only GPU
+        #: devices' stores, keyed on the device's role (the builder
+        #: passes it), not on the cache's protocol family
         self.device_class = device_class
         self._pred_pending: Dict[int, int] = {}  # req_id -> line
         l1.tu = self
@@ -245,8 +242,6 @@ class TranslationUnit(Component):
 class GPUCoherenceTU(TranslationUnit):
     """TU for GPU coherence caches: ReqV retry via LLC-side atomic."""
 
-    PROTOCOL_FAMILY = "GPU"
-
     def _escalate(self, msg: Message) -> None:
         # Replace the failed ReqV with a ReqWT+data that performs an
         # identity update at the LLC: it enforces a global order with
@@ -259,8 +254,6 @@ class GPUCoherenceTU(TranslationUnit):
 
 class DeNovoTU(TranslationUnit):
     """TU for DeNovo caches: escalate a Nacked ReqV to ReqO+data."""
-
-    PROTOCOL_FAMILY = "DeNovo"
 
     def _escalate(self, msg: Message) -> None:
         self.stats.incr("tu.escalations")
@@ -289,8 +282,6 @@ class DeNovoTU(TranslationUnit):
 
 class MESITU(TranslationUnit):
     """TU adapting word-granularity Spandex requests to a MESI cache."""
-
-    PROTOCOL_FAMILY = "MESI"
 
     EXTERNAL_KINDS = (MsgKind.REQ_V, MsgKind.REQ_O, MsgKind.REQ_WT,
                       MsgKind.REQ_O_DATA, MsgKind.REQ_S, MsgKind.RVK_O)

@@ -15,12 +15,12 @@ correctness assumption of the protocol controllers.
 other is the engine loop), so its state is organized for the fast
 path: each link keeps a single :class:`_Link` record (free time, last
 delivery and cached latency together — one dict lookup per send
-instead of three), each endpoint gets one pre-bound
-delivery callable reused for every message (no per-message closure),
-and the in-flight diagnostic set is pruned event-driven — the delivery
-callable removes its own entry — instead of lazily rescanned on send.
-A send looks its link up first: only a pair's first send checks the
-endpoints (and builds the link and its untraced delivery callable).
+instead of three), each endpoint gets one delivery callable, built
+when it registers and reused for every message (no per-message
+closure), and the in-flight diagnostic set is pruned event-driven —
+the delivery callable removes its own entry — instead of lazily
+rescanned on send.  A send looks its link up first: only a pair's
+first send checks the endpoints and builds the link.
 """
 
 from __future__ import annotations
@@ -101,11 +101,8 @@ class Network:
         self.link_bytes_per_cycle = link_bytes_per_cycle
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        #: one pre-bound delivery callable per endpoint (and, when
-        #: tracing, a traced variant); rebuilt if the tracer changes
+        #: one delivery callable per endpoint, built by ``register``
         self._receivers: Dict[str, Callable[[Message], None]] = {}
-        self._traced_receivers: Dict[str, Callable[[Message], None]] = {}
-        self._traced_for: object = None
         #: live counter-dicts from the registry — the four per-send
         #: accounting increments without method-call or group-lookup
         #: overhead (see StatsRegistry.raw_counters / raw_group)
@@ -123,55 +120,43 @@ class Network:
         self._in_flight: Dict[int, Tuple[int, Message, int]] = {}
 
     def register(self, endpoint: Endpoint) -> None:
+        """Attach ``endpoint`` and build its one delivery callable.
+
+        The callable pops the message's in-flight entry, records a
+        ``net.deliver`` event when the engine has a tracer, and hands
+        the message to :meth:`_upward`'s target.  Whether it traces is
+        fixed here, so ``engine.tracer`` must be set before endpoints
+        register (the system builder sets it before ``_build()``).
+        """
         if endpoint.name in self._endpoints:
             raise SimulationError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
-
-    # -- delivery callables ------------------------------------------------
-    def _make_receiver(self, name: str) -> Callable[[Message], None]:
-        receive = self._endpoints[name].receive
+        receive = self._upward(endpoint)
         pop = self._in_flight.pop
-
-        def deliver(msg: Message) -> None:
-            pop(id(msg), None)
-            receive(msg)
-
-        return deliver
-
-    def _make_traced_receiver(self, name: str,
-                              tracer) -> Callable[[Message], None]:
-        receive = self._endpoints[name].receive
-        pop = self._in_flight.pop
-        delivered = tracer.message_delivered
-
-        def deliver(msg: Message) -> None:
-            pop(id(msg), None)
-            delivered(msg)
-            receive(msg)
-
-        return deliver
-
-    def _receiver(self, name: str) -> Callable[[Message], None]:
         tracer = self.engine.tracer
         if tracer is None:
-            return self._receivers[name]     # built with the first link
-        if tracer is not self._traced_for:
-            self._traced_receivers.clear()
-            self._traced_for = tracer
-        deliver = self._traced_receivers.get(name)
-        if deliver is None:
-            deliver = self._traced_receivers[name] = \
-                self._make_traced_receiver(name, tracer)
-        return deliver
+            def deliver(msg: Message) -> None:
+                pop(id(msg), None)
+                receive(msg)
+        else:
+            delivered = tracer.message_delivered
+
+            def deliver(msg: Message) -> None:
+                pop(id(msg), None)
+                delivered(msg)
+                receive(msg)
+        self._receivers[endpoint.name] = deliver
+
+    def _upward(self, endpoint: Endpoint) -> Callable[[Message], None]:
+        """What a delivery hands the message to."""
+        return endpoint.receive
 
     def _new_link(self, msg: Message, model: LatencyModel) -> _Link:
-        """First send on a pair: check it, build its link and receiver."""
+        """First send on a pair: check its endpoints, build its link."""
         src, dst = msg.src, msg.dst
         for name, role in ((dst, "destination"), (src, "source")):
             if name not in self._endpoints:
                 raise SimulationError(f"unknown {role} {name!r} for {msg}")
-        if dst not in self._receivers:
-            self._receivers[dst] = self._make_receiver(dst)
         link = self._links[(src, dst)] = _Link(model.latency(src, dst),
                                                model.version)
         return link
@@ -225,14 +210,12 @@ class Network:
             self.trace_hook(msg, delivery)
         self._in_flight[id(msg)] = (delivery, msg, now)
         tracer = engine.tracer
-        if tracer is None:
-            engine.schedule(delivery - now, self._receivers[dst], (msg,))
-            return
-        # The hop's flight time is fully determined here, so the send
-        # event is recorded as a span and delivery rides the same
-        # scheduled callback — tracing adds no engine events.
-        tracer.message_sent(msg, now, delivery)
-        engine.schedule(delivery - now, self._receiver(dst), (msg,))
+        if tracer is not None:
+            # The hop's flight time is fully determined here, so the
+            # send event is recorded as a span and delivery rides the
+            # same scheduled callback — tracing adds no engine events.
+            tracer.message_sent(msg, now, delivery)
+        engine.schedule(delivery - now, self._receivers[dst], (msg,))
 
     # -- the delivery-fault path (cold: only with unreliable classes) ------
     def _send_unreliable(self, msg: Message, link: _Link, ready: int,
@@ -270,7 +253,7 @@ class Network:
         self._in_flight[id(msg)] = (delivery, msg, now)
         if tracer is not None:
             tracer.message_sent(msg, now, delivery)
-        receiver = self._receiver(msg.dst)
+        receiver = self._receivers[msg.dst]
         engine.schedule(delivery - now, receiver, (msg,))
         if injector.should_duplicate(msg):
             # the wire delivers a second, independent copy one cycle

@@ -39,6 +39,7 @@ needs its own transport.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.messages import Message, MsgKind, clone
@@ -184,40 +185,17 @@ class ReliableNetwork(Network):
         if source is None:
             source = _BareSystem(self)
         diag = collect_diagnostic(source, reason)
-        diag["transport"] = self.transport_snapshot()
-        diag["fabric"] = self.links_snapshot()
         raise TransportError(f"{reason}\n{format_diagnostic(diag)}", diag)
 
     # -- receiver side -----------------------------------------------------
-    def _make_receiver(self, name: str) -> Callable[[Message], None]:
-        receive = self._endpoints[name].receive
-        pop = self._in_flight.pop
-        transport = self._transport_receive
+    def _upward(self, endpoint) -> Callable[[Message], None]:
+        # the wire-level delivery (and its net.deliver event: dups and
+        # stale copies show up there, then again as transport.dedupe
+        # when suppressed) hands every arrival to the transport first
+        return partial(self._transport_receive, endpoint.receive)
 
-        def deliver(msg: Message) -> None:
-            pop(id(msg), None)
-            transport(msg, receive)
-
-        return deliver
-
-    def _make_traced_receiver(self, name: str,
-                              tracer) -> Callable[[Message], None]:
-        receive = self._endpoints[name].receive
-        pop = self._in_flight.pop
-        transport = self._transport_receive
-        delivered = tracer.message_delivered
-
-        def deliver(msg: Message) -> None:
-            pop(id(msg), None)
-            # wire-level delivery event: dups/stale copies show up here
-            # and then again as transport.dedupe when suppressed
-            delivered(msg)
-            transport(msg, receive)
-
-        return deliver
-
-    def _transport_receive(self, msg: Message,
-                           receive: Callable[[Message], None]) -> None:
+    def _transport_receive(self, receive: Callable[[Message], None],
+                           msg: Message) -> None:
         if msg.kind is MsgKind.REL_ACK:
             self._handle_ack(msg)
             return

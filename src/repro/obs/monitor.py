@@ -23,8 +23,10 @@ Two pieces:
     and bank backlogs, MSHR occupancy, per-link in-flight depth,
     transport retransmit backlog and RTO state, and a snapshot of the
     :class:`~repro.sim.stats.StatsRegistry` counters — the time series
-    behind the Chrome counter tracks).  Simulations are bit-identical
-    with monitoring on or off, pinned by
+    behind the Chrome counter tracks).  Link and transport rows come
+    from the network's own ``links_snapshot()`` and
+    ``transport_snapshot()``, the readers diagnostic dumps use.
+    Simulations are bit-identical with monitoring on or off, pinned by
     ``tests/property/test_monitor_determinism.py``.
 """
 
@@ -177,7 +179,7 @@ class HealthMonitor:
         #: per-link gauge pairs, created as links first appear
         self._link_gauges: Dict[Tuple[str, str], Tuple[Gauge, Gauge]] = {}
         self._transport_gauges = None
-        if hasattr(system.network, "_send_channels"):
+        if hasattr(system.network, "transport_snapshot"):
             self._transport_gauges = (
                 registry.gauge("transport.unacked",
                                help="messages awaiting transport ack",
@@ -241,18 +243,14 @@ class HealthMonitor:
                              "capacity": l1.mshrs.capacity,
                              "high_water": l1.mshrs.high_water}
 
+        # the fabric's snapshots age their rows against engine.now,
+        # which is the ts every scrape is taken at
         network = system.network
-        depth: Dict[Tuple[str, str], int] = {}
-        oldest: Dict[Tuple[str, str], int] = {}
-        for _, msg, sent in network._in_flight.values():
-            key = (msg.src, msg.dst)
-            depth[key] = depth.get(key, 0) + 1
-            if key not in oldest or sent < oldest[key]:
-                oldest[key] = sent
         links: List[Dict[str, object]] = []
-        for (src, dst), link in sorted(network._links.items()):
-            in_flight = depth.get((src, dst), 0)
-            backlog = link.free - ts
+        for link in network.links_snapshot():
+            src, dst = link["src"], link["dst"]
+            in_flight = link["in_flight"]
+            backlog = link["free"] - ts
             if backlog < 0:
                 backlog = 0
             gauges = self._link_gauges.get((src, dst))
@@ -264,25 +262,17 @@ class HealthMonitor:
             if in_flight or backlog:
                 links.append({
                     "src": src, "dst": dst, "in_flight": in_flight,
-                    "backlog": backlog,
-                    "oldest_age": (ts - oldest[(src, dst)]
-                                   if (src, dst) in oldest else 0)})
+                    "backlog": backlog, "oldest_age": link["oldest_age"]})
 
         transport = None
         if self._transport_gauges is not None:
-            unacked = 0
-            rto_max = 0
-            oldest_age = 0
-            for channel in network._send_channels.values():
-                unacked += len(channel.unacked)
-                if channel.unacked:
-                    if channel.rto > rto_max:
-                        rto_max = channel.rto
-                    _, first_sent = next(iter(channel.unacked.values()))
-                    if ts - first_sent > oldest_age:
-                        oldest_age = ts - first_sent
-            buffered = sum(len(channel.buffer) for channel in
-                           network._recv_channels.values())
+            snapshot = network.transport_snapshot()
+            live = [row for row in snapshot["send"] if row["unacked"]]
+            unacked = sum(row["unacked"] for row in live)
+            rto_max = max((row["rto"] for row in live), default=0)
+            oldest_age = max((row["oldest_age"] for row in live),
+                             default=0)
+            buffered = sum(row["buffered"] for row in snapshot["recv"])
             g_unacked, g_rto, g_oldest, g_buffered = \
                 self._transport_gauges
             g_unacked.set(unacked)

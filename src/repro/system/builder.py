@@ -97,7 +97,7 @@ class System:
         self.registry: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanCollector] = None
         self.monitor: Optional[HealthMonitor] = None
-        if config.trace is not None and config.trace.enabled:
+        if config.trace is not None:
             self.tracer = TraceRecorder(
                 self.engine, capacity=config.trace.capacity,
                 filter=TraceFilter.parse(config.trace.filters))

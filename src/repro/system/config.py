@@ -217,7 +217,6 @@ class TraceConfig:
     enabling it changes no cycle counts, event counts, or memory state.
     """
 
-    enabled: bool = True
     #: ring-buffer capacity (events retained for export / diagnostics)
     capacity: int = 262_144
     #: ``addr=0x…`` / ``dev=name`` / ``class=kind`` retention filters

@@ -126,19 +126,13 @@ class ControlledNetwork(Network):
         self.delivered += 1
         if self.delivery_observer is not None:
             self.delivery_observer(msg)
-        target = self._endpoints[msg.dst]
         engine = self.engine
         tracer = engine.tracer
+        receiver = self._receivers[msg.dst]
         for ready in self._released(msg):
-            if tracer is None:
-                engine.schedule(1, target.receive, (ready,))
-                continue
-            tracer.message_sent(ready, engine.now, engine.now + 1)
-
-            def deliver(m=ready, t=target, tr=tracer):
-                tr.message_delivered(m)
-                t.receive(m)
-            engine.schedule(1, deliver)
+            if tracer is not None:
+                tracer.message_sent(ready, engine.now, engine.now + 1)
+            engine.schedule(1, receiver, (ready,))
 
     def _released(self, msg: Message) -> List[Message]:
         """What delivering link head ``msg`` hands its endpoint."""

@@ -180,8 +180,8 @@ def test_monitor_ignores_events_before_interval():
             return 0
 
     class _Network:
-        _in_flight = {}
-        _links = {}
+        def links_snapshot(self):
+            return []
 
     class _System:
         engine = _Engine()

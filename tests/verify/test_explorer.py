@@ -6,6 +6,8 @@ exercises the failing-schedule machinery against a seeded mutant; the
 six configurations (the nightly job).
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.system.config import CONFIGS
@@ -139,6 +141,65 @@ def test_deliverable_orders_heads_oldest_first():
     net.send(second)
     heads = net.deliverable()
     assert heads[0] is first            # enqueue order, not link-name order
+
+
+def _run_counting_handoffs(scenario, config_name, trace):
+    """One seeded random-walk schedule, counting the messages the
+    controlled network hands up to endpoints."""
+    handed = []
+
+    def count_releases(system):
+        released = system.network._released
+
+        def counted(msg):
+            ready = released(msg)
+            handed.extend(ready)
+            return ready
+        system.network._released = counted
+
+    run = run_schedule(scenario, config_name, RandomChooser(3),
+                       trace=trace, on_system=count_releases)
+    return run, len(handed)
+
+
+def _schedule_outcome(scenario, run):
+    system = run.system
+    addrs = sorted(set(scenario.reference().memory)
+                   | set(scenario.spec().get("initial", {})))
+    return {"choices": run.choices, "branching": run.branching,
+            "deliveries": run.deliveries, "now": system.engine.now,
+            "stats": system.stats.snapshot(),
+            "memory": {addr: system.read_coherent(addr) for addr in addrs}}
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("config_name", SMOKE_CONFIGS)
+@pytest.mark.parametrize("scenario_name",
+                         ["mp-flag-handoff", "unreliable-mp-handoff"])
+def test_traced_schedule_matches_untraced(scenario_name, config_name):
+    """Tracing is passive under the explorer too: the same schedule,
+    timing, stats and memory, and the ring holds one ``net.send`` and
+    one ``net.deliver`` per message handed up to an endpoint."""
+    scenario = scenario_by_name(scenario_name)
+    plain, plain_handed = _run_counting_handoffs(scenario, config_name,
+                                                 trace=False)
+    traced, traced_handed = _run_counting_handoffs(scenario, config_name,
+                                                   trace=True)
+    assert _schedule_outcome(scenario, traced) == \
+        _schedule_outcome(scenario, plain)
+    assert traced_handed == plain_handed > 0
+    if scenario.spec().get("verify_drops"):
+        network = traced.system.network
+        assert network.transport_drops + network.transport_dups > 0
+
+    tracer = traced.system.tracer
+    events = tracer.events()
+    assert len(events) == tracer.seen          # nothing filtered or evicted
+    sends = Counter((e[4], e[5]) for e in events if e[1] == "net.send")
+    delivers = Counter((e[4], e[5]) for e in events
+                       if e[1] == "net.deliver")
+    assert sum(sends.values()) == traced_handed
+    assert sends == delivers
 
 
 # -- full sweeps (nightly) ---------------------------------------------------
