@@ -106,6 +106,19 @@ class SpandexHome(HomeController):
     #: configurations, the DeNovo native retry in hierarchical ones).
     #: The fault injector only amplifies Nacks toward these families.
     FORCED_NACK_FAMILIES: tuple = ()
+    #: request MsgKind -> handler method name, looked up per request so
+    #: subclass overrides and handlers patched onto the instance or the
+    #: class (fault tests, protocol mutants) apply; bound methods held
+    #: by the home would tie it into a reference cycle
+    _REQ_HANDLERS = {
+        MsgKind.REQ_V: "_handle_reqv",
+        MsgKind.REQ_S: "_handle_reqs",
+        MsgKind.REQ_WT: "_handle_write",
+        MsgKind.REQ_O: "_handle_write",
+        MsgKind.REQ_WT_DATA: "_handle_atomic",
+        MsgKind.REQ_O_DATA: "_handle_write",
+        MsgKind.REQ_WT_FWD: "_handle_wtfwd",
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -120,11 +133,6 @@ class SpandexHome(HomeController):
         #: optional deterministic fault injector (repro.faults): forces
         #: spurious Nacks on ReqV to stress requestor retry paths
         self.fault_injector = None
-        #: MsgKind -> bound handler (request path is hot); built lazily
-        #: on the first request so subclass overrides AND handlers
-        #: patched onto the instance/class after construction (fault
-        #: tests, protocol mutants) are all honoured
-        self._req_dispatch: Optional[Dict[MsgKind, Callable]] = None
 
     # ------------------------------------------------------------------
     # backing-store hooks (overridden by LLC / GPU L2)
@@ -355,18 +363,7 @@ class SpandexHome(HomeController):
         line_obj = self._ensure_resident(msg, line_obj)
         if line_obj is None:
             return
-        dispatch = self._req_dispatch
-        if dispatch is None:
-            dispatch = self._req_dispatch = {
-                MsgKind.REQ_V: self._handle_reqv,
-                MsgKind.REQ_S: self._handle_reqs,
-                MsgKind.REQ_WT: self._handle_write,
-                MsgKind.REQ_O: self._handle_write,
-                MsgKind.REQ_WT_DATA: self._handle_atomic,
-                MsgKind.REQ_O_DATA: self._handle_write,
-                MsgKind.REQ_WT_FWD: self._handle_wtfwd,
-            }
-        dispatch[msg.kind](msg, line_obj)
+        getattr(self, self._REQ_HANDLERS[msg.kind])(msg, line_obj)
 
     # -- ReqV ------------------------------------------------------------
     def _handle_reqv(self, msg: Message, line_obj: CacheLine) -> None:

@@ -25,7 +25,7 @@ value-legality pass reads.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..protocols.base import Access, L1Controller
 from ..sim.engine import Component, Engine
@@ -51,7 +51,8 @@ class CPUCore(Component):
         self.spin_backoff = spin_backoff
         self._pc = 0
         self.done = False
-        self.on_done: Optional[Callable[[], None]] = None
+        #: the cycle the core ran out of trace (set with ``done``)
+        self.finished_at = 0
         self.ops_executed = 0
         self.spin_iterations = 0
         #: completed-operation log (``None``: not recorded)
@@ -62,16 +63,6 @@ class CPUCore(Component):
         self._load_issued_at = 0
         #: live flat-counter dict for the per-op latency accounting
         self._counters = stats.raw_counters()
-        #: OpKind -> bound handler, built once (``_step`` is per-op hot)
-        self._dispatch = {
-            OpKind.LOAD: self._op_load,
-            OpKind.STORE: self._op_store,
-            OpKind.RMW: self._op_rmw,
-            OpKind.SPIN_LOAD: self._op_spin,
-            OpKind.ACQUIRE: self._op_acquire,
-            OpKind.RELEASE: self._op_release,
-            OpKind.COMPUTE: self._op_compute,
-        }
 
     def start(self) -> None:
         self.schedule(0, self._step)
@@ -79,12 +70,11 @@ class CPUCore(Component):
     # ------------------------------------------------------------------
     def _finish(self) -> None:
         self.done = True
-        # A System ends up as cyclic garbage; dropping the finished trace
-        # lets its Ops die with the workload, not at a full collection.
+        self.finished_at = self.engine.now
+        # the Ops belong to the workload: a System kept alive after its
+        # run (for validation or exports) does not keep them too
         self.trace = []
         self.stats.incr("cpu.ops", self.ops_executed)
-        if self.on_done is not None:
-            self.on_done()
 
     def _advance(self, delay: int = 0) -> None:
         self._pc += 1
@@ -106,7 +96,7 @@ class CPUCore(Component):
             self._finish()
             return
         op = self.trace[self._pc]
-        self._dispatch[op.kind](op)
+        _DISPATCH[op.kind](self, op)
 
     # ------------------------------------------------------------------
     # Completion callbacks are bound methods, not per-op closures: the
@@ -207,3 +197,16 @@ class CPUCore(Component):
 
     def _op_compute(self, op: Op) -> None:
         self._advance(delay=op.cycles)
+
+
+#: OpKind -> handler (``_step`` is per-op hot); plain functions, so a
+#: core holds no bound method of itself
+_DISPATCH = {
+    OpKind.LOAD: CPUCore._op_load,
+    OpKind.STORE: CPUCore._op_store,
+    OpKind.RMW: CPUCore._op_rmw,
+    OpKind.SPIN_LOAD: CPUCore._op_spin,
+    OpKind.ACQUIRE: CPUCore._op_acquire,
+    OpKind.RELEASE: CPUCore._op_release,
+    OpKind.COMPUTE: CPUCore._op_compute,
+}

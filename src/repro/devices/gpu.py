@@ -16,7 +16,7 @@ re-presents a store only once its line's store-buffer entry clears.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..coherence.addr import iter_mask
 from ..protocols.base import Access, L1Controller
@@ -45,6 +45,10 @@ class Warp:
         self.outstanding = 0
         self.wake_at = 0
         self.issued_at = 0
+        self.unbind()
+
+    def unbind(self) -> None:
+        """Clear the callbacks, which refer back to the warp."""
         self.advance = self.on_load = self.on_store = None
         self.issue_rmw = self.on_rmw = self.on_spin = None
 
@@ -69,20 +73,11 @@ class GPUCU(Component):
         self._rr = 0
         self._tick_scheduled = False
         self.done = False
-        self.on_done: Optional[Callable[[], None]] = None
+        #: the cycle the last warp finished (set with ``done``)
+        self.finished_at = 0
         self.ops_executed = 0
         #: live flat-counter dict for per-access retry/latency counts
         self._counters = stats.raw_counters()
-        #: OpKind -> bound handler, built once (``_issue`` is per-op hot)
-        self._dispatch = {
-            OpKind.LOAD: self._op_mem,
-            OpKind.STORE: self._op_mem,
-            OpKind.RMW: self._op_rmw,
-            OpKind.SPIN_LOAD: self._op_spin,
-            OpKind.ACQUIRE: self._op_acquire,
-            OpKind.RELEASE: self._op_release,
-            OpKind.COMPUTE: self._op_compute,
-        }
 
     def start(self) -> None:
         self._schedule_tick(0)
@@ -104,12 +99,13 @@ class GPUCU(Component):
         if all(w.done for w in self.warps):
             if not self.done:
                 self.done = True
-                # as CPUCore._finish: let the Ops die with the workload
+                self.finished_at = self.engine.now
+                # as CPUCore._finish drops its trace; a bound warp's
+                # callbacks refer back to it, so unbind each first
                 for warp in self.warps:
-                    warp.trace = []
+                    warp.unbind()
+                self.warps = []
                 self.stats.incr("gpu.ops", self.ops_executed)
-                if self.on_done is not None:
-                    self.on_done()
             return
         # every live warp is blocked; wake with the earliest timer
         now = self.engine.now
@@ -151,7 +147,7 @@ class GPUCU(Component):
         if warp.advance is None:
             self._bind(warp)
         op = warp.trace[warp.pc]
-        self._dispatch[op.kind](warp, op)
+        _DISPATCH[op.kind](self, warp, op)
         self._schedule_tick()
 
     def _issue_with_retry(self, access: Access) -> None:
@@ -268,3 +264,16 @@ class GPUCU(Component):
         warp.wake_at = self.engine.now + op.cycles
         warp.pc += 1
         self.ops_executed += 1
+
+
+#: OpKind -> handler (``_issue`` is per-op hot); plain functions, so a
+#: CU holds no bound method of itself
+_DISPATCH = {
+    OpKind.LOAD: GPUCU._op_mem,
+    OpKind.STORE: GPUCU._op_mem,
+    OpKind.RMW: GPUCU._op_rmw,
+    OpKind.SPIN_LOAD: GPUCU._op_spin,
+    OpKind.ACQUIRE: GPUCU._op_acquire,
+    OpKind.RELEASE: GPUCU._op_release,
+    OpKind.COMPUTE: GPUCU._op_compute,
+}

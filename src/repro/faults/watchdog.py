@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim.engine import SimulationError
+from ..sim.lifetime import WeakAttribute
 from .diagnostics import collect_diagnostic, format_diagnostic
 
 
@@ -53,6 +54,9 @@ def system_busy(system) -> bool:
 
 class LivenessWatchdog:
     """Periodic auditor bounding how long any request may stay pending."""
+
+    #: the audited system (it owns the watchdog, so held weakly)
+    system = WeakAttribute()
 
     def __init__(self, system, stall_cycles: int = 400_000,
                  period: int = 0):

@@ -147,6 +147,11 @@ class Network:
                 receive(msg)
         self._receivers[endpoint.name] = deliver
 
+    def detach_endpoints(self) -> None:
+        """Forget every endpoint and its delivery callable."""
+        self._endpoints.clear()
+        self._receivers.clear()
+
     def _upward(self, endpoint: Endpoint) -> Callable[[Message], None]:
         """What a delivery hands the message to."""
         return endpoint.receive

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.messages import Message, MsgKind, clone
 from ..sim.engine import SimulationError
+from ..sim.lifetime import WeakAttribute
 from ..sim.stats import StatsRegistry
 from .noc import LatencyModel, Network
 
@@ -110,6 +111,11 @@ class _RecvChannel:
 class ReliableNetwork(Network):
     """The raw NoC with the reliable-transport sublayer interposed."""
 
+    #: set by the builder to the owning system (held weakly) so a
+    #: TransportError dump includes device/home state, not just the
+    #: fabric
+    diagnostic_source = WeakAttribute()
+
     def __init__(self, engine, stats: StatsRegistry,
                  latency_model: Optional[LatencyModel] = None,
                  link_bytes_per_cycle: int = 32,
@@ -122,9 +128,6 @@ class ReliableNetwork(Network):
         self.dead_cycles = dead_cycles
         self._send_channels: Dict[Tuple[str, str], _SendChannel] = {}
         self._recv_channels: Dict[Tuple[str, str], _RecvChannel] = {}
-        #: set by the builder to the owning system so a TransportError
-        #: dump includes device/home state, not just the fabric
-        self.diagnostic_source = None
 
     # -- sender side -------------------------------------------------------
     def send(self, msg: Message) -> None:

@@ -36,6 +36,7 @@ import re
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..sim.lifetime import WeakAttribute
 from ..sim.stats import MetricNameError, validate_metric_name
 
 #: Prometheus-compatible label-name grammar (stricter than values,
@@ -127,6 +128,9 @@ class HealthMonitor:
     run), and invokes ``on_sample`` callbacks — the CLI's periodic
     ``repro top``-style console view hangs off those.
     """
+
+    #: the scraped system (it owns the monitor, so held weakly)
+    system = WeakAttribute()
 
     def __init__(self, system, registry: MetricsRegistry,
                  interval: int, top_k: int = 8):

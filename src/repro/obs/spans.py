@@ -211,24 +211,15 @@ class SpanCollector:
         self.retx_suppressed = 0
         #: health monitor whose interval check rides on this sink
         self.monitor = None
-        self._handlers = {
-            "net.send": self._on_send,
-            "home.busy": self._on_busy,
-            "home.defer": self._on_defer,
-            "home.replay": self._on_replay,
-            "transport.retx": self._on_retx,
-            "l1.issue": self._on_issue,
-            "l1.complete": self._finish,
-        }
 
     # -- sink protocol -----------------------------------------------------
     # The collector sees EVERY trace event (a tuple, read by position);
     # most are not span-relevant, so dispatch is one dict probe (the
-    # handler table is built once in __init__), not a compare chain.
+    # module's _HANDLERS table of plain functions), not a compare chain.
     def __call__(self, event: tuple) -> None:
-        handler = self._handlers.get(event[1])
+        handler = _HANDLERS.get(event[1])
         if handler is not None:
-            handler(event)
+            handler(self, event)
         monitor = self.monitor
         if monitor is not None and event[0] >= monitor.next_due:
             monitor.sample_at(event[0])
@@ -481,3 +472,16 @@ class SpanCollector:
                 for row in self.format_span(record).splitlines():
                     lines.append(f"    {row}")
         return "\n".join(lines)
+
+
+#: trace-event kind -> SpanCollector handler (plain functions, so the
+#: collector holds no bound method of itself)
+_HANDLERS = {
+    "net.send": SpanCollector._on_send,
+    "home.busy": SpanCollector._on_busy,
+    "home.defer": SpanCollector._on_defer,
+    "home.replay": SpanCollector._on_replay,
+    "transport.retx": SpanCollector._on_retx,
+    "l1.issue": SpanCollector._on_issue,
+    "l1.complete": SpanCollector._finish,
+}

@@ -5,7 +5,8 @@ Trace points across the simulator call :meth:`TraceRecorder.record`
 one attribute load per site).  Each event is an exact ``tuple`` in
 :class:`TraceEvent` field order holding only ints, strs and ``None``, so
 CPython's cyclic collector untracks it the first time a collection sees
-it and later collections skip the ring.  Events land in a bounded ring
+it (the first one after the run: ``System.simulate`` pauses collection)
+and later collections skip the ring.  Events land in a bounded ring
 buffer and are additionally pushed to registered *sinks* — in a built
 system the one :class:`~repro.obs.spans.SpanCollector` — which always
 see the full stream even when a :class:`TraceFilter` restricts what the

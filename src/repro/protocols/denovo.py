@@ -51,6 +51,17 @@ class DeNovoL1(L1Controller):
     PROTOCOL_FAMILY = "DeNovo"
     INVALID = DnState.I
     STORE_LOOKS_UP = True
+    #: MsgKind -> handler method name, as in ``MESIL1``
+    _EXT_HANDLERS = {
+        MsgKind.REQ_V: "_ext_reqv",
+        MsgKind.REQ_O: "_ext_reqo",
+        MsgKind.REQ_WT: "_ext_reqwt",
+        MsgKind.REQ_O_DATA: "_ext_reqo_data",
+        MsgKind.RVK_O: "_ext_rvko",
+        MsgKind.REQ_S: "_ext_reqs",
+        MsgKind.INV: "_ext_inv",
+        MsgKind.FWD_WT_DATA: "_ext_wt_fwd",
+    }
 
     def __init__(self, *args, atomic_policy: str = "own",
                  nack_retry_limit: int = 1, **kwargs):
@@ -69,17 +80,6 @@ class DeNovoL1(L1Controller):
         self._downgraded_pending: Dict[int, int] = {}
         #: forwarded data requests delayed until a pending grant lands
         self._delayed_fwd: Dict[int, List[Message]] = {}
-        #: MsgKind -> bound handler, built once (``receive`` is hot)
-        self._ext_dispatch = {
-            MsgKind.REQ_V: self._ext_reqv,
-            MsgKind.REQ_O: self._ext_reqo,
-            MsgKind.REQ_WT: self._ext_reqwt,
-            MsgKind.REQ_O_DATA: self._ext_reqo_data,
-            MsgKind.RVK_O: self._ext_rvko,
-            MsgKind.REQ_S: self._ext_reqs,
-            MsgKind.INV: self._ext_inv,
-            MsgKind.FWD_WT_DATA: self._ext_wt_fwd,
-        }
 
     # ------------------------------------------------------------------
     # device-facing API
@@ -252,10 +252,10 @@ class DeNovoL1(L1Controller):
             return
         if self._fold_response(msg):
             return
-        handler = self._ext_dispatch.get(msg.kind)
+        handler = self._EXT_HANDLERS.get(msg.kind)
         if handler is None:
             raise SimulationError(f"{self.name}: unexpected {msg}")
-        handler(msg)
+        getattr(self, handler)(msg)
 
     def _handle_nack(self, msg: Message) -> None:
         """Native retry of a Nacked ReqV (hierarchical configurations;

@@ -30,6 +30,17 @@ class GPUL2(SpandexHome):
     # Hierarchical GPU L1s attach natively (no TU); only DeNovo has a
     # native Nack retry path, so forced Nacks target DeNovo devices.
     FORCED_NACK_FAMILIES = ("DeNovo",)
+    #: upstream MsgKind -> handler method name, looked up per message
+    #: (see ``SpandexHome._REQ_HANDLERS``)
+    _UP_HANDLERS = {
+        MsgKind.DATA_S: "_up_data",
+        MsgKind.DATA_E: "_up_data",
+        MsgKind.DATA_M: "_up_data",
+        MsgKind.WB_ACK: "_up_wb_ack",
+        MsgKind.FWD_GET_S: "_up_fwd_gets",
+        MsgKind.FWD_GET_M: "_up_fwd_getm",
+        MsgKind.MESI_INV: "_up_inv",
+    }
 
     def __init__(self, *args, l3_name: str = "l3", **kwargs):
         super().__init__(*args, **kwargs)
@@ -40,16 +51,6 @@ class GPUL2(SpandexHome):
         self._up_pending: Dict[int, Dict[str, object]] = {}
         #: upstream state granted while the line was mid-fill
         self._granted_state: Dict[int, str] = {}
-        #: MsgKind -> bound handler, built once (dispatch is hot)
-        self._up_dispatch = {
-            MsgKind.DATA_S: self._up_data,
-            MsgKind.DATA_E: self._up_data,
-            MsgKind.DATA_M: self._up_data,
-            MsgKind.WB_ACK: self._up_wb_ack,
-            MsgKind.FWD_GET_S: self._up_fwd_gets,
-            MsgKind.FWD_GET_M: self._up_fwd_getm,
-            MsgKind.MESI_INV: self._up_inv,
-        }
 
     # ------------------------------------------------------------------
     # upstream MESI state helpers
@@ -123,10 +124,10 @@ class GPUL2(SpandexHome):
     # upstream responses and probes
     # ------------------------------------------------------------------
     def _dispatch_other(self, msg: Message) -> None:
-        handler = self._up_dispatch.get(msg.kind)
+        handler = self._UP_HANDLERS.get(msg.kind)
         if handler is None:
             raise SimulationError(f"{self.name}: unexpected {msg}")
-        handler(msg)
+        getattr(self, handler)(msg)
 
     def _up_data(self, msg: Message) -> None:
         pending = self._up_pending.pop(msg.line, None)

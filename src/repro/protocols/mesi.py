@@ -59,6 +59,16 @@ class MESIL1(L1Controller):
     PROTOCOL_FAMILY = "MESI"
     INVALID = MesiState.I
     STORE_LOOKS_UP = True
+    #: MsgKind -> handler method name, looked up per message: a table
+    #: of bound methods would tie the controller into a reference
+    #: cycle, and a by-name lookup honours subclass overrides and
+    #: patched handlers (the protocol mutants)
+    _EXT_HANDLERS = {
+        MsgKind.FWD_GET_S: "_ext_fwd_gets",
+        MsgKind.FWD_GET_M: "_ext_fwd_getm",
+        MsgKind.MESI_INV: "_ext_inv",
+        MsgKind.INV: "_ext_inv",
+    }
 
     def __init__(self, *args, dialect: str = "spandex",
                  coalesce_delay: int = 4, **kwargs):
@@ -68,13 +78,6 @@ class MESIL1(L1Controller):
         self.dialect = dialect
         self._pending_wb: Dict[int, Dict[int, int]] = {}
         self._post_grant: Dict[int, List[Callable[[], None]]] = {}
-        #: MsgKind -> bound handler, built once (``receive`` is hot)
-        self._ext_dispatch = {
-            MsgKind.FWD_GET_S: self._ext_fwd_gets,
-            MsgKind.FWD_GET_M: self._ext_fwd_getm,
-            MsgKind.MESI_INV: self._ext_inv,
-            MsgKind.INV: self._ext_inv,
-        }
 
     # ------------------------------------------------------------------
     # device-facing API
@@ -212,10 +215,10 @@ class MESIL1(L1Controller):
             return
         if self._fold_response(msg):
             return
-        handler = self._ext_dispatch.get(msg.kind)
+        handler = self._EXT_HANDLERS.get(msg.kind)
         if handler is None:
             raise SimulationError(f"{self.name}: unexpected {msg}")
-        handler(msg)
+        getattr(self, handler)(msg)
 
     def _mesi_data(self, msg: Message) -> None:
         """Map classic-MESI response kinds onto the fold machinery."""

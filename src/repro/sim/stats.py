@@ -51,12 +51,12 @@ class ScopedStats:
     cost is one dict add on the registry's live counter dict.
     """
 
-    __slots__ = ("_counters", "_incr_group", "prefix", "_names")
+    __slots__ = ("_counters", "_groups", "prefix", "_names")
 
     def __init__(self, registry: "StatsRegistry", prefix: str):
         validate_metric_name(prefix)
         self._counters = registry.raw_counters()
-        self._incr_group = registry.incr_group
+        self._groups = registry._groups
         self.prefix = prefix
         self._names: Dict[str, str] = {}
 
@@ -72,7 +72,7 @@ class ScopedStats:
 
     def incr_group(self, metric: str, key: str,
                    amount: float = 1.0) -> None:
-        self._incr_group(self._name(metric), key, amount)
+        self._groups[self._name(metric)][key] += amount
 
 
 class StatsRegistry:

@@ -15,6 +15,7 @@ Hierarchical configurations::
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.llc import SpandexLLC
@@ -37,6 +38,7 @@ from ..protocols.gpu_l2 import GPUL2
 from ..protocols.mesi import MESIL1
 from ..protocols.mesi_llc import MESIDirectoryLLC
 from ..sim.engine import Engine
+from ..sim.lifetime import gc_paused
 from ..sim.stats import StatsRegistry
 from .config import SystemConfig
 from .readback import CoherentReader
@@ -106,6 +108,10 @@ class System:
             self.spans = SpanCollector(top_k=config.trace.health_top_k)
             self.tracer.sinks.append(self.spans)
         self._build()
+        # the cycles among the parts, cut once the System is freed
+        # (DESIGN.md "Object lifetime")
+        weakref.finalize(self, _detach, self.network, self.engine,
+                         list(self.l1s.values()))
         #: every home: the GPU L2 first, then each LLC shard (or the
         #: L3), the order CoherentReader probes home copies in
         self.homes: List = ([self.gpu_l2] if self.gpu_l2 is not None
@@ -359,10 +365,14 @@ class System:
             self.monitor.finalize(self.engine.now)
         return RunResult(self.config.name, cycles, self.stats, self.dram)
 
+    @gc_paused
     def simulate(self, max_events: Optional[int] = 50_000_000,
                  max_cycles: Optional[int] = None) -> int:
         """Start every device and run to quiescence; returns the cycle
         the last device finished.
+
+        Runs with cyclic garbage collection paused: a run makes no
+        cyclic garbage, so a collection would only walk live objects.
 
         ``max_events`` / ``max_cycles`` bound the simulation; exceeding
         either raises :class:`~repro.sim.engine.SimulationError`.  When
@@ -376,15 +386,23 @@ class System:
         for cu in self.gpus:
             if cu.warps:
                 cu.start()
-        done_times: Dict[str, int] = {}
-        for device in list(self.cpus) + list(self.gpus):
-            def record(dev=device):
-                done_times[dev.name] = self.engine.now
-            device.on_done = record
         if self.watchdog is not None:
             self.watchdog.arm()
         self.engine.run(max_events=max_events, max_cycles=max_cycles)
-        return max(done_times.values()) if done_times else self.engine.now
+        finished = [device.finished_at
+                    for device in self.cpus + self.gpus if device.done]
+        return max(finished) if finished else self.engine.now
+
+
+def _detach(network: Network, engine: Engine,
+            l1s: List[L1Controller]) -> None:
+    """A freed System's finalizer: unhook the endpoints from the fabric
+    and each TU from its L1 (both refer back), and the tracer from the
+    engine."""
+    network.detach_endpoints()
+    for l1 in l1s:
+        l1.tu = None
+    engine.tracer = None
 
 
 class RunResult:

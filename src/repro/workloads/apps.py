@@ -18,8 +18,9 @@ import random
 from typing import Dict, List
 
 from ..coherence.messages import atomic_add
+from ..sim.lifetime import gc_paused
 from .base import (BarrierFactory, Workload, WorkloadMeta, chunk,
-                   dense_addrs, gc_paused)
+                   dense_addrs)
 from .graph import community_graph
 from .trace import AddressSpace, Op, Trace
 

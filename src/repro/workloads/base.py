@@ -8,11 +8,9 @@ atomics and flag spins — so sync cost flows through the protocols.
 
 from __future__ import annotations
 
-import functools
-import gc
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..coherence.messages import atomic_add
 from ..consistency.reference import ReferenceResult, assert_drf
@@ -66,26 +64,6 @@ class Workload:
         merged.update(result.memory)
         result.memory = merged
         return result
-
-
-def gc_paused(generator: Callable[..., Workload]
-              ) -> Callable[..., Workload]:
-    """Run a workload generator with cyclic garbage collection paused.
-
-    A generator allocates tens of thousands of long-lived, acyclic Ops,
-    and each collector pass during that build re-traverses them without
-    freeing any.
-    """
-    @functools.wraps(generator)
-    def build(*args, **kwargs) -> Workload:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return generator(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return build
 
 
 class BarrierFactory:

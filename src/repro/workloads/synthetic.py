@@ -19,8 +19,9 @@ from __future__ import annotations
 import random
 from typing import List
 
+from ..sim.lifetime import gc_paused
 from .base import (BarrierFactory, Workload, WorkloadMeta, chunk,
-                   dense_addrs, gc_paused, strided_line_addrs)
+                   dense_addrs, strided_line_addrs)
 from .trace import AddressSpace, Op, Trace
 
 

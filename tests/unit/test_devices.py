@@ -188,13 +188,11 @@ def test_cpu_completion_log_records_program_order():
     ]
 
 
-def test_cpu_on_done_callback():
+def test_cpu_stamps_its_finish_cycle():
     mini, core = cpu_rig([Op.compute(5)])
-    fired = []
-    core.on_done = lambda: fired.append(mini.engine.now)
     core.start()
     mini.run()
-    assert fired
+    assert core.done and core.finished_at == 5
 
 
 # -- GPU CU ---------------------------------------------------------------------
@@ -208,6 +206,18 @@ def test_gpu_warps_interleave():
     assert cu.warps[1].pc >= 3        # warp 1 progressed past warp 0
     mini.run()
     assert cu.done
+
+
+def test_gpu_stamps_its_finish_cycle_and_drops_its_warps():
+    mini, cu = gpu_rig([[Op.load(LINE), Op.compute(1)], [Op.compute(9)]])
+    warps = list(cu.warps)
+    cu.start()
+    mini.run()
+    assert cu.done and cu.finished_at > 9
+    # the finished CU keeps no warp, and no warp keeps its callbacks
+    assert cu.warps == []
+    assert warps[0].trace and warps[0].on_load is None
+    assert all(warp.advance is None for warp in warps)
 
 
 def test_gpu_vector_load_coalesces_to_line_requests():

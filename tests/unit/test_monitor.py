@@ -191,7 +191,8 @@ def test_monitor_ignores_events_before_interval():
         homes = ()
         spans = None
 
-    monitor = HealthMonitor(_System(), registry, interval=100)
+    system = _System()      # the monitor refers to its system weakly
+    monitor = HealthMonitor(system, registry, interval=100)
     spans = SpanCollector()
     spans.monitor = monitor
     spans(TraceEvent(5, "net.send", "a"))
