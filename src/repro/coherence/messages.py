@@ -200,10 +200,13 @@ class Message:
         is_line_granularity: True when the device issued a line request
             (affects response sizing and MESI TU behaviour).
         meta: free-form protocol bookkeeping (never serialized).
+        sent_at: cycle of the latest wire send, stamped by the network
+            (unset until the first send; diagnostics age in-flight
+            messages by it).
     """
 
     __slots__ = ("kind", "line", "mask", "src", "dst", "req_id", "requestor",
-                 "data", "atomic", "is_line_granularity", "meta")
+                 "data", "atomic", "is_line_granularity", "meta", "sent_at")
 
     _req_ids = itertools.count(1)
 

@@ -25,7 +25,7 @@ single-home build and stays bit-identical to it.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 #: supported interleaving functions, in documentation order
 INTERLEAVINGS = ("line", "hash")
@@ -70,10 +70,11 @@ class HomeMap:
     """The shared line-address -> home-shard-name mapping.
 
     ``home_for`` sits on the request hot path of every L1, so the
-    1-shard case is special-cased to a constant lookup.
+    1-shard case is special-cased to a constant lookup and a sharded
+    map answers from a per-line memo.
     """
 
-    __slots__ = ("names", "interleave", "_count", "_single")
+    __slots__ = ("names", "interleave", "_count", "_single", "_homes")
 
     def __init__(self, names: Tuple[str, ...],
                  interleave: str = "line"):
@@ -86,20 +87,20 @@ class HomeMap:
         self.interleave = interleave
         self._count = len(self.names)
         self._single = self.names[0] if self._count == 1 else None
-
-    def shard_index(self, line: int) -> int:
-        if self._count == 1:
-            return 0
-        index = line >> 6
-        if self.interleave == "hash":
-            index = _mix(index)
-        return index % self._count
+        #: line -> home name, filled on first lookup
+        self._homes: Dict[int, str] = {}
 
     def home_for(self, line: int) -> str:
         single = self._single
         if single is not None:
             return single
-        return self.names[self.shard_index(line)]
+        home = self._homes.get(line)
+        if home is None:
+            index = line >> 6
+            if self.interleave == "hash":
+                index = _mix(index)
+            home = self._homes[line] = self.names[index % self._count]
+        return home
 
     def __len__(self) -> int:
         return self._count

@@ -34,8 +34,9 @@ deliberately applied *after* the clamp: breaking FIFO is the fault.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fnmatch import fnmatchcase
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..coherence.messages import Message
@@ -49,7 +50,6 @@ class FaultInjector:
     def __init__(self, config: "FaultConfig",
                  stats: Optional["StatsRegistry"] = None):
         self.config = config
-        self.stats = stats
         # Independent streams per fault kind: the network and the home
         # consult the injector in interleaved but deterministic order,
         # and separate streams keep each kind's sequence stable even if
@@ -60,6 +60,9 @@ class FaultInjector:
         self._drop_rng = random.Random(config.seed ^ 0x9E3779B9)
         self._dup_rng = random.Random(config.seed ^ 0x7F4A7C15)
         self._reorder_rng = random.Random(config.seed ^ 0x2545F491)
+        #: live counter dict: the registry's, or a private one
+        self._counters = (stats.raw_counters() if stats is not None
+                          else defaultdict(float))
         #: cached so Network.send pays one attribute test, not a chain
         self.unreliable = config.unreliable
         #: endpoint name -> socket index; installed by the builder from
@@ -67,12 +70,20 @@ class FaultInjector:
         #: partitions silently never match — matching the hardware:
         #: you cannot partition a fabric with one socket)
         self.sockets: Dict[str, int] = {}
+        # Which fault kinds are armed is decided once here: a kind left
+        # unarmed costs ``wire_fate`` one false test and no draw.
+        self._link_down = tuple(
+            (window.start, window.start + window.length, window.src,
+             window.dst) for window in config.link_down)
+        self._partitions = tuple(
+            (window.start, window.start + window.length, window.socket)
+            for window in config.partitions)
+        self._delayed = (
+            (config.burst_period > 0 and config.burst_length > 0
+             and config.burst_extra > 0)
+            or (config.delay_prob > 0 and config.max_extra_delay > 0))
 
     # ------------------------------------------------------------------
-    def _class_matches(self, msg: "Message") -> bool:
-        classes = self.config.classes
-        return not classes or msg.traffic_class in classes
-
     def in_burst(self, now: int) -> bool:
         """Is ``now`` inside a congestion burst window?"""
         period = self.config.burst_period
@@ -83,18 +94,18 @@ class FaultInjector:
     def extra_delay(self, msg: "Message", now: int) -> int:
         """Extra link cycles to charge this send (possibly zero)."""
         extra = 0
+        counters = self._counters
         if self.in_burst(now) and self.config.burst_extra > 0:
             extra += self.config.burst_extra
-            if self.stats is not None:
-                self.stats.incr("faults.burst_delayed")
+            counters["faults.burst_delayed"] += 1
+        classes = self.config.classes
         if self.config.delay_prob > 0 and self.config.max_extra_delay > 0 \
-                and self._class_matches(msg) \
+                and (not classes or msg.traffic_class in classes) \
                 and self._delay_rng.random() < self.config.delay_prob:
             extra += self._delay_rng.randint(1, self.config.max_extra_delay)
-            if self.stats is not None:
-                self.stats.incr("faults.jitter_delayed")
-        if extra and self.stats is not None:
-            self.stats.incr("faults.extra_delay_cycles", extra)
+            counters["faults.jitter_delayed"] += 1
+        if extra:
+            counters["faults.extra_delay_cycles"] += extra
         return extra
 
     def should_nack(self, msg: "Message") -> bool:
@@ -102,68 +113,58 @@ class FaultInjector:
 
         Emulates the owner-departed race of §III-C.3 on demand; the
         requestor's Nack path (TU retry/escalation or the DeNovo native
-        retry) must recover with the correct value.
+        retry) must recover with the correct value.  The builder hands
+        homes the injector only when ``nack_prob`` is set.
         """
-        if self.config.nack_prob <= 0:
-            return False
         hit = self._nack_rng.random() < self.config.nack_prob
-        if hit and self.stats is not None:
-            self.stats.incr("faults.forced_nacks")
+        if hit:
+            self._counters["faults.forced_nacks"] += 1
         return hit
 
     # -- delivery faults (ReliableNetwork territory) -------------------
-    def drop_reason(self, msg: "Message", now: int) -> Optional[str]:
-        """Why the wire eats this send, or None to let it through.
+    def wire_fate(self, msg: "Message", now: int
+                  ) -> Tuple[Optional[str], int, int, bool]:
+        """Decide one unreliable send: ``(drop reason or None, extra
+        delay, reorder skew, duplicate?)``.
 
-        Deterministic window checks run before the probabilistic draw,
-        so scheduled outages never consume RNG state: rewiring a
-        link-down window leaves the drop stream untouched.
+        Kinds are consulted in a fixed order: link-down windows, socket
+        partitions, the drop draw, then (for a send that survives)
+        extra delay, reorder skew and duplication.  The deterministic
+        window checks run before any draw, so scheduled outages never
+        consume RNG state: rewiring a link-down window leaves the drop
+        stream untouched.  A dropped send draws nothing further.
         """
         config = self.config
-        for window in config.link_down:
-            if window.start <= now < window.start + window.length \
-                    and fnmatchcase(msg.src, window.src) \
-                    and fnmatchcase(msg.dst, window.dst):
-                if self.stats is not None:
-                    self.stats.incr("faults.link_down_dropped")
-                    self.stats.incr("faults.dropped")
-                return "link_down"
-        if config.partitions and self.sockets:
+        counters = self._counters
+        for start, end, src, dst in self._link_down:
+            if start <= now < end and fnmatchcase(msg.src, src) \
+                    and fnmatchcase(msg.dst, dst):
+                counters["faults.link_down_dropped"] += 1
+                counters["faults.dropped"] += 1
+                return "link_down", 0, 0, False
+        if self._partitions and self.sockets:
             src_socket = self.sockets.get(msg.src)
             dst_socket = self.sockets.get(msg.dst)
             if src_socket is not None and dst_socket is not None \
                     and src_socket != dst_socket:
-                for window in config.partitions:
-                    if window.start <= now < window.start + window.length \
-                            and window.socket in (src_socket, dst_socket):
-                        if self.stats is not None:
-                            self.stats.incr("faults.partition_dropped")
-                            self.stats.incr("faults.dropped")
-                        return "partition"
-        if config.drop_prob > 0 \
-                and self._drop_rng.random() < config.drop_prob:
-            if self.stats is not None:
-                self.stats.incr("faults.dropped")
-            return "drop"
-        return None
-
-    def should_duplicate(self, msg: "Message") -> bool:
-        """Should the wire deliver this message a second time?"""
-        if self.config.dup_prob <= 0:
-            return False
-        hit = self._dup_rng.random() < self.config.dup_prob
-        if hit and self.stats is not None:
-            self.stats.incr("faults.duplicated")
-        return hit
-
-    def reorder_skew(self, msg: "Message") -> int:
-        """Extra delivery skew past the FIFO clamp (0 = in order)."""
-        config = self.config
-        if config.reorder_prob <= 0 or config.reorder_window <= 0:
-            return 0
-        if self._reorder_rng.random() >= config.reorder_prob:
-            return 0
-        skew = self._reorder_rng.randint(1, config.reorder_window)
-        if self.stats is not None:
-            self.stats.incr("faults.reordered")
-        return skew
+                for start, end, socket in self._partitions:
+                    if start <= now < end \
+                            and socket in (src_socket, dst_socket):
+                        counters["faults.partition_dropped"] += 1
+                        counters["faults.dropped"] += 1
+                        return "partition", 0, 0, False
+        if config.drop_prob and self._drop_rng.random() < config.drop_prob:
+            counters["faults.dropped"] += 1
+            return "drop", 0, 0, False
+        extra = self.extra_delay(msg, now) if self._delayed else 0
+        skew = 0
+        # (validation guarantees a reorder window when the prob is set)
+        if config.reorder_prob \
+                and self._reorder_rng.random() < config.reorder_prob:
+            skew = self._reorder_rng.randint(1, config.reorder_window)
+            counters["faults.reordered"] += 1
+        dup = bool(config.dup_prob) \
+            and self._dup_rng.random() < config.dup_prob
+        if dup:
+            counters["faults.duplicated"] += 1
+        return None, extra, skew, dup

@@ -15,16 +15,22 @@ correctness assumption of the protocol controllers.
 other is the engine loop), so its state is organized for the fast
 path: each link keeps a single :class:`_Link` record (free time, last
 delivery and cached latency together — one dict lookup per send
-instead of three), each endpoint gets one delivery callable, built
+instead of three), and each endpoint gets one delivery callable, built
 when it registers and reused for every message (no per-message
-closure), and the in-flight diagnostic set is pruned event-driven —
-the delivery callable removes its own entry — instead of lazily
-rescanned on send.  A send looks its link up first: only a pair's
-first send checks the endpoints and builds the link.
+closure).  Untraced, that callable is the endpoint's own ``receive``,
+so a delivery costs no wrapper frame.  A send looks its link up first:
+only a pair's first send checks the endpoints and builds the link.
+
+The fabric keeps no table of undelivered messages.  Each send stamps
+``Message.sent_at``, and the diagnostics that need the in-flight set
+(:meth:`Network.in_flight`, :meth:`Network.links_snapshot`) rebuild it
+by scanning the engine calendar for live delivery events — a cold path
+paid per dump or monitor scrape, not per message.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..coherence.messages import TRAFFIC_CLASS, Message, clone, wire_bytes
@@ -114,35 +120,30 @@ class Network:
         #: optional deterministic fault injector (repro.faults); extra
         #: delay folds into link latency *before* the FIFO clamp
         self.fault_injector = None
-        #: id(msg) -> (delivery time, message, send time) of undelivered
-        #: sends, kept for watchdog/deadlock diagnostics; each delivery
-        #: event removes its own entry, so the set is always exact
-        self._in_flight: Dict[int, Tuple[int, Message, int]] = {}
+        #: (delivery time, message) of a send whose trace record is
+        #: being written, before its delivery event is scheduled
+        self._recording: Optional[Tuple[int, Message]] = None
 
     def register(self, endpoint: Endpoint) -> None:
         """Attach ``endpoint`` and build its one delivery callable.
 
-        The callable pops the message's in-flight entry, records a
-        ``net.deliver`` event when the engine has a tracer, and hands
-        the message to :meth:`_upward`'s target.  Whether it traces is
-        fixed here, so ``engine.tracer`` must be set before endpoints
-        register (the system builder sets it before ``_build()``).
+        The callable hands the message to :meth:`_upward`'s target,
+        which is the callable itself on an untraced engine; with a
+        tracer it records a ``net.deliver`` event first.  Whether it
+        traces is fixed here, so ``engine.tracer`` must be set before
+        endpoints register (the system builder sets it before
+        ``_build()``).
         """
         if endpoint.name in self._endpoints:
             raise SimulationError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
-        receive = self._upward(endpoint)
-        pop = self._in_flight.pop
+        deliver = self._upward(endpoint)
         tracer = self.engine.tracer
-        if tracer is None:
-            def deliver(msg: Message) -> None:
-                pop(id(msg), None)
-                receive(msg)
-        else:
+        if tracer is not None:
             delivered = tracer.message_delivered
+            receive = deliver
 
             def deliver(msg: Message) -> None:
-                pop(id(msg), None)
                 delivered(msg)
                 receive(msg)
         self._receivers[endpoint.name] = deliver
@@ -189,97 +190,89 @@ class Network:
 
         engine = self.engine
         now = engine.now
+        tracer = engine.tracer
         # every message carries a header, so this is at least 1
         serialization = -(-size // self.link_bytes_per_cycle)
         start = now if now > link.free else link.free
         link.free = start + serialization
+        delivery = start + serialization + link.latency
+        skew = dup = 0
         injector = self.fault_injector
-        if injector is not None and injector.unreliable:
-            # delivery faults armed: take the cold path (drop / dup /
-            # reorder / link-down / partition); the reliable sublayer
-            # above re-establishes exactly-once FIFO delivery
-            self._send_unreliable(msg, link, start + serialization, now)
-            return
-        latency = link.latency
         if injector is not None:
-            latency += injector.extra_delay(msg, now)
-        delivery = start + serialization + latency
-        # Preserve point-to-point FIFO even if parameters ever vary
-        # (including injected per-message delay jitter).
-        if delivery < link.last_delivery:
-            delivery = link.last_delivery
-        link.last_delivery = delivery
-        counters["network.latency_cycles"] += delivery - now
-
-        if self.trace_hook is not None:
-            self.trace_hook(msg, delivery)
-        self._in_flight[id(msg)] = (delivery, msg, now)
-        tracer = engine.tracer
-        if tracer is not None:
-            # The hop's flight time is fully determined here, so the
-            # send event is recorded as a span and delivery rides the
-            # same scheduled callback — tracing adds no engine events.
-            tracer.message_sent(msg, now, delivery)
-        engine.schedule(delivery - now, self._receivers[dst], (msg,))
-
-    # -- the delivery-fault path (cold: only with unreliable classes) ------
-    def _send_unreliable(self, msg: Message, link: _Link, ready: int,
-                         now: int) -> None:
-        """Apply drop/dup/reorder faults to one send.
-
-        Split out of :meth:`send` so the reliable-run overhead never
-        touches the fault-free or timing-fault-only hot paths.
-        """
-        engine = self.engine
-        injector = self.fault_injector
-        tracer = engine.tracer
-        reason = injector.drop_reason(msg, now)
-        if reason is not None:
-            # the wire ate it: no delivery event, no in-flight entry —
-            # exactly the hole the reliable sublayer must recover from
-            # (traffic was already accounted: the bytes hit the link)
-            if tracer is not None:
-                tracer.message_dropped(msg, now, reason)
-            return
-        delivery = ready + link.latency + injector.extra_delay(msg, now)
-        skew = injector.reorder_skew(msg)
+            if injector.unreliable:
+                # delivery faults armed: one call decides the wire fate
+                # (the reliable sublayer above restores exactly-once
+                # FIFO delivery)
+                reason, extra, skew, dup = injector.wire_fate(msg, now)
+                if reason is not None:
+                    # the wire ate it: no delivery event — exactly the
+                    # hole the reliable sublayer must recover from
+                    # (traffic was already accounted: the bytes hit
+                    # the link)
+                    if tracer is not None:
+                        tracer.message_dropped(msg, now, reason)
+                    return
+            else:
+                extra = injector.extra_delay(msg, now)
+            delivery += extra
         if skew:
             # deliberately break point-to-point FIFO: skip the clamp
             # and leave last_delivery alone so later messages on this
             # link can overtake the skewed one
             delivery += skew
         else:
+            # Preserve point-to-point FIFO even if parameters ever vary
+            # (including injected per-message delay jitter).
             if delivery < link.last_delivery:
                 delivery = link.last_delivery
             link.last_delivery = delivery
-        self._counters["network.latency_cycles"] += delivery - now
+        counters["network.latency_cycles"] += delivery - now
+
         if self.trace_hook is not None:
             self.trace_hook(msg, delivery)
-        self._in_flight[id(msg)] = (delivery, msg, now)
+        msg.sent_at = now
         if tracer is not None:
+            # The hop's flight time is fully determined here, so the
+            # send event is recorded as a span and delivery rides the
+            # same scheduled callback — tracing adds no engine events.
+            # The record may run a monitor scrape, which must already
+            # count the message in flight.
+            self._recording = (delivery, msg)
             tracer.message_sent(msg, now, delivery)
-        receiver = self._receivers[msg.dst]
+            self._recording = None
+        receiver = self._receivers[dst]
         engine.schedule(delivery - now, receiver, (msg,))
-        if injector.should_duplicate(msg):
+        if dup:
             # the wire delivers a second, independent copy one cycle
             # later (a fresh object: receivers mutate what they get)
             twin = clone(msg)
-            twin_delivery = delivery + 1
-            self._in_flight[id(twin)] = (twin_delivery, twin, now)
+            twin.sent_at = now
             if tracer is not None:
-                tracer.message_duplicated(twin, now, twin_delivery)
-            engine.schedule(twin_delivery - now, receiver, (twin,))
+                self._recording = (delivery + 1, twin)
+                tracer.message_duplicated(twin, now, delivery + 1)
+                self._recording = None
+            engine.schedule(delivery + 1 - now, receiver, (twin,))
 
+    # -- diagnostics (cold: one calendar scan per call) --------------------
     def in_flight(self) -> List[Tuple[int, Message]]:
-        """Undelivered (delivery time, message) pairs, for diagnostics.
+        """Undelivered (delivery time, message) pairs, for diagnostics,
+        in delivery order.
 
-        Exact by construction: each delivery event removes its own
-        entry, so a message delivered at the current cycle is never
-        reported as still in flight (and an undelivered one never
-        disappears early).
+        Read from the engine calendar's live delivery events, so exact:
+        the run loop clears an event before running it, so a message
+        delivered at the current cycle is never reported as still in
+        flight, and an undelivered one never disappears early.
         """
-        return [(delivery, msg)
-                for delivery, msg, _ in self._in_flight.values()]
+        receivers = {id(receiver) for receiver in self._receivers.values()}
+        undelivered = [(time, args[0])
+                       for time, callback, args in self.engine.queued()
+                       if id(callback) in receivers]
+        if self._recording is not None:
+            # a send whose trace record is running: its delivery is
+            # scheduled next, behind everything already due then
+            undelivered.append(self._recording)
+            undelivered.sort(key=itemgetter(0))
+        return undelivered
 
     def links_snapshot(self) -> List[dict]:
         """Per-link fabric state for diagnostics (cold path).
@@ -291,11 +284,12 @@ class Network:
         now = self.engine.now
         depth: Dict[Tuple[str, str], int] = {}
         oldest: Dict[Tuple[str, str], int] = {}
-        for _, msg, sent in self._in_flight.values():
+        # the wire's own in-flight set, whatever a subclass reports
+        for _, msg in Network.in_flight(self):
             key = (msg.src, msg.dst)
             depth[key] = depth.get(key, 0) + 1
-            if key not in oldest or sent < oldest[key]:
-                oldest[key] = sent
+            if key not in oldest or msg.sent_at < oldest[key]:
+                oldest[key] = msg.sent_at
         rows = []
         for (src, dst), link in sorted(self._links.items()):
             key = (src, dst)

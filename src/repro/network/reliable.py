@@ -25,11 +25,10 @@ sublayer re-establishes the delivery contract every controller assumes
   the liveness watchdog produces — partitions become diagnosable
   failures instead of silent hangs.
 
-Zero-overhead passthrough: the builder only instantiates this class
-when ``FaultConfig.unreliable`` is true.  Fault-free and
-timing-fault-only systems keep the plain :class:`Network` whose hot
-path is unchanged — the same structural guard as the tracer's
-``is None`` fast path.
+Passthrough: the builder only instantiates this class when
+``FaultConfig.unreliable`` is true.  Fault-free and timing-fault-only
+systems keep the plain :class:`Network` and never enter the transport
+— the same structural guard as the tracer's ``is None`` fast path.
 
 Acks themselves travel over the faulty wire (they can be dropped or
 reordered like anything else) but are *not* sequenced: a cumulative ack
@@ -131,31 +130,26 @@ class ReliableNetwork(Network):
 
     # -- sender side -------------------------------------------------------
     def send(self, msg: Message) -> None:
-        if msg.kind is MsgKind.REL_ACK:
-            # transport control traffic rides the raw wire unsequenced:
-            # cumulative acks are idempotent, so loss just delays
-            super().send(msg)
-            return
-        key = (msg.src, msg.dst)
-        channel = self._send_channels.get(key)
-        if channel is None:
-            channel = self._send_channels[key] = _SendChannel(self.rto)
-        seq = channel.next_seq
-        channel.next_seq = seq + 1
-        msg.meta["rseq"] = seq
-        # keep an untouched copy for retransmission *before* the first
-        # delivery can mutate the original in a receiver
-        channel.unacked[seq] = (clone(msg), self.engine.now)
-        if channel.timer is None:
-            self._arm_timer(key, channel)
-        super().send(msg)
-
-    def _arm_timer(self, key: Tuple[str, str],
-                   channel: _SendChannel) -> None:
-        # non-idle: unacked data is real outstanding work that must
-        # keep Engine.run alive until the channel drains
-        channel.timer = self.engine.schedule(
-            channel.rto, self._retransmit_tick, (key,))
+        # transport control traffic (acks, sent only by
+        # _transport_receive) rides the raw wire unsequenced:
+        # cumulative acks are idempotent, so loss just delays
+        if msg.kind is not MsgKind.REL_ACK:
+            key = (msg.src, msg.dst)
+            channel = self._send_channels.get(key)
+            if channel is None:
+                channel = self._send_channels[key] = _SendChannel(self.rto)
+            seq = channel.next_seq
+            channel.next_seq = seq + 1
+            msg.meta["rseq"] = seq
+            # keep an untouched copy for retransmission *before* the
+            # first delivery can mutate the original in a receiver
+            channel.unacked[seq] = (clone(msg), self.engine.now)
+            if channel.timer is None:
+                # non-idle: unacked data is real outstanding work that
+                # must keep Engine.run alive until the channel drains
+                channel.timer = self.engine.schedule(
+                    channel.rto, self._retransmit_tick, (key,))
+        Network.send(self, msg)
 
     def _retransmit_tick(self, key: Tuple[str, str]) -> None:
         channel = self._send_channels[key]
@@ -169,12 +163,13 @@ class ReliableNetwork(Network):
         tracer = self.engine.tracer
         for pristine, _ in channel.unacked.values():
             retx = clone(pristine)
-            self.stats.incr("transport.retransmits")
+            self._counters["transport.retransmits"] += 1
             if tracer is not None:
                 tracer.transport_retransmit(retx, channel.rto)
-            super().send(retx)
+            Network.send(self, retx)
         channel.rto = min(channel.rto * 2, self.rto_cap)
-        self._arm_timer(key, channel)
+        channel.timer = self.engine.schedule(
+            channel.rto, self._retransmit_tick, (key,))
 
     def _escalate_dead_link(self, key: Tuple[str, str],
                             channel: _SendChannel, age: int) -> None:
@@ -213,20 +208,20 @@ class ReliableNetwork(Network):
         if channel is None:
             channel = self._recv_channels[key] = _RecvChannel()
         ready, verdict = channel.admit(seq, msg)
-        tracer = self.engine.tracer
-        if verdict == "dup":
-            self.stats.incr("transport.dup_dropped")
+        counters = self._counters
+        if verdict != "deliver":
+            # "dup": already delivered upward; "buffer": held for
+            # in-order delivery
+            counters["transport.dup_dropped" if verdict == "dup"
+                     else "transport.reorder_buffered"] += 1
+            tracer = self.engine.tracer
             if tracer is not None:
-                tracer.transport_dedupe(msg, "dup")
-        elif verdict == "buffer":
-            self.stats.incr("transport.reorder_buffered")
-            if tracer is not None:
-                tracer.transport_dedupe(msg, "buffer")
+                tracer.transport_dedupe(msg, verdict)
         # Cumulative ack on *every* data arrival — a dup usually means
         # our previous ack was lost, so re-acking is what heals it.
-        self.stats.incr("transport.acks")
-        super().send(Message(MsgKind.REL_ACK, 0, 0, msg.dst, msg.src,
-                             meta={"rack": channel.expect - 1}))
+        counters["transport.acks"] += 1
+        Network.send(self, Message(MsgKind.REL_ACK, 0, 0, msg.dst, msg.src,
+                                   meta={"rack": channel.expect - 1}))
         for deliverable in ready:
             receive(deliverable)
 

@@ -33,7 +33,8 @@ read a current count.
 
 Components never see the calendar: they read the plain ``engine.now``
 attribute (the run loop writes it) and call :meth:`Engine.schedule`,
-:meth:`Engine.cancel` and :meth:`Engine.run`.
+:meth:`Engine.cancel` and :meth:`Engine.run`; diagnostics may list
+the live queued events with :meth:`Engine.queued`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,15 @@ class Engine:
     def pending_non_idle(self) -> int:
         """Live events that are real work (not ``idle`` housekeeping)."""
         return self.pending() - self._idle_live
+
+    def queued(self) -> List[tuple]:
+        """Live queued events as ``(due time, callback, args)``, in run
+        order.  A cold scan of the whole calendar, for diagnostics."""
+        buckets = self._buckets
+        return [(time, callback, args)
+                for time in sorted(buckets)
+                for callback, args, _ in buckets[time]
+                if callback is not None]
 
     def _drop_idle(self) -> None:
         """Retire every queued entry: only idle housekeeping is left."""

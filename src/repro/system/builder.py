@@ -140,9 +140,9 @@ class System:
     # ------------------------------------------------------------------
     def _make_network(self) -> Network:
         config = self.config
-        # Zero-overhead passthrough: the reliable-transport sublayer is
-        # only interposed when a delivery-fault class is armed; every
-        # other run keeps the plain Network's unchanged hot path.
+        # Passthrough: the reliable-transport sublayer is only
+        # interposed when a delivery-fault class is armed; every other
+        # run keeps the plain Network and never enters the transport.
         if config.faults is not None and config.faults.unreliable:
             network = ReliableNetwork(
                 self.engine, self.stats, self.latency_model,
@@ -260,7 +260,7 @@ class System:
                 assoc=config.llc_assoc,
                 access_latency=config.llc_access_latency,
                 banks=config.llc_banks, name=shard_name)
-            shard.fault_injector = self.fault_injector
+            shard.fault_injector = self._nack_injector()
             if sharded:
                 # misroutes fail loudly; bank index keys on the
                 # within-shard line so striping fills all banks
@@ -285,6 +285,12 @@ class System:
                     Attachment(name, shard.name, latency))
             self._add_device(name, role, l1)
 
+    def _nack_injector(self) -> Optional[FaultInjector]:
+        """What a home asks for forced Nacks: None when the injector
+        cannot Nack, so a ReqV then costs the home no call."""
+        faults = self.config.faults
+        return self.fault_injector if faults and faults.nack_prob else None
+
     def _build_hierarchical(self) -> None:
         config = self.config
         self.llc = MESIDirectoryLLC(
@@ -297,7 +303,7 @@ class System:
             size_bytes=config.gpu_l2_size, assoc=config.llc_assoc,
             access_latency=config.gpu_l2_access_latency,
             banks=config.llc_banks, l3_name="l3")
-        self.gpu_l2.fault_injector = self.fault_injector
+        self.gpu_l2.fault_injector = self._nack_injector()
         self.llcs.append(self.llc)
         self._topo_endpoints.append(TopoEndpoint("l3", "home"))
         self._topo_endpoints.append(TopoEndpoint("gpu_l2", "gpu_l2"))

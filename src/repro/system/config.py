@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..coherence.messages import TRAFFIC_CLASS
 from ..core.policy import POLICY_NAMES
 from ..core.shard import INTERLEAVINGS
 from ..network.topology import TOPOLOGIES
@@ -150,6 +151,12 @@ class FaultConfig:
                 f"FaultConfig.burst_length ({self.burst_length}) cannot "
                 f"exceed burst_period ({self.burst_period}): the burst "
                 f"window would cover every cycle")
+        names = set(TRAFFIC_CLASS.values())
+        if isinstance(self.classes, str) \
+                or not names.issuperset(self.classes):
+            raise ValueError(
+                f"FaultConfig.classes must be a tuple of traffic class "
+                f"names from {sorted(names)}, got {self.classes!r}")
         if self.reorder_prob > 0 and self.reorder_window <= 0:
             raise ValueError(
                 "FaultConfig.reorder_prob > 0 needs reorder_window > 0")

@@ -130,6 +130,7 @@ class ControlledNetwork(Network):
         tracer = engine.tracer
         receiver = self._receivers[msg.dst]
         for ready in self._released(msg):
+            ready.sent_at = engine.now
             if tracer is not None:
                 tracer.message_sent(ready, engine.now, engine.now + 1)
             engine.schedule(1, receiver, (ready,))

@@ -9,8 +9,8 @@ the scheduler bug fixes that shipped with the first kernel overhaul —
 
 * ``Engine.run(max_events=N)`` no longer raises when the N-th event
   legitimately drained the queue (off-by-one);
-* ``Network.in_flight()`` is exact at every cycle (event-driven
-  pruning instead of lazy rescans on send);
+* ``Network.in_flight()`` is exact at every cycle (read from the
+  engine calendar's live delivery events);
 
 and that simulated time is a plain attribute: a profiled cell runs no
 ``now``, ``events_executed`` or MSHR clock frame.

@@ -1,4 +1,5 @@
-"""FaultConfig / LinkWindow / PartitionWindow construction validation,
+"""FaultConfig / LinkWindow / PartitionWindow construction validation
+(including the jitter ``classes`` filter's traffic-class names),
 the ``unreliable`` / ``active`` gates that decide whether the builder
 interposes the reliable-transport sublayer, and the ``--link-down``
 CLI spec parser."""
@@ -63,10 +64,23 @@ def test_each_delivery_fault_class_flips_unreliable(kwargs):
     (dict(burst_period=100, burst_length=200), "burst_length"),
     (dict(reorder_prob=0.5), "reorder_window"),
     (dict(drop_prob=1.0), "drops every message"),
+    # "reqv" is no traffic class (the class is "ReqV"): jitter would
+    # silently never fire
+    (dict(classes=("reqv",)), "classes must be a tuple"),
+    # a bare string would be matched by substring: "ReqWT" is in
+    # "ReqWT+data"
+    (dict(classes="ReqWT+data"), "classes must be a tuple"),
 ])
 def test_invalid_construction_raises_value_error(kwargs, match):
     with pytest.raises(ValueError, match=match):
         FaultConfig(**kwargs)
+
+
+@pytest.mark.tier1
+def test_jitter_classes_accept_traffic_class_names():
+    config = FaultConfig(delay_prob=0.1, max_extra_delay=4,
+                         classes=("ReqWT+data", "Probe"))
+    assert config.classes == ("ReqWT+data", "Probe")
 
 
 @pytest.mark.tier1

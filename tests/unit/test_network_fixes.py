@@ -142,7 +142,7 @@ def test_set_pair_applies_mid_run_with_injector_attached():
 
 @pytest.mark.tier1
 def test_set_pair_applies_mid_run_on_unreliable_path():
-    # same property through _send_unreliable (delivery-fault classes
+    # same property on the wire_fate path (delivery-fault classes
     # armed but scheduled far in the future, so no message is touched)
     engine, model, network, sink = _rig(default=10)
     network.fault_injector = FaultInjector(

@@ -178,17 +178,9 @@ class _ScriptedInjector:
     def __init__(self, skews):
         self._skews = list(skews)
 
-    def drop_reason(self, msg, now):
-        return None
-
-    def should_duplicate(self, msg):
-        return False
-
-    def extra_delay(self, msg, now):
-        return 0
-
-    def reorder_skew(self, msg):
-        return self._skews.pop(0) if self._skews else 0
+    def wire_fate(self, msg, now):
+        # (drop reason, extra delay, reorder skew, duplicate?)
+        return None, 0, self._skews.pop(0) if self._skews else 0, False
 
 
 @pytest.mark.tier1
