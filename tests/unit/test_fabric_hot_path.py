@@ -24,10 +24,7 @@ from repro.core.shard import HomeMap
 from repro.system import build_system, scaled_config
 from repro.system.config import FaultConfig
 from repro.workloads import MICROBENCHMARKS
-
-LOSSY = dict(llc_shards=2, shard_interleave="hash",
-             topology="multi_socket", num_sockets=2,
-             request_policy="adaptive", owner_pred=True)
+from tests.integration.test_lossy_golden import FAULT_SEED, LOSSY
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
@@ -41,7 +38,8 @@ def profiled():
     workload = MICROBENCHMARKS["ReuseS"](num_cpus=2, num_gpus=2,
                                          warps_per_cu=1)
     system = build_system(scaled_config(
-        "SDD", 2, 2, faults=FaultConfig.unreliable_stress(7), **LOSSY))
+        "SDD", 2, 2, faults=FaultConfig.unreliable_stress(FAULT_SEED),
+        **LOSSY))
     system.load_workload(workload)
     profiler = cProfile.Profile()
     profiler.enable()
