@@ -17,8 +17,9 @@ two ways:
 A second guard bounds the *monitoring-enabled* cost: with the health
 monitor scraping at the default interval, the traced run may cost at
 most 5% more wall time than the same traced run without monitoring.
-The traced baseline already runs the span collector on every event,
-so the monitor adds only its scrapes.
+The traced baseline already runs the recorder's span dispatch and the
+monitor's due check (a no-op without a monitor) on every event, so the
+monitor adds only its scrapes.
 """
 
 import dataclasses

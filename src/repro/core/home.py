@@ -218,8 +218,8 @@ class SpandexHome(HomeController):
             line_obj.state = HomeState.V
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("home.state", self.name, line=line,
-                              info="I->V fill")
+                tracer.record("home.state", self.name, None, line, None, None,
+                              0, None, "I->V fill")
         # Merge, never clobber: a racing local update (e.g. an atomic
         # that piggybacked on the same upstream grant at the GPU L2)
         # may already have dirtied words, and owned words' data fields
@@ -270,8 +270,8 @@ class SpandexHome(HomeController):
         if line_obj.state == HomeState.S:
             line_obj.state = HomeState.V
             if tracer is not None:
-                tracer.record("home.state", self.name,
-                              line=line_obj.line, info="S->V inv")
+                tracer.record("home.state", self.name, None, line_obj.line,
+                              None, None, 0, None, "S->V inv")
         for target in targets:
             self.hstats.incr("invalidations_sent")
             self.network.send(Message(
@@ -428,8 +428,8 @@ class SpandexHome(HomeController):
                 line_obj.state = HomeState.S
                 tracer = self.engine.tracer
                 if tracer is not None:
-                    tracer.record("home.state", self.name,
-                                  line=line_obj.line, info="V->S share")
+                    tracer.record("home.state", self.name, None, line_obj.line,
+                                  None, None, 0, None, "V->S share")
             self._respond(msg, MsgKind.RSP_S, plain,
                           line_obj.read_data(plain))
         if owned:

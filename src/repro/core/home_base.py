@@ -90,9 +90,8 @@ class HomeController(Component):
         delay = (start - now) + self.access_latency
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.busy", self.name, line=msg.line,
-                          req_id=msg.req_id, dur=delay,
-                          info=KIND_LABELS[msg.kind])
+            tracer.record("home.busy", self.name, None, msg.line, msg.req_id,
+                          None, delay, None, KIND_LABELS[msg.kind])
         self.schedule(delay, self._dispatch, (msg,))
 
     # ------------------------------------------------------------------
@@ -102,8 +101,8 @@ class HomeController(Component):
         self.hstats.incr("deferred")
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.defer", self.name, line=msg.line,
-                          req_id=msg.req_id, info=KIND_LABELS[msg.kind])
+            tracer.record("home.defer", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, KIND_LABELS[msg.kind])
         self._deferred.setdefault(msg.line, []).append(msg)
 
     def _replay_deferred(self, line: int) -> None:
@@ -115,8 +114,8 @@ class HomeController(Component):
             # Re-enter through _process_request so still-blocked ones
             # re-defer in their original order.
             if tracer is not None:
-                tracer.record("home.replay", self.name, line=msg.line,
-                              req_id=msg.req_id, info=KIND_LABELS[msg.kind])
+                tracer.record("home.replay", self.name, None, msg.line,
+                              msg.req_id, None, 0, None, KIND_LABELS[msg.kind])
             self._process_request(msg)
 
     # ------------------------------------------------------------------
@@ -141,8 +140,8 @@ class HomeController(Component):
         self.hstats.incr("fills")
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.fill", self.name, line=msg.line,
-                          req_id=msg.req_id, info=KIND_LABELS[msg.kind])
+            tracer.record("home.fill", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, KIND_LABELS[msg.kind])
         self._make_room(msg.line, lambda: self._backing_fetch(
             msg.line, lambda data: self._fill_complete(msg.line, data)))
         return None

@@ -93,9 +93,8 @@ class TranslationUnit(Component):
             self._apply_policy(msg)
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("tu.out", self.name, dst=msg.dst,
-                          line=msg.line, req_id=msg.req_id,
-                          dur=self.latency, info=KIND_LABELS[msg.kind])
+            tracer.record("tu.out", self.name, msg.dst, msg.line, msg.req_id,
+                          None, self.latency, None, KIND_LABELS[msg.kind])
         self.schedule(self.latency, self.network.send, (msg,))
 
     # -- per-access request-type selection (policy layer) --------------------
@@ -158,9 +157,8 @@ class TranslationUnit(Component):
     def receive(self, msg: Message) -> None:
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("tu.in", self.name, line=msg.line,
-                          req_id=msg.req_id, dur=self.latency,
-                          info=KIND_LABELS[msg.kind])
+            tracer.record("tu.in", self.name, None, msg.line, msg.req_id, None,
+                          self.latency, None, KIND_LABELS[msg.kind])
         self.schedule(self.latency, self._handle, (msg,))
 
     def _handle(self, msg: Message) -> None:

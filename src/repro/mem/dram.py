@@ -60,7 +60,8 @@ class MainMemory(Component):
         delay = self._bank_delay(line)
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("dram.fetch", self.name, line=line, dur=delay)
+            tracer.record("dram.fetch", self.name, None, line, None, None,
+                          delay)
         data = dict(enumerate(self._line(line)))
         self.schedule(delay, callback, (data,))
 

@@ -77,9 +77,9 @@ class MSHRFile(Generic[T]):
         if len(self._entries) > self.high_water:
             self.high_water = len(self._entries)
         if self.tracer is not None:
-            self.tracer.record(
-                "mshr.alloc", self.owner, line=line,
-                info=f"{len(self._entries)}/{self.capacity}")
+            self.tracer.record("mshr.alloc", self.owner, None, line, None,
+                               None, 0, None,
+                               f"{len(self._entries)}/{self.capacity}")
         return entry
 
     def attach(self, line: int, secondary: T) -> MSHREntry[T]:
@@ -92,10 +92,9 @@ class MSHRFile(Generic[T]):
         if entry is None:
             raise RuntimeError(f"releasing absent MSHR 0x{line:x}")
         if self.tracer is not None:
-            self.tracer.record(
-                "mshr.free", self.owner, line=line,
-                dur=self.engine.now - entry.allocated_at,
-                info=f"{len(self._entries)}/{self.capacity}")
+            self.tracer.record("mshr.free", self.owner, None, line, None, None,
+                               self.engine.now - entry.allocated_at, None,
+                               f"{len(self._entries)}/{self.capacity}")
         return entry
 
     def drain(self, visit: Callable[[MSHREntry[T]], None]) -> None:

@@ -18,8 +18,10 @@ delivery and cached latency together — one dict lookup per send
 instead of three), and each endpoint gets one delivery callable, built
 when it registers and reused for every message (no per-message
 closure).  Untraced, that callable is the endpoint's own ``receive``,
-so a delivery costs no wrapper frame.  A send looks its link up first:
-only a pair's first send checks the endpoints and builds the link.
+so a delivery costs no wrapper frame; traced, it records the
+``net.deliver`` event itself, then calls ``receive``.  A send looks
+its link up first: only a pair's first send checks the endpoints and
+builds the link.
 
 The fabric keeps no table of undelivered messages.  Each send stamps
 ``Message.sent_at``, and the diagnostics that need the in-flight set
@@ -33,7 +35,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..coherence.messages import TRAFFIC_CLASS, Message, clone, wire_bytes
+from ..coherence.messages import (KIND_LABELS, TRAFFIC_CLASS, Message,
+                                  clone, wire_bytes)
 from ..sim.engine import Engine, SimulationError
 from ..sim.stats import StatsRegistry
 
@@ -140,11 +143,14 @@ class Network:
         deliver = self._upward(endpoint)
         tracer = self.engine.tracer
         if tracer is not None:
-            delivered = tracer.message_delivered
+            record = tracer.record
             receive = deliver
 
             def deliver(msg: Message) -> None:
-                delivered(msg)
+                kind = msg.kind
+                record("net.deliver", msg.src, msg.dst, msg.line,
+                       msg.req_id, TRAFFIC_CLASS[kind], 0, None,
+                       KIND_LABELS[kind])
                 receive(msg)
         self._receivers[endpoint.name] = deliver
 

@@ -11,15 +11,16 @@ counts, event counts, or final memory:
   Components reach the recorder through ``self.engine.tracer`` (``None``
   when tracing is off, which keeps the disabled hot path to a single
   attribute test).
-* :mod:`repro.obs.spans` — the recorder's one sink, a
-  :class:`SpanCollector` that stitches events into per-request spans
-  keyed by ``req_id``, decomposes end-to-end latency into an exact
-  partition of critical-path stages with top-K contended-line / shard
-  / link rollups, and books every network hop into a traffic-class x
-  hop-class flight rollup (the indirection cycles).
+* :mod:`repro.obs.spans` — a :class:`SpanCollector` whose handlers
+  the recorder calls for the span event kinds; it stitches them into
+  per-request spans keyed by ``req_id``, decomposes end-to-end latency
+  into an exact partition of critical-path stages with top-K
+  contended-line / shard / link rollups, and books every network hop
+  into a traffic-class x hop-class flight rollup (the indirection
+  cycles).
 * :mod:`repro.obs.monitor` — a :class:`MetricsRegistry` of labelled
-  :class:`Gauge` series and a :class:`HealthMonitor` that the span
-  collector drives on an engine-cycle interval; each scrape row also
+  :class:`Gauge` series and a :class:`HealthMonitor` that the trace
+  recorder drives on an engine-cycle interval; each scrape row also
   snapshots the :class:`~repro.sim.stats.StatsRegistry` counters.
 * :mod:`repro.obs.export` / :mod:`repro.obs.prometheus` —
   Chrome/Perfetto trace-event JSON (with counter tracks rendered from

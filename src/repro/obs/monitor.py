@@ -16,7 +16,7 @@ Two pieces:
 :class:`HealthMonitor`
     scrapes the live simulation on an engine-cycle interval with
     **zero perturbation**: it never schedules engine events — the
-    :class:`~repro.obs.spans.SpanCollector` sink calls
+    :class:`~repro.obs.trace.TraceRecorder` it is attached to calls
     :meth:`HealthMonitor.sample_at` the first time a trace event's
     timestamp crosses each interval boundary, and every read is a
     passive attribute/dict read (engine counters, home deferral queues
@@ -141,9 +141,9 @@ class HealthMonitor:
         self.samples = deque(maxlen=MAX_SAMPLES)
         self.scrapes = 0
         self.on_sample: List[Callable[[dict], None]] = []
-        #: first cycle at which the next scrape is due; the span
-        #: collector's sink calls :meth:`sample_at` once an event's
-        #: timestamp reaches it
+        #: first cycle at which the next scrape is due; the trace
+        #: recorder calls :meth:`sample_at` once an event's timestamp
+        #: reaches it
         self.next_due = self.interval
         self._last_events = 0
         self._last_ts = 0

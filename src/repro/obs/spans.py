@@ -1,11 +1,13 @@
 """Span trees, cross-shard critical-path attribution, and hop rollups.
 
-:class:`SpanCollector` is the tracer's one sink.  It stitches trace
-events into a causal per-request span tree (issue -> shard-indirected
-hops -> probe fan-out -> transport retransmissions -> completion),
-keyed by ``req_id`` (globally unique per request and preserved across
-forwards and responses), and decomposes each request's end-to-end
-latency into an **exact partition** of wall-clock stages:
+:class:`SpanCollector` installs a handler per span event kind in the
+:class:`~repro.obs.trace.TraceRecorder` (:meth:`~SpanCollector.
+handlers`).  It stitches those events into a causal per-request span
+tree (issue -> shard-indirected hops -> probe fan-out -> transport
+retransmissions -> completion), keyed by ``req_id`` (globally unique
+per request and preserved across forwards and responses), and
+decomposes each request's end-to-end latency into an **exact
+partition** of wall-clock stages:
 
 ``issue``
     from ``l1.issue`` until the request's first wire hop.
@@ -47,18 +49,15 @@ dst) high-water mark — first sends stamp strictly increasing sequence
 numbers) and books repeats as ``retx_flight_cycles`` instead.
 ``net.dup`` wire duplicates never reach the send path.
 
-When a :class:`~repro.obs.monitor.HealthMonitor` is attached
-(``monitor``), the collector also runs its interval check, so one sink
-call per event serves both.  Like every sink, the collector is
-passive: it never schedules engine events, so runs are bit-identical
-with tracing on or off.
+The collector is passive: it never schedules engine events, so runs
+are bit-identical with tracing on or off.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.stats import LatencySampler
 from .trace import INDIRECTION_HOPS
@@ -117,57 +116,51 @@ def decompose(start: int, end: int,
             clipped.append((stage, t0, t1, resource))
     # fast path: most spans' intervals are strictly sequential (issue
     # -> flight -> queue -> flight), which needs no overlap sweep —
-    # emit segments linearly, gap-filling with "other".  This path is
-    # hot (once per completed request on every traced run); the sweep
+    # emit segments linearly, gap-filling with "other", until an
+    # interval starts before the previous one ends.  This path is hot
+    # (once per completed request on every traced run); the sweep
     # below is the general case.
     clipped.sort(key=_BY_START)
-    sequential = True
     cursor = start
-    for _, t0, t1, _ in clipped:
+    for stage, t0, t1, resource in clipped:
         if t0 < cursor:
-            sequential = False
             break
+        if t0 > cursor:
+            stages["other"] += t0 - cursor
+            segments.append(("other", cursor, t0, ""))
+        stages[stage] += t1 - t0
+        if segments and segments[-1][0] == stage \
+                and segments[-1][2] == t0 \
+                and segments[-1][3] == resource:
+            segments[-1] = (stage, segments[-1][1], t1, resource)
+        else:
+            segments.append((stage, t0, t1, resource))
         cursor = t1
-    if sequential:
-        cursor = start
-        for stage, t0, t1, resource in clipped:
-            if t0 > cursor:
-                stages["other"] += t0 - cursor
-                segments.append(("other", cursor, t0, ""))
-            stages[stage] += t1 - t0
-            if segments and segments[-1][0] == stage \
-                    and segments[-1][2] == t0 \
-                    and segments[-1][3] == resource:
-                prev = segments.pop()
-                segments.append((stage, prev[1], t1, resource))
-            else:
-                segments.append((stage, t0, t1, resource))
-            cursor = t1
+    else:
         if end > cursor:
             stages["other"] += end - cursor
             segments.append(("other", cursor, end, ""))
         return stages, segments
+    stages = _STAGE_ZERO.copy()
+    segments = []
     boundaries = {start, end}
     for _, t0, t1, _ in clipped:
         boundaries.add(t0)
         boundaries.add(t1)
     cuts = sorted(boundaries)
     for left, right in zip(cuts, cuts[1:]):
-        winner = None
-        for stage, t0, t1, resource in clipped:
-            if t0 <= left and right <= t1:
-                if winner is None or _PRIORITY[stage] > \
-                        _PRIORITY[winner[0]]:
-                    winner = (stage, resource)
-        stage, resource = winner if winner is not None \
-            else ("other", "")
+        stage, resource, rank = "other", "", 0
+        for candidate, t0, t1, owner in clipped:
+            if t0 > left:
+                break       # sorted by start: no later one covers left
+            if right <= t1 and _PRIORITY[candidate] > rank:
+                stage, resource, rank = candidate, owner, \
+                    _PRIORITY[candidate]
         stages[stage] += right - left
         if segments and segments[-1][0] == stage \
-                and segments[-1][2] == left \
                 and segments[-1][3] == resource:
             # merge adjacent same-stage segments for readable trees
-            prev = segments.pop()
-            segments.append((stage, prev[1], right, resource))
+            segments[-1] = (stage, segments[-1][1], right, resource)
         else:
             segments.append((stage, left, right, resource))
     return stages, segments
@@ -209,20 +202,22 @@ class SpanCollector:
         #: by_class)
         self.retx_flight_cycles = 0.0
         self.retx_suppressed = 0
-        #: health monitor whose interval check rides on this sink
-        self.monitor = None
+        #: purpose -> its sampler label, built once per purpose
+        self._txn_labels: Dict[str, str] = {}
 
-    # -- sink protocol -----------------------------------------------------
-    # The collector sees EVERY trace event (a tuple, read by position);
-    # most are not span-relevant, so dispatch is one dict probe (the
-    # module's _HANDLERS table of plain functions), not a compare chain.
-    def __call__(self, event: tuple) -> None:
-        handler = _HANDLERS.get(event[1])
-        if handler is not None:
-            handler(self, event)
-        monitor = self.monitor
-        if monitor is not None and event[0] >= monitor.next_due:
-            monitor.sample_at(event[0])
+    def handlers(self) -> Dict[str, Callable[[tuple], None]]:
+        """Event kind -> the bound handler that consumes it, the table
+        a :class:`~repro.obs.trace.TraceRecorder` dispatches through
+        (each handler reads its event tuple by position)."""
+        return {
+            "net.send": self._on_send,
+            "home.busy": self._on_busy,
+            "home.defer": self._on_defer,
+            "home.replay": self._on_replay,
+            "transport.retx": self._on_retx,
+            "l1.issue": self._on_issue,
+            "l1.complete": self._finish,
+        }
 
     def _first_send(self, channel: Tuple[str, str], rseq: int,
                     dur: int) -> bool:
@@ -291,43 +286,49 @@ class SpanCollector:
         if span is None:
             return
         end = event[0]
-        if span.first_send is not None and span.first_send > span.start:
-            span.intervals.append(
-                ("issue", span.start, span.first_send, span.origin))
-        stages, segments = decompose(span.start, end, span.intervals)
-        total = float(end - span.start)
+        start = span.start
+        first_send = span.first_send
+        if first_send is not None and first_send > start:
+            span.intervals.append(("issue", start, first_send, span.origin))
+        stages, segments = decompose(start, end, span.intervals)
+        total = float(end - start)
         self.completed += 1
         self.total_cycles += total
-        self.sampler.sample(f"txn.{span.purpose}", total)
+        try:
+            label = self._txn_labels[span.purpose]
+        except KeyError:
+            label = self._txn_labels[span.purpose] = f"txn.{span.purpose}"
+        self.sampler.sample(label, total)
         origin = self.by_origin.get(span.origin)
         if origin is None:
             origin = self.by_origin[span.origin] = dict(
                 _STAGE_ZERO, count=0.0, total=0.0)
         origin["count"] += 1
         origin["total"] += total
+        stage_totals = self.stage_totals
         for stage, value in stages.items():
-            self.stage_totals[stage] += value
-            origin[stage] += value
+            if value:               # adding 0.0 leaves a total unchanged
+                stage_totals[stage] += value
+                origin[stage] += value
         contention = (stages["queue"] + stages["retransmit"]
                       + stages["probe"])
         if span.line is not None and contention > 0:
             self.line_cycles[span.line] = \
                 self.line_cycles.get(span.line, 0.0) + contention
         for stage, t0, t1, resource in segments:
-            width = t1 - t0
             if stage == "queue":
                 self.shard_cycles[resource] = \
-                    self.shard_cycles.get(resource, 0.0) + width
+                    self.shard_cycles.get(resource, 0.0) + (t1 - t0)
             elif stage in ("flight", "probe", "retransmit") \
                     and resource:
                 self.link_cycles[resource] = \
-                    self.link_cycles.get(resource, 0.0) + width
+                    self.link_cycles.get(resource, 0.0) + (t1 - t0)
         record = {
             "req_id": req_id,
             "origin": span.origin,
             "line": span.line,
             "purpose": span.purpose,
-            "start": span.start,
+            "start": start,
             "end": end,
             "total": total,
             "stages": stages,
@@ -335,12 +336,9 @@ class SpanCollector:
             "segments": segments,
         }
         self.recent.append(record)
-        self._keep_slowest(record)
-
-    def _keep_slowest(self, record: dict) -> None:
+        # keep the top-K slowest; most requests are not among them
         slowest = self.slowest
-        if len(slowest) >= self.top_k \
-                and record["total"] <= slowest[-1]["total"]:
+        if len(slowest) >= self.top_k and total <= slowest[-1]["total"]:
             return
         slowest.append(record)
         slowest.sort(key=lambda r: (-r["total"], r["req_id"]))
@@ -473,15 +471,3 @@ class SpanCollector:
                     lines.append(f"    {row}")
         return "\n".join(lines)
 
-
-#: trace-event kind -> SpanCollector handler (plain functions, so the
-#: collector holds no bound method of itself)
-_HANDLERS = {
-    "net.send": SpanCollector._on_send,
-    "home.busy": SpanCollector._on_busy,
-    "home.defer": SpanCollector._on_defer,
-    "home.replay": SpanCollector._on_replay,
-    "transport.retx": SpanCollector._on_retx,
-    "l1.issue": SpanCollector._on_issue,
-    "l1.complete": SpanCollector._finish,
-}

@@ -2,15 +2,17 @@
 
 Trace points across the simulator call :meth:`TraceRecorder.record`
 (guarded by ``self.engine.tracer is not None``, so the disabled path is
-one attribute load per site).  Each event is an exact ``tuple`` in
-:class:`TraceEvent` field order holding only ints, strs and ``None``, so
-CPython's cyclic collector untracks it the first time a collection sees
-it (the first one after the run: ``System.simulate`` pauses collection)
-and later collections skip the ring.  Events land in a bounded ring
-buffer and are additionally pushed to registered *sinks* — in a built
-system the one :class:`~repro.obs.spans.SpanCollector` — which always
-see the full stream even when a :class:`TraceFilter` restricts what the
-ring keeps.
+one attribute load per site), passing its fields by position.  Each
+event is an exact ``tuple`` in :class:`TraceEvent` field order holding
+only ints, strs and ``None``, so CPython's cyclic collector untracks it
+the first time a collection sees it (the first one after the run:
+``System.simulate`` pauses collection) and later collections skip the
+ring.  ``record`` is the one dispatch point: it runs the handler the
+:class:`~repro.obs.spans.SpanCollector` installed for the event's kind
+(most kinds have none), then the :class:`~repro.obs.monitor.
+HealthMonitor`'s interval check, then keeps the event in a bounded
+ring buffer.  A :class:`TraceFilter` restricts only the ring: the
+handlers and the monitor see every event.
 
 Every network hop is classified at send time (:func:`hop_class`) so the
 span collector's hop rollup can separate the paper's headline effect —
@@ -40,8 +42,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import (Callable, Deque, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set)
+from typing import (Callable, Deque, Dict, FrozenSet, Iterable, List,
+                    NamedTuple, Optional, Set)
 
 from ..coherence.messages import (KIND_LABELS, TRAFFIC_CLASS, Message,
                                   MsgKind)
@@ -89,8 +91,8 @@ class TraceEvent(NamedTuple):
     instant.  ``hop`` is set for ``net.send`` events only; ``cls`` is
     the message traffic class when the event concerns a message;
     ``rseq`` is the transport sequence number (``msg.meta["rseq"]``) of
-    a sequenced message on an unreliable fabric, which lets sinks tell
-    a first send from its retransmissions.
+    a sequenced message on an unreliable fabric, which lets the span
+    collector tell a first send from its retransmissions.
     """
 
     ts: int
@@ -186,15 +188,17 @@ class TraceFilter:
 
 
 class TraceRecorder:
-    """Bounded ring buffer of trace events plus fan-out sinks.
+    """Bounded ring buffer of trace events; :meth:`record` also drives
+    the span handlers and the health monitor.
 
-    Events stay exact tuples from :meth:`record` through the sinks, the
-    ring and :meth:`events`, so the collector can untrack them.
+    Events stay exact tuples from :meth:`record` through the handlers,
+    the ring and :meth:`events`, so the collector can untrack them.
 
     ``homes`` is the set of home-node endpoint names (LLC / L3 / GPU
     L2), registered by the system builder after construction; it drives
-    :func:`hop_class`.  ``sinks`` receive every event regardless of the
-    ring filter, so span stitching never sees gaps.
+    :func:`hop_class`.  ``handlers`` (event kind -> callable) and
+    ``monitor`` see every event regardless of the ring filter, so span
+    stitching never sees gaps.
     """
 
     def __init__(self, engine, capacity: int = 262_144,
@@ -203,7 +207,8 @@ class TraceRecorder:
         self.capacity = max(1, int(capacity))
         self.filter = filter
         self.homes: Set[str] = set()
-        self.sinks: List[Callable[[tuple], None]] = []
+        self.handlers: Dict[str, Callable[[tuple], None]] = {}
+        self.monitor = None
         self._events: Deque[tuple] = deque(maxlen=self.capacity)
         #: events observed (pre-filter) / kept in the ring
         self.seen = 0
@@ -216,11 +221,16 @@ class TraceRecorder:
                hop: Optional[str] = None,
                info: Optional[str] = None,
                rseq: Optional[int] = None) -> tuple:
-        event = (self.engine.now, kind, src, dst, line, req_id, cls, dur,
-                 hop, info, rseq)
+        now = self.engine.now
+        event = (now, kind, src, dst, line, req_id, cls, dur, hop, info,
+                 rseq)
         self.seen += 1
-        for sink in self.sinks:
-            sink(event)
+        handler = self.handlers.get(kind)
+        if handler is not None:
+            handler(event)
+        monitor = self.monitor
+        if monitor is not None and now >= monitor.next_due:
+            monitor.sample_at(now)
         if self.filter is None or self.filter.matches(event):
             self.kept += 1
             self._events.append(event)
@@ -234,11 +244,6 @@ class TraceRecorder:
                     TRAFFIC_CLASS[kind], delivery - now,
                     hop_class(msg, self.homes), KIND_LABELS[kind],
                     msg.meta.get("rseq"))
-
-    def message_delivered(self, msg: Message) -> None:
-        kind = msg.kind
-        self.record("net.deliver", msg.src, msg.dst, msg.line, msg.req_id,
-                    TRAFFIC_CLASS[kind], 0, None, KIND_LABELS[kind])
 
     def message_dropped(self, msg: Message, now: int,
                         reason: str) -> None:

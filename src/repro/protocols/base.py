@@ -312,8 +312,8 @@ class L1Controller(Component):
         self._inflight[msg.req_id] = inflight
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.issue", self.name, line=msg.line,
-                          req_id=msg.req_id, info=purpose)
+            tracer.record("l1.issue", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, purpose)
         return inflight
 
     def _fold_response(self, msg: Message) -> bool:
@@ -338,10 +338,10 @@ class L1Controller(Component):
             del self._inflight[msg.req_id]
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("l1.complete", self.name,
-                              line=inflight.line, req_id=inflight.req_id,
-                              dur=self.engine.now - inflight.issued_at,
-                              info=inflight.purpose)
+                tracer.record("l1.complete", self.name, None, inflight.line,
+                              inflight.req_id, None,
+                              self.engine.now - inflight.issued_at, None,
+                              inflight.purpose)
             self._request_complete(inflight)
         return True
 

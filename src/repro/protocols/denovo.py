@@ -185,9 +185,9 @@ class DeNovoL1(L1Controller):
         self.count("flash_invalidations")
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name,
-                          info="flash self-invalidate"
-                               + (" (regions)" if regions else ""))
+            tracer.record("l1.state", self.name, None, None, None, None, 0,
+                          None, "flash self-invalidate"
+                                + (" (regions)" if regions else ""))
         inside = self._region_filter(regions)
         valid, invalid, owned = DnState.V, DnState.I, DnState.O
         for line_obj in list(self.array.lines()):
@@ -312,8 +312,8 @@ class DeNovoL1(L1Controller):
                 states[index] = state
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name, line=line,
-                          info=f"->{state.value} mask=0x{mask:04x}")
+            tracer.record("l1.state", self.name, None, line, None, None, 0,
+                          None, f"->{state.value} mask=0x{mask:04x}")
         return line_obj
 
     def _finish_load(self, inflight: Inflight) -> None:
@@ -445,8 +445,8 @@ class DeNovoL1(L1Controller):
             return
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name, line=line,
-                          info=f"O->I mask=0x{mask:04x}")
+            tracer.record("l1.state", self.name, None, line, None, None, 0,
+                          None, f"O->I mask=0x{mask:04x}")
         states = line_obj.word_states
         dropped = 0
         for index in iter_mask(mask):
@@ -592,8 +592,9 @@ class DeNovoL1(L1Controller):
             self.count("wtfwd_fills")
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("l1.state", self.name, line=msg.line,
-                              info=f"wtfwd fill mask=0x{applied:04x}")
+                tracer.record("l1.state", self.name, None, msg.line, None,
+                              None, 0, None,
+                              f"wtfwd fill mask=0x{applied:04x}")
         meta = {"wtfwd_released": released} if released else {}
         self.send(Message(MsgKind.ACK, msg.line, msg.mask,
                           src=self.name, dst=msg.src, req_id=msg.req_id,

@@ -101,9 +101,9 @@ class GPUCoherenceL1(L1Controller):
         self.count("flash_invalidations")
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name,
-                          info="flash self-invalidate"
-                               + (" (regions)" if regions else ""))
+            tracer.record("l1.state", self.name, None, None, None, None, 0,
+                          None, "flash self-invalidate"
+                                + (" (regions)" if regions else ""))
         inside = self._region_filter(regions)
         for line_obj in list(self.array.lines()):
             if not line_obj.pinned and inside(line_obj.line):
@@ -164,8 +164,8 @@ class GPUCoherenceL1(L1Controller):
             line_obj.state = GpuState.V
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("l1.state", self.name, line=inflight.line,
-                              req_id=inflight.req_id, info="->V fill")
+                tracer.record("l1.state", self.name, None, inflight.line,
+                              inflight.req_id, None, 0, None, "->V fill")
             for index, value in inflight.data.items():
                 line_obj.data[index] = value
             # our own buffered stores are younger than the fill

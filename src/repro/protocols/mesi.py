@@ -252,10 +252,9 @@ class MESIL1(L1Controller):
             line_obj.state = MesiState.M
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name, line=line,
-                          req_id=inflight.req_id,
-                          info=f"->{line_obj.state.value} "
-                               f"{inflight.purpose}")
+            tracer.record("l1.state", self.name, None, line,
+                          inflight.req_id, None, 0, None,
+                          f"->{line_obj.state.value} {inflight.purpose}")
         if inflight.purpose == "store":
             sb_entry = self.store_buffer.complete(inflight.meta["sb_line"])
             line_obj.write_data(sb_entry.mask, sb_entry.values)
@@ -274,8 +273,8 @@ class MESIL1(L1Controller):
             self.array.evict(line)
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("l1.state", self.name, line=line,
-                              info="S->I inv-after-grant")
+                tracer.record("l1.state", self.name, None, line, None, None, 0,
+                              None, "S->I inv-after-grant")
         self._run_post_grant(line)
         self._drain_store_buffer()
 
@@ -373,8 +372,8 @@ class MESIL1(L1Controller):
             self.array.evict(msg.line)
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("l1.state", self.name, line=msg.line,
-                              req_id=msg.req_id, info="S->I inv")
+                tracer.record("l1.state", self.name, None, msg.line,
+                              msg.req_id, None, 0, None, "S->I inv")
         ack_kind = (MsgKind.MESI_INV_ACK if msg.kind == MsgKind.MESI_INV
                     else MsgKind.ACK)
         self.send(Message(ack_kind, msg.line, msg.mask, src=self.name,
@@ -419,8 +418,8 @@ class MESIL1(L1Controller):
             self.array.evict(line)
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("l1.state", self.name, line=line,
-                          info=f"{previous}->{to} probe")
+            tracer.record("l1.state", self.name, None, line, None, None, 0,
+                          None, f"{previous}->{to} probe")
         return data
 
     def probe_write(self, line: int, values: Dict[int, int]) -> None:

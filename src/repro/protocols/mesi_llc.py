@@ -120,8 +120,8 @@ class MESIDirectoryLLC(HomeController):
         line_obj.meta["dirty"] = False
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.state", self.name, line=line,
-                          info="I->V fill")
+            tracer.record("home.state", self.name, None, line, None, None, 0,
+                          None, "I->V fill")
         self._fetching.discard(line)
         self._replay_deferred(line)
 
@@ -211,17 +211,16 @@ class MESIDirectoryLLC(HomeController):
             self._set_owner(line_obj, msg.src)
             line_obj.state = DirState.M
             if tracer is not None:
-                tracer.record("home.state", self.name, line=msg.line,
-                              req_id=msg.req_id,
-                              info=f"V->M grant E {msg.src}")
+                tracer.record("home.state", self.name, None, msg.line,
+                              msg.req_id, None, 0, None,
+                              f"V->M grant E {msg.src}")
             self._respond(msg, MsgKind.DATA_E,
                           line_obj.read_data(FULL_LINE_MASK))
         elif line_obj.state == DirState.S:
             self._sharers(line_obj).add(msg.src)
             if tracer is not None:
-                tracer.record("home.state", self.name, line=msg.line,
-                              req_id=msg.req_id,
-                              info=f"S share +{msg.src}")
+                tracer.record("home.state", self.name, None, msg.line,
+                              msg.req_id, None, 0, None, f"S share +{msg.src}")
             self._respond(msg, MsgKind.DATA_S,
                           line_obj.read_data(FULL_LINE_MASK))
         else:  # M: blocking forward to the owner
@@ -249,8 +248,8 @@ class MESIDirectoryLLC(HomeController):
         self._sharers(line_obj).update({msg.src, owner})
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.state", self.name, line=msg.line,
-                          req_id=msg.req_id, info="M->S demote")
+            tracer.record("home.state", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, "M->S demote")
 
     def _handle_getm(self, msg: Message, line_obj: CacheLine) -> None:
         if line_obj.state == DirState.V:
@@ -306,9 +305,8 @@ class MESIDirectoryLLC(HomeController):
         line_obj.state = DirState.M
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.state", self.name, line=msg.line,
-                          req_id=msg.req_id,
-                          info=f"->M grant {msg.src}")
+            tracer.record("home.state", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, f"->M grant {msg.src}")
         self._respond(msg, MsgKind.DATA_M,
                       line_obj.read_data(FULL_LINE_MASK))
 
@@ -318,9 +316,8 @@ class MESIDirectoryLLC(HomeController):
         line_obj.state = DirState.M
         tracer = self.engine.tracer
         if tracer is not None:
-            tracer.record("home.state", self.name, line=msg.line,
-                          req_id=msg.req_id,
-                          info=f"M->M owner={msg.src}")
+            tracer.record("home.state", self.name, None, msg.line, msg.req_id,
+                          None, 0, None, f"M->M owner={msg.src}")
 
     def _handle_putm(self, msg: Message) -> None:
         line_obj = self.array.lookup(msg.line)
@@ -332,8 +329,8 @@ class MESIDirectoryLLC(HomeController):
             line_obj.state = DirState.V
             tracer = self.engine.tracer
             if tracer is not None:
-                tracer.record("home.state", self.name, line=msg.line,
-                              req_id=msg.req_id, info="M->V putm")
+                tracer.record("home.state", self.name, None, msg.line,
+                              msg.req_id, None, 0, None, "M->V putm")
         else:
             self.hstats.incr("stale_writebacks")
         self.network.send(Message(

@@ -104,9 +104,10 @@ class System:
                 self.engine, capacity=config.trace.capacity,
                 filter=TraceFilter.parse(config.trace.filters))
             self.engine.tracer = self.tracer
-            # the tracer's one sink: every event costs one sink call
+            # the recorder dispatches each event of a span kind
+            # straight to the collector's handler for it
             self.spans = SpanCollector(top_k=config.trace.health_top_k)
-            self.tracer.sinks.append(self.spans)
+            self.tracer.handlers.update(self.spans.handlers())
         self._build()
         # the cycles among the parts, cut once the System is freed
         # (DESIGN.md "Object lifetime")
@@ -128,14 +129,15 @@ class System:
             for home in self.homes:
                 self.tracer.homes.add(home.name)
         # The health monitor hooks in after the topology is built (it
-        # enumerates live homes / L1s / links); the span collector runs
-        # its interval check.  Passive — runs stay bit-identical.
+        # enumerates live homes / L1s / links); the recorder runs its
+        # interval check on every event.  Passive — runs stay
+        # bit-identical.
         if self.tracer is not None and config.trace.monitor_interval > 0:
             self.registry = MetricsRegistry()
             self.monitor = HealthMonitor(
                 self, self.registry, config.trace.monitor_interval,
                 top_k=config.trace.health_top_k)
-            self.spans.monitor = self.monitor
+            self.tracer.monitor = self.monitor
 
     # ------------------------------------------------------------------
     def _make_network(self) -> Network:

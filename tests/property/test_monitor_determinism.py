@@ -6,8 +6,9 @@ configuration, including a sharded multi-socket run on an unreliable
 fabric (the heaviest scrape surface: transport channels, reorder
 buffers, per-shard queues).
 
-The monitor and span collector are sinks: they read passive state and
-never schedule engine events.  These tests enforce that invariant.
+The monitor and span collector run from inside the trace recorder:
+they read passive state and never schedule engine events.  These tests
+enforce that invariant.
 """
 
 import dataclasses

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs import (Gauge, HealthMonitor, MetricsRegistry,
-                       SpanCollector, TraceEvent, format_health)
+                       SpanCollector, TraceRecorder, format_health)
 from repro.sim.stats import MetricNameError, StatsRegistry
 from repro.system import (TraceConfig, WatchdogConfig, build_system,
                           scaled_config)
@@ -193,15 +193,20 @@ def test_monitor_ignores_events_before_interval():
 
     system = _System()      # the monitor refers to its system weakly
     monitor = HealthMonitor(system, registry, interval=100)
-    spans = SpanCollector()
-    spans.monitor = monitor
-    spans(TraceEvent(5, "net.send", "a"))
+    recorder = TraceRecorder(_Engine())
+    recorder.handlers.update(SpanCollector().handlers())
+    recorder.monitor = monitor
+    recorder.engine.now = 5
+    recorder.record("net.send", "a")
     assert monitor.scrapes == 0
-    spans(TraceEvent(100, "net.send", "a"))
+    recorder.engine.now = 100
+    recorder.record("net.send", "a")
     assert monitor.scrapes == 1
-    spans(TraceEvent(150, "net.send", "a"))
+    recorder.engine.now = 150
+    recorder.record("net.send", "a")
     assert monitor.scrapes == 1
-    spans(TraceEvent(205, "net.send", "a"))
+    recorder.engine.now = 205
+    recorder.record("net.send", "a")
     assert monitor.scrapes == 2
     monitor.finalize(300)
     assert monitor.scrapes == 3

@@ -47,11 +47,19 @@ def test_ring_is_bounded_and_counts_everything():
 def test_sinks_see_filtered_out_events():
     filt = TraceFilter.parse(["dev=gpu0.l1"])
     recorder = make_recorder(filter=filt)
+    spans = SpanCollector()
+    recorder.handlers.update(spans.handlers())
     seen_by_sink = []
-    recorder.sinks.append(seen_by_sink.append)
+    recorder.handlers["l1.state"] = seen_by_sink.append
+    recorder.record("l1.issue", "cpu0.l1", None, 0x40, 1, None, 0, None,
+                    "load")
     recorder.record("l1.state", "cpu0.l1")
     recorder.record("l1.state", "gpu0.l1")
-    assert len(seen_by_sink) == 2       # sinks: everything
+    recorder.engine.now = 9
+    recorder.record("l1.complete", "cpu0.l1", None, 0x40, 1, None, 9,
+                    None, "load")
+    assert len(seen_by_sink) == 2       # handlers: everything
+    assert spans.completed == 1         # (span kinds included)
     assert len(recorder) == 1           # ring: only the match
     assert TraceEvent(*recorder.events()[0]).src == "gpu0.l1"
 
@@ -166,7 +174,7 @@ def test_hop_classification():
 def test_profiler_stitches_one_transaction():
     recorder = make_recorder()
     spans = SpanCollector()
-    recorder.sinks.append(spans)
+    recorder.handlers.update(spans.handlers())
     engine = recorder.engine
 
     engine.now = 100
@@ -207,7 +215,7 @@ def test_profiler_stitches_one_transaction():
 def test_profiler_attributes_blocked_time():
     recorder = make_recorder()
     spans = SpanCollector()
-    recorder.sinks.append(spans)
+    recorder.handlers.update(spans.handlers())
     engine = recorder.engine
 
     recorder.record("l1.issue", "gpu0.l1", line=0x80, req_id=3,
@@ -229,7 +237,7 @@ def test_profiler_attributes_blocked_time():
 def test_profiler_snapshot_is_json_safe():
     spans = SpanCollector()
     recorder = make_recorder()
-    recorder.sinks.append(spans)
+    recorder.handlers.update(spans.handlers())
     recorder.record("l1.issue", "cpu0.l1", req_id=1, info="load")
     recorder.engine.now = 7
     recorder.record("l1.complete", "cpu0.l1", req_id=1, info="load")
@@ -341,10 +349,10 @@ def test_metrics_sample_on_epoch_boundaries(tmp_path):
     system = _QuietSystem()
     stats = system.stats
     spans = SpanCollector()
-    spans.monitor = HealthMonitor(system, MetricsRegistry(), interval=100)
-    monitor = spans.monitor
+    monitor = HealthMonitor(system, MetricsRegistry(), interval=100)
     recorder = make_recorder()
-    recorder.sinks.append(spans)
+    recorder.handlers.update(spans.handlers())
+    recorder.monitor = monitor
     engine = recorder.engine
 
     stats.incr("x")

@@ -9,20 +9,16 @@ reported inflated network cycles.  The critical-path partition is
 unaffected: a retransmitted flight really is on the request's path."""
 
 from repro.obs import SpanCollector, TraceEvent
+from tests.unit.test_spans import drive
 
 
 def _events(*specs):
     return [TraceEvent(*args, **kwargs) for args, kwargs in specs]
 
 
-def _drive(spans, events):
-    for event in events:
-        spans(event)
-
-
 def test_duplicate_rseq_send_is_suppressed():
     spans = SpanCollector()
-    _drive(spans, _events(
+    drive(spans, _events(
         ((0, "l1.issue", "cpu0.l1"), dict(line=0x40, req_id=1,
                                           info="GetO")),
         ((4, "net.send", "cpu0.l1"), dict(dst="llc", req_id=1,
@@ -49,7 +45,7 @@ def test_duplicate_rseq_send_is_suppressed():
 
 def test_increasing_rseq_advances_the_watermark():
     spans = SpanCollector()
-    _drive(spans, _events(
+    drive(spans, _events(
         ((0, "net.send", "a"), dict(dst="b", cls="req", dur=5, rseq=0)),
         ((9, "net.send", "a"), dict(dst="b", cls="req", dur=5, rseq=1)),
         ((18, "net.send", "a"), dict(dst="b", cls="req", dur=5,
@@ -62,7 +58,7 @@ def test_increasing_rseq_advances_the_watermark():
 def test_watermark_is_per_channel():
     spans = SpanCollector()
     # rseq 0 on two different channels: both are first sends
-    _drive(spans, _events(
+    drive(spans, _events(
         ((0, "net.send", "a"), dict(dst="b", cls="req", dur=5, rseq=0)),
         ((0, "net.send", "b"), dict(dst="a", cls="rsp", dur=7, rseq=0)),
         # reverse-direction retransmission is still caught
@@ -78,7 +74,7 @@ def test_watermark_is_per_channel():
 def test_unsequenced_sends_are_never_suppressed():
     spans = SpanCollector()
     # reliable-network runs carry no rseq; identical sends all count
-    _drive(spans, _events(
+    drive(spans, _events(
         ((0, "net.send", "a"), dict(dst="b", cls="req", dur=5)),
         ((9, "net.send", "a"), dict(dst="b", cls="req", dur=5)),
     ))
@@ -88,7 +84,7 @@ def test_unsequenced_sends_are_never_suppressed():
 
 def test_wire_duplicates_never_reach_the_send_path():
     spans = SpanCollector()
-    _drive(spans, _events(
+    drive(spans, _events(
         ((0, "net.send", "a"), dict(dst="b", cls="req", dur=5, rseq=0)),
         # a fault-injected wire duplicate is traced as net.dup, which
         # must not touch flight attribution or the watermark

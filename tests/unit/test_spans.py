@@ -3,7 +3,8 @@ driven with synthetic trace-event streams."""
 
 import json
 
-from repro.obs import SPAN_STAGES, SpanCollector, TraceEvent, decompose
+from repro.obs import (SPAN_STAGES, SpanCollector, TraceEvent,
+                       TraceRecorder, decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +54,24 @@ def test_decompose_merges_adjacent_same_stage_segments():
 # ---------------------------------------------------------------------------
 # collector
 # ---------------------------------------------------------------------------
-def _drive(collector, events):
+class _Clock:
+    now = 0
+
+
+def drive(collector, events):
+    """Feed ``events`` through a recorder that dispatches to the
+    collector's handler table, each at its own timestamp."""
+    recorder = TraceRecorder(_Clock())
+    recorder.handlers.update(collector.handlers())
     for event in events:
-        collector(event)
+        recorder.engine.now = event[0]
+        recorder.record(*event[1:])
+    return recorder
 
 
 def test_collector_builds_exact_span():
     spans = SpanCollector(top_k=4)
-    _drive(spans, [
+    drive(spans, [
         TraceEvent(0, "l1.issue", "cpu0.l1", line=0x40, req_id=1,
                    info="GetO"),
         TraceEvent(8, "net.send", "cpu0.l1", dst="llc0", req_id=1,
@@ -85,7 +96,7 @@ def test_collector_builds_exact_span():
 
 def test_collector_probe_defer_and_retransmit_attribution():
     spans = SpanCollector(top_k=4)
-    _drive(spans, [
+    drive(spans, [
         TraceEvent(0, "l1.issue", "gpu0.l1", line=0x80, req_id=7,
                    info="GetV"),
         TraceEvent(4, "net.send", "gpu0.l1", dst="llc0", req_id=7,
@@ -116,7 +127,7 @@ def test_collector_probe_defer_and_retransmit_attribution():
 
 def test_orphan_events_are_ignored():
     spans = SpanCollector()
-    _drive(spans, [
+    drive(spans, [
         TraceEvent(5, "net.send", "cpu0.l1", dst="llc0", req_id=99,
                    dur=10),
         TraceEvent(9, "home.busy", "llc0", req_id=99, dur=3),
@@ -135,7 +146,7 @@ def test_top_k_rollups_rank_by_cycles():
         req = index + 1
         home = f"llc{index}"
         base = index * 1000
-        _drive(spans, [
+        drive(spans, [
             TraceEvent(base, "l1.issue", "cpu0.l1", line=line,
                        req_id=req, info="GetO"),
             TraceEvent(base + 1, "net.send", "cpu0.l1", dst=home,
@@ -156,7 +167,7 @@ def test_top_k_rollups_rank_by_cycles():
 
 def test_snapshot_is_json_round_trip_exact():
     spans = SpanCollector(top_k=2)
-    _drive(spans, [
+    drive(spans, [
         TraceEvent(0, "l1.issue", "cpu0.l1", line=0xabc0, req_id=3,
                    info="GetS"),
         TraceEvent(2, "net.send", "cpu0.l1", dst="llc0", req_id=3,
@@ -172,7 +183,7 @@ def test_snapshot_is_json_round_trip_exact():
 
 def test_format_span_and_report_smoke():
     spans = SpanCollector(top_k=2)
-    _drive(spans, [
+    drive(spans, [
         TraceEvent(0, "l1.issue", "cpu0.l1", line=0x40, req_id=1,
                    info="GetO"),
         TraceEvent(4, "net.send", "cpu0.l1", dst="llc0", req_id=1,
